@@ -12,9 +12,8 @@ from .prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
 from .witnesses import (Claim2Result, Claim3Result, CommutatorWord, Decomposition,
                         NormalWord, claim1_transporter, claim2_factorization,
                         claim3_witness, commutator, commuting_chain, decompose2,
-                        derived_conjugator, eval_commutator_word, eval_normal_word,
-                        monolith_witness, shift_identity_check, simple_witness,
-                        verify_certificate)
+                        derived_conjugator, monolith_witness, shift_identity_check,
+                        simple_witness, verify_certificate)
 
 __version__ = "0.1.0"
 
@@ -24,8 +23,8 @@ __all__ = [
     "TriCover", "join_compression", "min_cover_3", "transporter",
     "wandering_base", "wandering_witness",
     "NormalWord", "CommutatorWord", "Decomposition", "Claim2Result", "Claim3Result",
-    "commutator", "decompose2", "derived_conjugator", "eval_normal_word",
-    "eval_commutator_word", "shift_identity_check", "monolith_witness",
+    "commutator", "decompose2", "derived_conjugator", "shift_identity_check",
+    "monolith_witness",
     "simple_witness", "claim1_transporter", "claim2_factorization",
     "claim3_witness", "commuting_chain", "verify_certificate",
     "parse_clopen", "parse_element",

@@ -127,7 +127,7 @@ def cmd_derived_conj(args):
     g = parse_element(args.element, args.arity)
     region = parse_clopen(args.region, args.arity)
     d, cert = wit.derived_conjugator(g, region)
-    obj = commutator_word_to_obj(cert, target=d, arity=args.arity)
+    obj = commutator_word_to_obj(cert, target=d)
     _emit(args, [f"d = {d}",
                  *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(cert.factors))],
           obj)
@@ -168,7 +168,7 @@ def cmd_simple(args):
         "kind": "simple_witness",
         "arity": n.arity,
         "witness": normal_word_to_obj(word, target=word.evaluate()),
-        "conjugators": [commutator_word_to_obj(c, target=conj, arity=n.arity)
+        "conjugators": [commutator_word_to_obj(c, target=conj)
                         for c, (conj, _e) in zip(conj_certs, word.letters)],
     }
     _emit(args, _word_lines(word) + [f"conjugator_certs = {len(conj_certs)}"], obj)
@@ -183,7 +183,7 @@ def cmd_claim1(args):
     _emit(args,
           [f"e = {e}",
            *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(cert.factors))],
-          commutator_word_to_obj(cert, target=e, arity=args.arity))
+          commutator_word_to_obj(cert, target=e))
     return EXIT_OK
 
 
@@ -200,7 +200,7 @@ def cmd_claim2(args):
     obj = {"s1": str(res.s1), "s2": str(res.s2), "s3": str(res.s3),
            "fixes": list(res.indices), "arity": args.arity}
     if res.certs is not None:
-        obj["certs"] = [commutator_word_to_obj(c, target=s, arity=args.arity)
+        obj["certs"] = [commutator_word_to_obj(c, target=s)
                         for c, s in zip(res.certs, (res.s1, res.s2, res.s3))]
         lines.append("certs = 3")
     _emit(args, lines, obj)
@@ -239,12 +239,18 @@ def cmd_verify(args):
 def cmd_corpus(args):
     results = corpus_mod.run_all(seed=args.seed, arity=args.arity,
                                  window=args.orbit_window,
-                                 scale=10 if args.quick else 1,
-                                 depth=args.depth if args.depth != 5 else None)
+                                 scale=10 if args.quick else 1, depth=args.depth)
     for res in results:
         print(res.line())
         print(f"  ({res.name}: {res.seconds:.2f}s)", file=sys.stderr)
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -256,10 +262,8 @@ def build_parser() -> _Parser:
                         help="alphabet size (default 2)")
     common.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--depth", type=int, default=5,
-                        help="max tree depth for random generation")
-    common.add_argument("--orbit-window", type=int, default=8,
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--orbit-window", type=_non_negative, default=8,
                         help="wandering disjointness check window")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,7 +291,7 @@ def build_parser() -> _Parser:
     p.add_argument("target")
     p.set_defaults(func=cmd_transporter)
 
-    p = sub.add_parser("wandering", parents=[common],
+    p = sub.add_parser("wandering", parents=[common, window],
                        help="element with pairwise disjoint powers of a region")
     p.add_argument("region")
     p.set_defaults(func=cmd_wandering)
@@ -351,7 +355,11 @@ def build_parser() -> _Parser:
     p.add_argument("certificate", help="path to a JSON certificate ('-' for stdin)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("corpus", parents=[common], help="run the seeded property suites")
+    p = sub.add_parser("corpus", parents=[common, window],
+                       help="run the seeded property suites")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--depth", type=int, default=None,
+                   help="max tree depth for random generation (default: per suite)")
     p.add_argument("--quick", action="store_true", help="scale case counts down 10x")
     p.set_defaults(func=cmd_corpus)
 

@@ -11,7 +11,7 @@ witness cylinders.
 from typing import NamedTuple
 
 from .clopen import ClopenSet, canonicalize, cylinder, letters, split_words
-from .errors import PreconditionError
+from .errors import ArityMismatchError, PreconditionError
 from .prefixmap import PrefixMap, identity, matched_pairs, sigma_swap
 
 
@@ -24,7 +24,7 @@ def transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
     words order-wise and complete length-lexicographically.
     """
     if src.arity != dst.arity:
-        raise PreconditionError("mixed arities")
+        raise ArityMismatchError(f"mixed arities {src.arity} and {dst.arity}")
     if src.is_empty() or dst.is_empty():
         raise PreconditionError("transporter needs non-empty source and target")
     if src.is_full():
@@ -83,7 +83,7 @@ def join_compression(part_a: ClopenSet, part_b: ClopenSet) -> PrefixMap:
     disjoint halves of g1(A); the result is g1^-1 · σ(g2, A) · σ(g3, B).
     """
     if part_a.arity != part_b.arity:
-        raise PreconditionError("mixed arities")
+        raise ArityMismatchError(f"mixed arities {part_a.arity} and {part_b.arity}")
     if part_a.is_empty() or part_b.is_empty():
         raise PreconditionError("join compression needs non-empty parts")
     if not part_a.disjoint(part_b):

@@ -282,7 +282,7 @@ def suite_derived_conjugator(seed: int = 5, cases: int = 300, arity: int = 2,
         d, cert = wit.derived_conjugator(g, w)
         if len(cert.factors) > 2:
             return False
-        if cert.evaluate(arity) != d:
+        if cert.evaluate() != d:
             return False
         return d.image(w) == g.image(w)
 
@@ -323,7 +323,7 @@ def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200
         ia, ib, ic = disjoint_triple()
         e, cert = wit.claim1_transporter(ia, ib, ic)
         ok = (len(cert.factors) <= 1
-              and cert.evaluate(arity) == e
+              and cert.evaluate() == e
               and e.image(ia) == ib
               and e.in_rist(ic.complement()))
         failures += 0 if ok else 1
@@ -334,8 +334,8 @@ def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200
         if i % 2 == 0:
             x = random_element(rng, arity, depth)
             y = random_element(rng, arity, depth)
-            g_cert = CommutatorWord(((x, y),))
-            g = g_cert.evaluate(arity)
+            g_cert = CommutatorWord(((x, y),), arity)
+            g = g_cert.evaluate()
         res = wit.claim2_factorization(g, cover, g_cert)
         ok = res.s1 * res.s2 * res.s3 == g
         for s, idx in zip((res.s1, res.s2, res.s3), res.indices):
@@ -343,7 +343,7 @@ def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200
         if g_cert is not None:
             ok = ok and res.certs is not None
             for s, cert in zip((res.s1, res.s2, res.s3), res.certs):
-                ok = ok and cert.evaluate(arity) == s
+                ok = ok and cert.evaluate() == s
         failures += 0 if ok else 1
 
     for _ in range(claim3_cases):

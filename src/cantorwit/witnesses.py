@@ -17,9 +17,10 @@ witness builders below compose them into full certificates.
 import json
 from dataclasses import dataclass
 
-from .clopen import ClopenSet, canonicalize, cylinder
+from .clopen import ClopenSet, canonicalize, cylinder, whole_space
 from .compression import transporter, two_disjoint_cylinders, wandering_witness
-from .errors import PreconditionError, VerificationError
+from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
+from .literals import parse_element
 from .prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
 
 
@@ -50,28 +51,20 @@ class NormalWord:
 
 @dataclass(frozen=True)
 class CommutatorWord:
-    """Product of commutators [x, y], composed left to right."""
+    """Product of commutators [x, y], composed left to right, over the
+    alphabet of size `arity` (which an empty word still needs)."""
 
     factors: tuple[tuple[PrefixMap, PrefixMap], ...] = ()
+    arity: int = 2
 
-    def evaluate(self, arity: int = 2) -> PrefixMap:
-        if self.factors:
-            arity = self.factors[0][0].arity
-        acc = identity(arity)
+    def evaluate(self) -> PrefixMap:
+        acc = identity(self.arity)
         for x, y in self.factors:
             acc = acc * commutator(x, y)
         return acc
 
     def inverse(self) -> "CommutatorWord":
-        return CommutatorWord(tuple((y, x) for x, y in reversed(self.factors)))
-
-
-def eval_normal_word(word: NormalWord) -> PrefixMap:
-    return word.evaluate()
-
-
-def eval_commutator_word(word: CommutatorWord, arity: int = 2) -> PrefixMap:
-    return word.evaluate(arity)
+        return CommutatorWord(tuple((y, x) for x, y in reversed(self.factors)), self.arity)
 
 
 def commutator(x: PrefixMap, y: PrefixMap) -> PrefixMap:
@@ -93,7 +86,7 @@ class _Certified:
                           tuple((y, x) for x, y in reversed(self.factors)))
 
     def cert(self) -> CommutatorWord:
-        return CommutatorWord(self.factors)
+        return CommutatorWord(self.factors, self.elem.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +132,7 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet) -> tuple[PrefixMap, Comm
     if not region.is_proper():
         raise PreconditionError("degenerate region for derived conjugator")
     if g.is_identity():
-        return identity(g.arity), CommutatorWord(())
+        return identity(g.arity), CommutatorWord((), g.arity)
     dec = decompose2(g)
     current = region
     built: list[tuple[PrefixMap, PrefixMap]] = []
@@ -150,8 +143,8 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet) -> tuple[PrefixMap, Comm
         built.append((s, h))
         current = s.image(current)
     built.reverse()
-    word = CommutatorWord(tuple(built))
-    return word.evaluate(g.arity), word
+    word = CommutatorWord(tuple(built), g.arity)
+    return word.evaluate(), word
 
 
 def shift_identity_check(a: PrefixMap, b: PrefixMap, region: ClopenSet
@@ -186,75 +179,110 @@ def _check_witness_inputs(a, ya, b, yb, n):
             raise PreconditionError(f"element {name} is not supported in its region")
 
 
-def _proper_union_letters(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
-                          n: PrefixMap) -> list[tuple[PrefixMap, int]]:
-    """Letters for [a, b] over base n when W = ya ∪ yb is proper.
+@dataclass(frozen=True)
+class _Base:
+    """A certified element m of the normal closure of n, the base of the
+    witness expansion."""
 
-    g' = u^-1·n·u moves W off itself (u transports W into a moved cylinder
-    of n), so g'·a^-1·g'^-1 commutes with b and [a, b] = [[a, g'], b],
+    m: _Certified
+    letters: tuple           # m as letters over n
+    inv_letters: tuple       # m^-1 as letters over n
+    bound: ClopenSet         # clopen support bound of m
+    zone: ClopenSet          # target for W in the proper branch; zone, m(zone) disjoint
+
+
+def _conjugate_letters(outer: _Certified, lts) -> list[tuple[_Certified, int]]:
+    return [(outer * c, e) for c, e in lts]
+
+
+def _proper_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certified, int]]:
+    """Letters for [a, b] when W = ya ∪ yb is proper.
+
+    g' = d^-1·m·d moves W off itself (d lifts a transporter of W into the
+    base zone), so g'·a^-1·g'^-1 commutes with b and [a, b] = [[a, g'], b],
     which expands into four conjugates of g'^{±1} with conjugators
-    a, e, b, b·a.
+    a, e, b, b·a, each lifted on the support bound of g'.  lift(x, S)
+    returns a certified element agreeing with x pointwise on S.
     """
     if commutator(a, b).is_identity():
         return []
     w = ya.union(yb)
-    u = transporter(w, n.moved_cylinder())
-    uinv = u.inverse()
-    return [(a * uinv, 1), (uinv, -1), (b * uinv, 1), (b * a * uinv, -1)]
+    d = lift(transporter(w, base.zone), w)
+    dinv = d.inverse()
+    sp = dinv.elem.image(base.bound)
+    g_letters = _conjugate_letters(dinv, base.letters)        # g' = d^-1 m d
+    g_inv_letters = _conjugate_letters(dinv, base.inv_letters)
+    out = []
+    out += _conjugate_letters(lift(a, sp), g_letters)            # a g' a^-1
+    out += g_inv_letters                                         # g'^-1
+    out += _conjugate_letters(lift(b, sp), g_letters)            # b g' b^-1
+    out += _conjugate_letters(lift(b * a, sp), g_inv_letters)    # (b a) g'^-1 (b a)^-1
+    return out
 
 
-def _full_union_mover(ya: ClopenSet, n: PrefixMap) -> tuple[PrefixMap, PrefixMap]:
-    """h = u^-1·n·u with h(ya) inside the complement of ya.
+def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certified, int]]:
+    """Letters for [a, b] when ya ∪ yb is the whole space.
 
-    u is a patch sending ya into a sub-cylinder Z' of a moved cylinder of
-    n and pulling n(Z') back into a proper part of ya's complement, so
-    conjugating by h lands the first support inside the second's region.
-    Returns (h, u).
+    h = d^-1·m·d carries ya into its own complement: d lifts a patch u
+    sending ya into a sub-cylinder Z' of a moved cylinder of m and pulling
+    m(Z') back into a proper part of ya's complement.  With a1 = h·a·h^-1
+    the pair (a1, b) falls into the proper-union case and
+
+        [a, b] = h^-1·( a1·[h,b]·a1^-1 · [a1, b] )·h · [h^-1, b]
+
+    where every conjugation by a1, a1·b or b is lifted on h's support bound.
     """
-    k = n.arity
-    z = n.moved_cylinder().code[0]
-    zsub = cylinder(z + "0", k)
-    n_zsub = n.image(zsub)
-    room = ya.complement()
-    room_target = cylinder(room.code[0] + "0", k)
-    t2 = transporter(n_zsub, room_target)
-    r1 = t2.image(n_zsub)
-    t1 = transporter(ya, zsub)
-    u = patch([(ya, t1), (r1, t2.inverse())])
-    return u.inverse() * n * u, u
+    m = base.m.elem
+    k = m.arity
+    zsub = cylinder(m.moved_cylinder().code[0] + "0", k)
+    m_zsub = m.image(zsub)
+    room_target = cylinder(ya.complement().code[0] + "0", k)
+    t2 = transporter(m_zsub, room_target)
+    r1 = t2.image(m_zsub)
+    u = patch([(ya, transporter(ya, zsub)), (r1, t2.inverse())])
+    d = lift(u, ya.union(r1))
+    dinv = d.inverse()
+    h_cert = dinv * base.m * d
+    h = h_cert.elem
+    sh = dinv.elem.image(base.bound)
+    a1 = h * a * h.inverse()
+    inner = _proper_union_letters(a1, h.image(ya), b, yb, base, lift)
+    h_letters = _conjugate_letters(dinv, base.letters)
+    hinv_letters = _conjugate_letters(dinv, base.inv_letters)
+    pre = []
+    pre += _conjugate_letters(lift(a1, sh), h_letters)          # a1 h a1^-1
+    pre += _conjugate_letters(lift(a1 * b, sh), hinv_letters)   # (a1 b) h^-1 (a1 b)^-1
+    pre += inner                                                # [a1, b]
+    out = _conjugate_letters(h_cert.inverse(), pre)             # conjugate the block by h^-1
+    out += hinv_letters                                         # [h^-1, b] = h^-1 · (b h b^-1)
+    out += _conjugate_letters(lift(b, sh), h_letters)
+    return out
+
+
+def _witness_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certified, int]]:
+    build = _full_union_letters if ya.union(yb).is_full() else _proper_union_letters
+    return build(a, ya, b, yb, base, lift)
 
 
 def monolith_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
                      n: PrefixMap) -> NormalWord:
     """A normal word over base n evaluating to [a, b], at most 8 letters.
 
-    When ya ∪ yb is proper the four-letter expansion of [[a, g'], b]
-    applies directly.  Otherwise a one-letter conjugate h of n carries ya
-    into its own complement; with a1 = h·a·h^-1 the pair (a1, b) falls
-    into the proper-union case and
-
-        [a, b] = h^-1·( a1·[h,b]·a1^-1 · [a1, b] )·h · [h^-1, b]
-
-    recombines everything, for 2 + 4 + 2 = 8 letters.
+    The expansion runs over m = n itself with raw conjugators: when
+    ya ∪ yb is proper the four-letter expansion of [[a, g'], b] applies
+    directly; otherwise the one-letter conjugate h of n adds 2 + 2 letters
+    around the inner four, for 8.
     """
     _check_witness_inputs(a, ya, b, yb, n)
     target = commutator(a, b)
     if target.is_identity():
         return NormalWord(n, ())
-    w = ya.union(yb)
-    if w.is_full():
-        h, u = _full_union_mover(ya, n)
-        uinv = u.inverse()
-        a1 = h * a * h.inverse()
-        ya1 = h.image(ya)
-        inner = _proper_union_letters(a1, ya1, b, yb, n)
-        pre = [(a1 * uinv, 1), (a1 * b * uinv, -1)] + inner
-        hinv = h.inverse()
-        letters = [(hinv * c, e) for c, e in pre]
-        letters += [(uinv, -1), (b * uinv, 1)]
-    else:
-        letters = _proper_union_letters(a, ya, b, yb, n)
-    word = NormalWord(n, tuple(letters))
+    k = n.arity
+    one = _Certified(identity(k))
+    base = _Base(_Certified(n), ((one, 1),), ((one, -1),), whole_space(k),
+                 n.moved_cylinder())
+    tagged = _witness_letters(a, ya, b, yb, base, lambda x, _: _Certified(x))
+    word = NormalWord(n, tuple((c.elem, e) for c, e in tagged))
     if word.evaluate() != target:
         raise VerificationError("internal error: monolith witness failed to evaluate")
     return word
@@ -270,20 +298,10 @@ def _swap_cylinders(wa: str, wb: str, arity: int) -> PrefixMap:
     return PrefixMap.from_pairs(pairs, arity)
 
 
-@dataclass(frozen=True)
-class _SmallBase:
-    """m = [q, n], a two-letter word over n with proper support bound."""
-
-    q: _Certified            # explicit 3-cycle of cylinders, one commutator
-    m: _Certified            # [q, n]
-    bound: ClopenSet         # proper clopen support bound of m
-    letters: tuple           # m as letters over n: ((q, +1), (e, -1))
-    inv_letters: tuple       # m^-1 as letters over n: ((e, +1), (q, -1))
-
-
-def _small_base(n: PrefixMap) -> _SmallBase:
-    """A non-trivial certified element of the normal closure of n whose
-    support bound Z1 ∪ n(Z1) is proper.
+def _small_base(n: PrefixMap) -> _Base:
+    """m = [q, n], a non-trivial certified element of the normal closure of
+    n, written as two letters over n, whose support bound Z1 ∪ n(Z1) is
+    proper.
 
     q is the 3-cycle of three disjoint sub-cylinders of Z1 (a sub-cylinder
     of a moved cylinder of n, so Z1 ∪ n(Z1) misses Z1's sibling), written
@@ -299,19 +317,14 @@ def _small_base(n: PrefixMap) -> _SmallBase:
         [(wa, wb), (wb, wc), (wc, wa)]
         + [(w, w) for w in canonicalize([wa, wb, wc], k).complement().code], k)
     q = _Certified(three_cycle, ((tau, sig),))
-    if q.cert().evaluate(k) != three_cycle:
+    if q.cert().evaluate() != three_cycle:
         raise VerificationError("internal error: 3-cycle certificate")
     m = _Certified(commutator(three_cycle, n), ((three_cycle, n),))
     zone = cylinder(z1, k)
-    bound = zone.union(n.image(zone))
-    ident = identity(k)
-    return _SmallBase(q, m, bound,
-                      letters=((q, 1), (_Certified(ident), -1)),
-                      inv_letters=((_Certified(ident), 1), (q, -1)))
-
-
-def _conjugate_letters(outer: _Certified, lts) -> list[tuple[_Certified, int]]:
-    return [(outer * c, e) for c, e in lts]
+    one = _Certified(identity(k))
+    return _Base(m, letters=((q, 1), (one, -1)), inv_letters=((one, 1), (q, -1)),
+                 bound=zone.union(n.image(zone)),
+                 zone=cylinder(m.elem.moved_cylinder().code[0] + "0", k))
 
 
 def _agreeing_conjugator(x: PrefixMap, bound: ClopenSet) -> _Certified:
@@ -320,80 +333,6 @@ def _agreeing_conjugator(x: PrefixMap, bound: ClopenSet) -> _Certified:
     element supported inside the bound by it or by x gives the same result."""
     elem, cert = derived_conjugator(x, bound)
     return _Certified(elem, cert.factors)
-
-
-def _simple_proper_letters(a, ya, b, yb, n, small: _SmallBase):
-    """Certified letters for [a, b] over base n, proper ya ∪ yb; 8 letters.
-
-    Same skeleton as the monolith construction but with g' = d^-1·m·d:
-    d is a certified transporter agreeing with a raw one pointwise on W,
-    and the conjugations by a, b and b·a are replaced by certified elements
-    agreeing with them pointwise on g'`s proper support bound.
-    """
-    if commutator(a, b).is_identity():
-        return []
-    k = n.arity
-    w = ya.union(yb)
-    m_elem = small.m.elem
-    zm = m_elem.moved_cylinder().code[0]
-    u = transporter(w, cylinder(zm + "0", k))
-    d = _agreeing_conjugator(u, w)
-    dinv = d.inverse()
-    sp = d.elem.inverse().image(small.bound)
-    e1 = _agreeing_conjugator(a, sp)
-    e3 = _agreeing_conjugator(b, sp)
-    e4 = _agreeing_conjugator(b * a, sp)
-    g_letters = _conjugate_letters(dinv, small.letters)        # g' = d^-1 m d
-    g_inv_letters = _conjugate_letters(dinv, small.inv_letters)
-    out = []
-    out += _conjugate_letters(e1, g_letters)       # a g' a^-1
-    out += g_inv_letters                           # g'^-1
-    out += _conjugate_letters(e3, g_letters)       # b g' b^-1
-    out += _conjugate_letters(e4, g_inv_letters)   # (b a) g'^-1 (b a)^-1
-    return out
-
-
-def _simple_full_letters(a, ya, b, yb, n, small: _SmallBase):
-    """Certified letters for the full-union branch; at most 16 letters.
-
-    h = du^-1·m·du (du certified, agreeing with the patch mover u on
-    ya ∪ u^-1(m(Z'))) plays the monolith role of the one-letter conjugate;
-    every conjugation by a1, a1·b or b is traded for a certified element
-    agreeing with it on h's proper support bound.
-    """
-    k = n.arity
-    m_elem = small.m.elem
-    zm = m_elem.moved_cylinder().code[0]
-    zsub = cylinder(zm + "0", k)
-    m_zsub = m_elem.image(zsub)
-    room = ya.complement()
-    room_target = cylinder(room.code[0] + "0", k)
-    t2 = transporter(m_zsub, room_target)
-    r1 = t2.image(m_zsub)
-    t1 = transporter(ya, zsub)
-    u = patch([(ya, t1), (r1, t2.inverse())])
-    du = _agreeing_conjugator(u, ya.union(r1))
-    duinv = du.inverse()
-    h_cert = duinv * small.m * du
-    h = h_cert.elem
-    hinv_cert = h_cert.inverse()
-    sh = du.elem.inverse().image(small.bound)
-    a1 = h * a * h.inverse()
-    ya1 = h.image(ya)
-    inner = _simple_proper_letters(a1, ya1, b, yb, n, small)
-    e6 = _agreeing_conjugator(a1, sh)
-    e7 = _agreeing_conjugator(a1 * b, sh)
-    e8 = _agreeing_conjugator(b, sh)
-    h_letters = _conjugate_letters(duinv, small.letters)
-    hinv_letters = _conjugate_letters(duinv, small.inv_letters)
-    pre = []
-    pre += _conjugate_letters(e6, h_letters)       # a1 h a1^-1
-    pre += _conjugate_letters(e7, hinv_letters)    # (a1 b) h^-1 (a1 b)^-1
-    pre += inner                                   # [a1, b]
-    out = _conjugate_letters(hinv_cert, pre)       # conjugate the block by h^-1
-    out += hinv_letters                            # [h^-1, b] = h^-1 · (b h b^-1)
-    out += _conjugate_letters(e8, h_letters)
-    return out
 
 
 def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
@@ -408,23 +347,19 @@ def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
     m = [q, n]).
     """
     _check_witness_inputs(a, ya, b, yb, n)
-    if n_cert.evaluate(n.arity) != n:
+    if n_cert.evaluate() != n:
         raise PreconditionError("n_cert does not evaluate to the base element")
     target = commutator(a, b)
     if target.is_identity():
         return NormalWord(n, ()), ()
-    small = _small_base(n)
-    if ya.union(yb).is_full():
-        tagged = _simple_full_letters(a, ya, b, yb, n, small)
-    else:
-        tagged = _simple_proper_letters(a, ya, b, yb, n, small)
+    tagged = _witness_letters(a, ya, b, yb, _small_base(n), _agreeing_conjugator)
     letters = tuple((c.elem, e) for c, e in tagged)
     certs = tuple(c.cert() for c, _ in tagged)
     word = NormalWord(n, letters)
     if word.evaluate() != target:
         raise VerificationError("internal error: simple witness failed to evaluate")
     for (conj, _), cert in zip(letters, certs):
-        if cert.evaluate(n.arity) != conj:
+        if cert.evaluate() != conj:
             raise VerificationError("internal error: conjugator certificate mismatch")
     return word, certs
 
@@ -447,7 +382,7 @@ def claim1_transporter(ia: ClopenSet, ib: ClopenSet, ic: ClopenSet
         # the image condition already holds; no movement is needed
         if not ia.disjoint(ic):
             raise PreconditionError("regions must be pairwise disjoint")
-        return identity(ia.arity), CommutatorWord(())
+        return identity(ia.arity), CommutatorWord((), ia.arity)
     for x, y in ((ia, ib), (ia, ic), (ib, ic)):
         if not x.disjoint(y):
             raise PreconditionError("regions must be pairwise disjoint")
@@ -455,8 +390,8 @@ def claim1_transporter(ia: ClopenSet, ib: ClopenSet, ic: ClopenSet
     c = patch([(ia, phi), (ib, phi.inverse())])
     u = transporter(ia.union(ib), free)
     d, _ = derived_conjugator(u, ia.union(ib))
-    word = CommutatorWord(((c, d),))
-    return word.evaluate(ia.arity), word
+    word = CommutatorWord(((c, d),), ia.arity)
+    return word.evaluate(), word
 
 
 def _certified_patch(region: ClopenSet, action: PrefixMap, spare: ClopenSet,
@@ -475,8 +410,8 @@ def _certified_patch(region: ClopenSet, action: PrefixMap, spare: ClopenSet,
     c = patch([(region, action), (zone.complement(), identity(k))])
     u = transporter(zone, free)
     dm, _ = derived_conjugator(u, zone)
-    word = CommutatorWord(((c, dm),))
-    return word.evaluate(k), word
+    word = CommutatorWord(((c, dm),), k)
+    return word.evaluate(), word
 
 
 @dataclass(frozen=True)
@@ -500,10 +435,10 @@ def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = No
     certificates; s2 inherits one exactly when g does.
     """
     members = cover.members
-    if g_cert is not None and g_cert.evaluate(g.arity) != g:
+    if g_cert is not None and g_cert.evaluate() != g:
         raise PreconditionError("certificate does not evaluate to g")
     ident = identity(g.arity)
-    empty = CommutatorWord(())
+    empty = CommutatorWord((), g.arity)
     for i, member in enumerate(members):
         if g.in_rist(member.complement()):
             certs = (g_cert, empty, empty) if g_cert is not None else None
@@ -534,7 +469,7 @@ def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = No
     certs = None
     if g_cert is not None:
         s2_cert = CommutatorWord(s1_cert.inverse().factors + g_cert.factors
-                                 + s3_cert.inverse().factors)
+                                 + s3_cert.inverse().factors, g.arity)
         certs = (s1_cert, s2_cert, s3_cert)
     return Claim2Result(s1, s2, s3, (3 + alpha, 3 + beta, 3 + gamma), certs)
 
@@ -559,7 +494,7 @@ def claim3_witness(g: PrefixMap, h: PrefixMap, cover) -> Claim3Result:
     on h(ib), identity on ic).
     """
     if g.arity != h.arity:
-        raise PreconditionError("mixed arities")
+        raise ArityMismatchError(f"mixed arities {g.arity} and {h.arity}")
     k = g.arity
     ia, ib, ic = _claim3_targets(g, h, k)
     c = patch([(g.image(ia), g.inverse()), (h.image(ib), h.inverse()),
@@ -635,13 +570,10 @@ def normal_word_to_obj(word: NormalWord, target: PrefixMap | None = None) -> dic
     return obj
 
 
-def commutator_word_to_obj(word: CommutatorWord, target: PrefixMap | None = None,
-                           arity: int = 2) -> dict:
-    if word.factors:
-        arity = word.factors[0][0].arity
+def commutator_word_to_obj(word: CommutatorWord, target: PrefixMap | None = None) -> dict:
     obj = {
         "kind": "commutator_word",
-        "arity": arity,
+        "arity": word.arity,
         "factors": [{"x": str(x), "y": str(y)} for x, y in word.factors],
     }
     if target is not None:
@@ -655,10 +587,6 @@ def certificate_from_obj(obj: dict, arity: int = 2):
     Any structural defect (missing or mistyped fields, bad literals, an
     identity base) is reported as a ParseError.
     """
-    from .literals import parse_element
-
-    from .errors import ParseError
-
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("certificate object must carry a 'kind'")
     try:
@@ -672,7 +600,7 @@ def certificate_from_obj(obj: dict, arity: int = 2):
         if obj["kind"] == "commutator_word":
             factors = tuple((parse_element(f["x"], k), parse_element(f["y"], k))
                             for f in obj["factors"])
-            return CommutatorWord(factors), target
+            return CommutatorWord(factors, k), target
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, PreconditionError) as exc:
@@ -686,8 +614,6 @@ def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
     Raises VerificationError on mismatch; returns the evaluated element.
     Composite simple-witness objects are verified part by part.
     """
-    from .errors import ParseError
-
     if isinstance(obj, dict) and obj.get("kind") == "simple_witness":
         if not isinstance(obj.get("witness"), dict):
             raise ParseError("simple_witness certificate needs a 'witness' object")
@@ -700,14 +626,15 @@ def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
             raise VerificationError("conjugator certificate count mismatch")
         for cobj, (conj, _) in zip(conj_objs, word.letters):
             cert, _tgt = certificate_from_obj(cobj, arity)
-            if cert.evaluate(word.base.arity) != conj:
+            if not isinstance(cert, CommutatorWord):
+                raise ParseError("conjugator certificates must be commutator words")
+            if cert.evaluate() != conj:
                 raise VerificationError("a conjugator certificate does not match its letter")
         return value
     word, target = certificate_from_obj(obj, arity)
     if target is None:
         raise ParseError("certificate carries no target to verify against")
-    k = int(obj.get("arity", arity))
-    value = word.evaluate() if isinstance(word, NormalWord) else word.evaluate(k)
+    value = word.evaluate()
     if value != target:
         raise VerificationError("certificate does not evaluate to its target")
     return value

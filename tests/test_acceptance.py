@@ -3,14 +3,12 @@ seeded corpora at the stated scales, each printing a PASS/FAIL line with
 its runtime (run with -s to see them)."""
 
 import json
-import random
 import time
 
 from cantorwit import cli
 from cantorwit import corpus
-from cantorwit.corpus import random_element, random_witness_input
 from cantorwit.literals import parse_element
-from cantorwit.witnesses import commutator, monolith_witness
+from cantorwit.witnesses import commutator
 
 
 def _report(name, ok, seconds, budget):
@@ -51,18 +49,9 @@ def test_criterion_4_commutator_identity():
 
 def test_criterion_5_monolith_witness():
     start = time.monotonic()
-    rng = random.Random(105)
-    failures = 0
-    for i in range(200):
-        a, ya, b, yb = random_witness_input(rng, full_union=i % 2 == 1)
-        n = random_element(rng, max_depth=4, nontrivial=True)
-        word = monolith_witness(a, ya, b, yb, n)
-        ok = (word.base == n
-              and len(word.letters) <= 8
-              and word.evaluate() == commutator(a, b))
-        failures += 0 if ok else 1
-    _report("criterion 5: monolith witness (200 cases, both branches)",
-            failures == 0, time.monotonic() - start, 20)
+    res = corpus.suite_monolith(seed=105, cases=200)
+    _report("criterion 5: monolith witness (200 cases, both branches)", res.ok,
+            time.monotonic() - start, 20)
 
 
 def test_criterion_6_derived_conjugator():

@@ -61,6 +61,14 @@ class TestExitCodes:
         assert code == cli.EXIT_OK
         assert out.strip() == "{e->e}"
 
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "{e->e}", "--seed", "3"),
+        ("wandering", "[01]", "--orbit-window", "-1"),
+        ("corpus", "--quick", "--orbit-window", "-1"),
+    ])
+    def test_rejected_options(self, capsys, argv):
+        assert run(capsys, *argv)[0] == cli.EXIT_USAGE
+
 
 class TestSubcommands:
     def test_compose(self, capsys):
@@ -186,6 +194,16 @@ class TestVerify:
         path.write_text("{not json")
         assert run(capsys, "verify", str(path))[0] == cli.EXIT_PARSE
 
+    def test_conjugator_certificate_must_be_commutator_word(self, capsys, tmp_path):
+        n = "{0->1,1->0}"
+        obj = {"kind": "simple_witness", "arity": 2,
+               "witness": {"kind": "normal_word", "base": n, "target": n,
+                           "letters": [{"conj": "{e->e}", "exp": 1}]},
+               "conjugators": [{"kind": "normal_word", "base": n, "letters": []}]}
+        path = tmp_path / "sw.json"
+        path.write_text(json.dumps(obj))
+        assert run(capsys, "verify", str(path))[0] == cli.EXIT_PARSE
+
 
 class TestSimpleWitnessCommand:
     def test_simple_witness_roundtrip(self, capsys, tmp_path):
@@ -221,6 +239,14 @@ class TestCorpusCommand:
         code, out, _ = run(capsys, "corpus", "--seed", "9", "--quick")
         assert code == 0
         assert out.count("PASS") == 7
+
+    def test_depth_is_passed_through(self, capsys, monkeypatch):
+        depths = []
+        monkeypatch.setattr(cli.corpus_mod, "run_all",
+                            lambda **kw: depths.append(kw["depth"]) or [])
+        assert run(capsys, "corpus", "--depth", "5")[0] == cli.EXIT_OK
+        assert run(capsys, "corpus")[0] == cli.EXIT_OK
+        assert depths == [5, None]
 
 
 class TestFuzzing:

@@ -1,0 +1,71 @@
+"""Golden CLI transcripts: byte-exact stdout and exit code of fixed
+invocations, so refactors of the constructions cannot silently change what
+a user sees.  Regenerate (only for an intended output change, recorded in
+CHANGES.md) with `PYTHONPATH=src python tests/test_golden.py`."""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from cantorwit import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+NCERT = str(GOLDEN / "ncert.json")
+GCERT = str(GOLDEN / "gcert.json")
+
+# proper union: the round-trip acceptance literals (both supports in [00])
+A_PROPER = "{0000->0001,0001->0000,001->001,01->01,1->1}"
+B_PROPER = "{00000->00001,00001->00000,0001->0001,001->001,01->01,1->1}"
+# full union: supports [0] and [01,1] cover the space
+A_FULL = "{00->01,01->00,1->1}"
+B_FULL = "{00->00,01->10,10->01,11->11}"
+N_MONOLITH = "{00->01,01->10,10->00,11->11}"
+N_SIMPLE = "{00->10,01->00,10->01,11->11}"     # [x, y] certified by ncert.json
+
+# name -> (argv, exit code)
+CASES = {
+    "decompose2": (["decompose2", "{0->1,1->0}"], 0),
+    "transporter": (["transporter", "[0]", "[11]"], 0),
+    "wandering": (["wandering", "[01]", "--orbit-window", "8"], 0),
+    "cover3": (["cover3"], 0),
+    "derived_conj": (["derived-conj", "{0->00,10->01,11->1}", "[11]", "--json"], 0),
+    "claim1": (["claim1", "[00]", "[01]", "[10]", "--json"], 0),
+    "claim2": (["claim2", "{00->01,01->00,10->11,11->10}", "--cert", GCERT, "--json"], 0),
+    "claim3": (["claim3", "{0->1,1->0}", "{e->e}"], 0),
+    "chain": (["chain", "[00]", "[01]"], 0),
+    "monolith_proper": (["monolith-witness", A_PROPER, "[00]", B_PROPER, "[00]",
+                         N_MONOLITH, "--json"], 0),
+    "monolith_full": (["monolith-witness", A_FULL, "[0]", B_FULL, "[01,1]",
+                       N_MONOLITH, "--json"], 0),
+    "simple_proper": (["simple-witness", A_PROPER, "[00]", B_PROPER, "[00]",
+                       N_SIMPLE, "--n-cert", NCERT, "--json"], 0),
+    "simple_full": (["simple-witness", A_FULL, "[0]", B_FULL, "[01,1]",
+                     N_SIMPLE, "--n-cert", NCERT, "--json"], 0),
+    "corpus_quick": (["corpus", "--seed", "42", "--quick"], 0),
+}
+
+
+def _run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_transcript(name):
+    argv, expected_code = CASES[name]
+    code, out = _run(argv)
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name, (argv, expected_code) in CASES.items():
+        code, out = _run(argv)
+        if code != expected_code:
+            sys.exit(f"{name}: exit {code}, expected {expected_code}")
+        (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")

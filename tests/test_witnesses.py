@@ -2,17 +2,16 @@ import random
 
 import pytest
 
-from cantorwit.compression import min_cover_3
+from cantorwit.compression import join_compression, min_cover_3, transporter
 from cantorwit.corpus import (random_clopen, random_element, random_rist_element,
                               random_witness_input)
-from cantorwit.errors import PreconditionError
+from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.prefixmap import identity
 from cantorwit.witnesses import (CommutatorWord, NormalWord, claim1_transporter,
                                  claim2_factorization, claim3_witness,
                                  commutator, commuting_chain, decompose2,
-                                 derived_conjugator, eval_commutator_word,
-                                 eval_normal_word, monolith_witness,
+                                 derived_conjugator, monolith_witness,
                                  shift_identity_check, simple_witness)
 
 C = parse_clopen
@@ -50,16 +49,24 @@ class TestWordEvaluation:
             NormalWord(identity(), ())
 
     def test_empty_commutator_word(self):
-        assert eval_commutator_word(CommutatorWord(())).is_identity()
+        assert CommutatorWord(()).evaluate() == identity(2)
+        assert CommutatorWord((), 3).evaluate() == identity(3)
+
+    def test_commutator_word_factor_arity_checked(self):
+        x = E(SWAP)
+        with pytest.raises(ArityMismatchError):
+            CommutatorWord(((x, x),), 3).evaluate()
 
     def test_commutator_word_inverse(self):
         x, y = E(SWAP), E("{00->01,01->00,1->1}")
         w = CommutatorWord(((x, y), (y, x)))
-        assert (w.evaluate(2) * w.inverse().evaluate(2)).is_identity()
+        assert (w.evaluate() * w.inverse().evaluate()).is_identity()
 
     def test_eval_functions(self):
-        n = E(SWAP)
-        assert eval_normal_word(NormalWord(n, ())).is_identity()
+        n = E("{0->1,1->2,2->0}", 3)
+        assert NormalWord(n, ()).evaluate() == identity(3)
+        _, cert = derived_conjugator(identity(3), C("[0]", 3))
+        assert cert.arity == 3 and cert.evaluate() == identity(3)
 
 
 class TestDecompose2:
@@ -100,7 +107,7 @@ class TestDerivedConjugator:
         g, w = E(SWAP), C("[00]")
         d, cert = derived_conjugator(g, w)
         assert len(cert.factors) <= 2
-        assert cert.evaluate(2) == d
+        assert cert.evaluate() == d
         assert d.image(w) == g.image(w) == C("[10]")
 
     def test_pointwise_agreement(self):
@@ -119,7 +126,7 @@ class TestDerivedConjugator:
             w = random_clopen(rng)
             d, cert = derived_conjugator(g, w)
             assert len(cert.factors) <= 2
-            assert cert.evaluate(2) == d
+            assert cert.evaluate() == d
             assert d.image(w) == g.image(w)
 
     def test_support_disjoint_from_region(self):
@@ -130,7 +137,7 @@ class TestDerivedConjugator:
         assert g.image(w) == w
         d, cert = derived_conjugator(g, w)
         assert d.image(w) == w
-        assert cert.evaluate(2) == d
+        assert cert.evaluate() == d
 
 
 class TestShiftIdentity:
@@ -234,7 +241,7 @@ class TestSimpleWitness:
             assert len(certs) == len(w.letters)
             assert w.evaluate() == commutator(a, b)
             for (conj, _e), cert in zip(w.letters, certs):
-                assert cert.evaluate(2) == conj
+                assert cert.evaluate() == conj
 
 
 class TestClaim1:
@@ -246,7 +253,7 @@ class TestClaim1:
         ia, ib, ic = C("[00]"), C("[01]"), C("[10]")
         e, cert = claim1_transporter(ia, ib, ic)
         assert len(cert.factors) == 1
-        assert cert.evaluate(2) == e
+        assert cert.evaluate() == e
         assert e.image(ia) == ib
         assert e.in_rist(ic.complement())
 
@@ -270,7 +277,7 @@ class TestClaim1:
                 continue
             e, cert = claim1_transporter(ia, ib, ic)
             assert len(cert.factors) <= 1
-            assert cert.evaluate(2) == e
+            assert cert.evaluate() == e
             assert e.image(ia) == ib
             assert e.in_rist(ic.complement())
             done += 1
@@ -302,12 +309,12 @@ class TestClaim2:
         for _ in range(40):
             x, y = random_element(rng), random_element(rng)
             cert = CommutatorWord(((x, y),))
-            g = cert.evaluate(2)
+            g = cert.evaluate()
             res = claim2_factorization(g, self.cover, cert)
             assert res.s1 * res.s2 * res.s3 == g
             assert res.certs is not None
             for s, c in zip((res.s1, res.s2, res.s3), res.certs):
-                assert c.evaluate(2) == s
+                assert c.evaluate() == s
 
     def test_bad_cert_rejected(self):
         with pytest.raises(PreconditionError):
@@ -355,6 +362,16 @@ class TestClaim3:
                 assert f.image(member.complement()).disjoint(blocked)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: transporter(C("[0]"), C("[0]", 3)),
+    lambda: join_compression(C("[00]"), C("[01]", 3)),
+    lambda: claim3_witness(E(SWAP), identity(3), min_cover_3(2)),
+], ids=["transporter", "join_compression", "claim3_witness"])
+def test_mixed_arities_rejected(build):
+    with pytest.raises(ArityMismatchError):
+        build()
+
+
 class TestCertificateSerialization:
     def test_random_normal_word_roundtrip(self):
         from cantorwit.witnesses import (certificate_from_obj, normal_word_to_obj,
@@ -374,11 +391,11 @@ class TestCertificateSerialization:
         rng = random.Random(51)
         x = random_element(rng, arity=3)
         y = random_element(rng, arity=3)
-        word = CommutatorWord(((x, y),))
-        obj = commutator_word_to_obj(word, target=word.evaluate(3), arity=3)
+        word = CommutatorWord(((x, y),), 3)
+        obj = commutator_word_to_obj(word, target=word.evaluate())
         assert obj["arity"] == 3
         back, target = certificate_from_obj(obj)
-        assert back == word and target == word.evaluate(3)
+        assert back == word and target == word.evaluate()
 
 
 class TestCommutingChain:
