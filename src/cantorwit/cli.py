@@ -12,7 +12,8 @@ import sys
 
 from . import corpus as corpus_mod
 from . import witnesses as wit
-from .compression import join_compression, min_cover_3, transporter, wandering_witness
+from .compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
+                          wandering_witness)
 from .errors import (ArityMismatchError, ParseError, PreconditionError,
                      ToolkitError, VerificationError)
 from .literals import parse_clopen, parse_element
@@ -97,9 +98,7 @@ def cmd_wandering(args):
     region = parse_clopen(args.region, args.arity)
     g, z = wandering_witness(region)
     window = args.orbit_window
-    images = [(g ** m).image(region) for m in range(-window, window + 1)]
-    disjoint = all(images[i].disjoint(images[j])
-                   for i in range(len(images)) for j in range(i + 1, len(images)))
+    disjoint = orbit_disjoint(g, region, window)
     _emit(args,
           [f"g = {g}", f"Z = {z}", f"disjoint(|n|<={window}) = {str(disjoint).lower()}"],
           {"g": str(g), "Z": str(z), "window": window, "disjoint": disjoint,
@@ -143,17 +142,18 @@ def _parse_witness_args(args):
     return a, ya, b, yb, n
 
 
-def _word_lines(word):
+def _word_lines(word, value):
     lines = [f"base = {word.base}", f"letters = {len(word.letters)}"]
     lines += [f"letter{i} = exp={e:+d} conj={c}" for i, (c, e) in enumerate(word.letters)]
-    lines.append(f"eval = {word.evaluate()}")
+    lines.append(f"eval = {value}")
     return lines
 
 
 def cmd_monolith(args):
     a, ya, b, yb, n = _parse_witness_args(args)
     word = wit.monolith_witness(a, ya, b, yb, n)
-    _emit(args, _word_lines(word), normal_word_to_obj(word, target=word.evaluate()))
+    value = word.evaluate()
+    _emit(args, _word_lines(word, value), normal_word_to_obj(word, target=value))
     return EXIT_OK
 
 
@@ -164,14 +164,15 @@ def cmd_simple(args):
     if not isinstance(n_cert, CommutatorWord):
         raise ParseError("--n-cert must contain a commutator_word certificate")
     word, conj_certs = wit.simple_witness(a, ya, b, yb, n, n_cert)
+    value = word.evaluate()
     obj = {
         "kind": "simple_witness",
         "arity": n.arity,
-        "witness": normal_word_to_obj(word, target=word.evaluate()),
+        "witness": normal_word_to_obj(word, target=value),
         "conjugators": [commutator_word_to_obj(c, target=conj)
                         for c, (conj, _e) in zip(conj_certs, word.letters)],
     }
-    _emit(args, _word_lines(word) + [f"conjugator_certs = {len(conj_certs)}"], obj)
+    _emit(args, _word_lines(word, value) + [f"conjugator_certs = {len(conj_certs)}"], obj)
     return EXIT_OK
 
 

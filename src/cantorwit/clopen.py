@@ -16,7 +16,7 @@ printing of clopen sets plain tuple operations.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable, Iterator
 
 from .errors import ArityMismatchError, PreconditionError
 
@@ -76,24 +76,18 @@ class ClopenSet:
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check_same(other)
-        out = []
-        for a in self.code:
-            for b in other.code:
-                if a.startswith(b):
-                    out.append(a)
-                elif b.startswith(a):
-                    out.append(b)
-        return canonicalize(out, self.arity)
+        return canonicalize([w for _, _, w in refine(self.code, other.code)], self.arity)
 
     def complement(self) -> "ClopenSet":
         return ClopenSet(tuple(sorted(_complement_words(self.code, self.arity), key=lenlex)),
                          self.arity)
 
     def subset(self, other: "ClopenSet") -> bool:
-        return self.intersect(other.complement()).is_empty()
+        return self.disjoint(other.complement())
 
     def disjoint(self, other: "ClopenSet") -> bool:
-        return self.intersect(other).is_empty()
+        self._check_same(other)
+        return next(refine(self.code, other.code), None) is None
 
     def split_to_size(self, size: int) -> tuple[str, ...]:
         """Refine the canonical code into an antichain of exactly `size` words.
@@ -154,19 +148,40 @@ def canonicalize(words: Iterable[str], arity: int = 2) -> ClopenSet:
     for w in ws:
         check_word(w, arity)
     # prefix absorption: drop any word with a proper prefix present
-    ws = {w for w in ws if not any(w[:i] in ws for i in range(len(w)))}
-    # merge full sibling families until none remain
+    table = {w: w for w in ws if not any(w[:i] in ws for i in range(len(w)))}
+    return ClopenSet(tuple(sorted(merge_siblings(table, arity), key=lenlex)), arity)
+
+
+def refine(xs: Iterable[str], ys: Collection[str]) -> Iterator[tuple[str, str, str]]:
+    """The common refinement of two antichains: (x, y, w) for every
+    prefix-comparable pair x in xs, y in ys, where [w] = [x] ∩ [y]."""
+    for x in xs:
+        for y in ys:
+            if x.startswith(y):
+                yield x, y, x
+            elif y.startswith(x):
+                yield x, y, y
+
+
+def merge_siblings(table: dict[str, str], arity: int) -> dict[str, str]:
+    """Merge each full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) of a
+    word table to p -> q, in place; a merge can complete only the family of
+    p, so only that one is checked again.  A clopen code is the table
+    mapping each of its words to itself."""
     alpha = letters(arity)
-    changed = True
-    while changed:
-        changed = False
-        parents = {w[:-1] for w in ws if w}
-        for p in parents:
-            if all(p + c in ws for c in alpha):
-                ws.difference_update(p + c for c in alpha)
-                ws.add(p)
-                changed = True
-    return ClopenSet(tuple(sorted(ws, key=lenlex)), arity)
+    work = list(table)
+    while work:
+        d = work.pop()
+        r = table.get(d)
+        if not d or not r or d[-1] != r[-1]:
+            continue
+        p, q = d[:-1], r[:-1]
+        if all(table.get(p + c) == q + c for c in alpha):
+            for c in alpha:
+                del table[p + c]
+            table[p] = q
+            work.append(p)
+    return table
 
 
 def cylinder(word: str, arity: int = 2) -> ClopenSet:

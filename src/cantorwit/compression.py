@@ -75,6 +75,20 @@ def wandering_witness(region: ClopenSet) -> tuple[PrefixMap, ClopenSet]:
     return g, f.inverse().image(z0)
 
 
+def orbit_disjoint(g: PrefixMap, region: ClopenSet, window: int) -> bool:
+    """True iff the images g^m(region), |m| <= window, are pairwise
+    disjoint; the orbit is stepped one multiplication per power."""
+    power = g.inverse() ** window
+    images = [power.image(region)]
+    for _ in range(2 * window):
+        power = g * power
+        image = power.image(region)
+        if any(not seen.disjoint(image) for seen in images):
+            return False
+        images.append(image)
+    return True
+
+
 def join_compression(part_a: ClopenSet, part_b: ClopenSet) -> PrefixMap:
     """An element mapping the disjoint union A ∪ B into A.
 
@@ -177,6 +191,7 @@ __all__ = [
     "transporter",
     "wandering_base",
     "wandering_witness",
+    "orbit_disjoint",
     "join_compression",
     "TriCover",
     "min_cover_3",

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from . import witnesses as wit
 from .clopen import ClopenSet, canonicalize, letters, whole_space
-from .compression import join_compression, min_cover_3, transporter, wandering_witness
+from .compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
+                          wandering_witness)
 from .prefixmap import PrefixMap, identity
 from .witnesses import CommutatorWord, commutator
 
@@ -211,14 +212,7 @@ def suite_compression(seed: int = 2, transporter_cases: int = 1000,
     def check_wandering(_i):
         y = random_clopen(rng, arity, depth)
         g, z = wandering_witness(y)
-        if not y.subset(z):
-            return False
-        images = [ (g ** m).image(y) for m in range(-window, window + 1)]
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if not images[i].disjoint(images[j]):
-                    return False
-        return True
+        return y.subset(z) and orbit_disjoint(g, y, window)
 
     def check_join(_i):
         while True:

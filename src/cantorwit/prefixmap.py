@@ -12,10 +12,10 @@ their reduced forms are identical.
 Composition is written like function application: (g * h)(x) = g(h(x)).
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .clopen import ClopenSet, canonicalize, cylinder, letters, lenlex, check_word, split_words
+from .clopen import (ClopenSet, canonicalize, cylinder, lenlex, check_word, merge_siblings,
+                     refine, split_words)
 from .errors import ArityMismatchError, PreconditionError
 
 
@@ -41,7 +41,7 @@ class PrefixMap:
             check_word(r, arity)
         _check_complete_code([d for d, _ in plist], arity, "domain")
         _check_complete_code([r for _, r in plist], arity, "range")
-        return cls(_reduce(plist, arity), arity)
+        return cls(_reduce(dict(plist), arity), arity)
 
     def __str__(self) -> str:
         return "{" + ",".join(f"{d if d else 'e'}->{r if r else 'e'}" for d, r in self.pairs) + "}"
@@ -56,14 +56,10 @@ class PrefixMap:
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
         """Composition: (g * h)(x) = g(h(x))."""
         self._check_same(other)
-        out = []
-        for dh, rh in other.pairs:
-            for dg, rg in self.pairs:
-                if rh.startswith(dg):
-                    out.append((dh, rg + rh[len(dg):]))
-                elif dg.startswith(rh) and dg != rh:
-                    out.append((dh + dg[len(rh):], rg))
-        return PrefixMap(_reduce(out, self.arity), self.arity)
+        h_inv = {r: d for d, r in other.pairs}
+        g = dict(self.pairs)
+        table = {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine(h_inv, g)}
+        return PrefixMap(_reduce(table, self.arity), self.arity)
 
     def inverse(self) -> "PrefixMap":
         flipped = tuple(sorted(((r, d) for d, r in self.pairs), key=lambda p: lenlex(p[0])))
@@ -85,14 +81,8 @@ class PrefixMap:
         """
         if self.arity != region.arity:
             raise ArityMismatchError("region arity differs from map arity")
-        out = []
-        for d, r in self.pairs:
-            for w in region.code:
-                if w.startswith(d):
-                    out.append((w, r + w[len(d):]))
-                elif d.startswith(w) and d != w:
-                    out.append((d, r))
-        return out
+        g = dict(self.pairs)
+        return [(w, g[d] + w[len(d):]) for d, _, w in refine(g, region.code)]
 
     def image(self, region: ClopenSet) -> ClopenSet:
         return canonicalize([im for _, im in self.restrict(region)], self.arity)
@@ -103,10 +93,7 @@ class PrefixMap:
         A pair (d, r) with d != r has at most one fixed point in its domain
         cylinder, so it moves points inside any cylinder meeting the region.
         """
-        for d, r in self.pairs:
-            if d != r and not cylinder(d, self.arity).disjoint(region):
-                return False
-        return True
+        return all(w == im for w, im in self.restrict(region))
 
     def in_rist(self, region: ClopenSet) -> bool:
         """Membership in the rigid stabiliser: fixes the complement pointwise."""
@@ -141,36 +128,18 @@ def identity(arity: int = 2) -> PrefixMap:
 
 
 def _check_complete_code(words: list[str], arity: int, side: str) -> None:
-    if len(set(words)) != len(words):
-        raise PreconditionError(f"duplicate {side} word")
-    srt = sorted(words, key=lenlex)
-    for a, b in itertools.combinations(srt, 2):
+    # in lexicographic order the words extending a word follow it directly,
+    # so an antichain check needs only neighbours (a duplicate is a prefix too)
+    srt = sorted(words)
+    for a, b in zip(srt, srt[1:]):
         if b.startswith(a):
             raise PreconditionError(f"{side} words overlap: {a!r} is a prefix of {b!r}")
     if not canonicalize(words, arity).is_full():
         raise PreconditionError(f"incomplete {side} code")
 
 
-def _reduce(pairs: list[tuple[str, str]], arity: int) -> tuple[tuple[str, str], ...]:
-    table = dict(pairs)
-    alpha = letters(arity)
-    changed = True
-    while changed:
-        changed = False
-        for d in list(table):
-            if not d:
-                continue
-            r = table.get(d)
-            if r is None or not r or d[-1] != r[-1]:
-                continue
-            p, q = d[:-1], r[:-1]
-            if all(table.get(p + c) == q + c for c in alpha):
-                for c in alpha:
-                    del table[p + c]
-                table[p] = q
-                changed = True
-                break
-    return tuple(sorted(table.items(), key=lambda pr: lenlex(pr[0])))
+def _reduce(table: dict[str, str], arity: int) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted(merge_siblings(table, arity).items(), key=lambda pr: lenlex(pr[0])))
 
 
 def matched_pairs(dom_words, ran_words, arity: int) -> list[tuple[str, str]]:

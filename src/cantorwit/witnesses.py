@@ -38,8 +38,8 @@ class NormalWord:
     def __post_init__(self):
         if self.base.is_identity():
             raise PreconditionError("a normal word needs a non-identity base")
-        if any(e not in (1, -1) for _, e in self.letters):
-            raise PreconditionError("letter exponents must be +1 or -1")
+        if any(type(e) is not int or e not in (1, -1) for _, e in self.letters):
+            raise PreconditionError("letter exponents must be the integers +1 or -1")
 
     def evaluate(self) -> PrefixMap:
         acc = identity(self.base.arity)
@@ -594,8 +594,7 @@ def certificate_from_obj(obj: dict, arity: int = 2):
         target = parse_element(obj["target"], k) if "target" in obj else None
         if obj["kind"] == "normal_word":
             base = parse_element(obj["base"], k)
-            letters = tuple((parse_element(l["conj"], k), int(l["exp"]))
-                            for l in obj["letters"])
+            letters = tuple((parse_element(l["conj"], k), l["exp"]) for l in obj["letters"])
             return NormalWord(base, letters), target
         if obj["kind"] == "commutator_word":
             factors = tuple((parse_element(f["x"], k), parse_element(f["y"], k))
@@ -618,6 +617,8 @@ def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
         if not isinstance(obj.get("witness"), dict):
             raise ParseError("simple_witness certificate needs a 'witness' object")
         word, target = certificate_from_obj(obj["witness"], arity)
+        if not isinstance(word, NormalWord):
+            raise ParseError("a simple_witness 'witness' must be a normal_word")
         value = word.evaluate()
         if target is None or value != target:
             raise VerificationError("witness does not evaluate to its target")

@@ -32,6 +32,13 @@ def max_word_len(*codes) -> int:
     return max((len(w) for code in codes for w in code), default=0)
 
 
+def is_complete_code(words, arity: int) -> bool:
+    """Brute-force complete prefix code test: every word at the maximum
+    depth has exactly one prefix in the list (a duplicate counts twice)."""
+    depth = max_word_len(words)
+    return all(sum(w.startswith(c) for c in words) == 1 for w in all_words(arity, depth))
+
+
 def clopen_equal(a, b) -> bool:
     """Brute-force equality of two clopen sets via depth-wise membership."""
     depth = max(max_word_len(a.code, b.code), 1)

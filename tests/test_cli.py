@@ -271,6 +271,11 @@ class TestFuzzing:
         '[]',
         '{"kind":"normal_word","arity":"x","base":5,"letters":{}}',
         '{"kind":"unknown_kind"}',
+        *('{"kind":"normal_word","base":"{0->1,1->0}","target":"{0->1,1->0}",'
+          f'"letters":[{{"conj":"{{e->e}}","exp":{exp}}}]}}'
+          for exp in ("1.7", "-1.2", '"1"', "true")),
+        '{"kind":"simple_witness","conjugators":[],'
+        '"witness":{"kind":"commutator_word","factors":[],"target":"{e->e}"}}',
     ])
     def test_malformed_certificates_exit_parse(self, capsys, tmp_path, payload):
         path = tmp_path / "fz.json"

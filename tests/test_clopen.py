@@ -102,6 +102,8 @@ class TestBooleanOps:
             ina, inb = member(a.code, w), member(b.code, w)
             assert member(u.code, w) == (ina or inb)
             assert member(i.code, w) == (ina and inb)
+        assert a.disjoint(b) == (not any(member(a.code, w) and member(b.code, w)
+                                         for w in all_words(2, depth)))
 
     @given(words2, words2)
     @settings(max_examples=100)

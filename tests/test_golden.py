@@ -45,6 +45,18 @@ CASES = {
     "simple_full": (["simple-witness", A_FULL, "[0]", B_FULL, "[01,1]",
                      N_SIMPLE, "--n-cert", NCERT, "--json"], 0),
     "corpus_quick": (["corpus", "--seed", "42", "--quick"], 0),
+    "reduce": (["reduce", "{000->100,001->101,01->11,10->00,11->01}"], 0),
+    "reduce_arity3": (["reduce", "--arity", "3", "{00->10,01->11,02->12,1->0,2->2}"], 0),
+    "compose": (["compose", "{0->1,1->0}", "{00->01,01->00,1->1}", "{0->10,10->0,11->11}"], 0),
+    "compose_arity3": (["compose", "--arity", "3", "{0->1,1->2,2->0}",
+                        "{00->01,01->00,02->02,1->1,2->2}"], 0),
+    "sigma": (["sigma", "{0->1,1->0}", "[00]"], 0),
+    "sigma_overlap": (["sigma", "{00->01,01->10,10->00,11->11}", "[00,011]"], 3),
+    "join_compress": (["join-compress", "[00]", "[01]"], 0),
+    "join_compress_split": (["join-compress", "[00,110]", "[01]"], 0),
+    "verify_derived_conj": (["verify", str(GOLDEN / "derived_conj.txt")], 0),
+    "verify_monolith_full": (["verify", str(GOLDEN / "monolith_full.txt")], 0),
+    "verify_simple_full": (["verify", str(GOLDEN / "simple_full.txt")], 0),
 }
 
 

@@ -10,7 +10,7 @@ from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.prefixmap import PrefixMap, identity, patch, sigma_swap
 
-from helpers import all_words, apply_pairs, maps_equal, member
+from helpers import all_words, apply_pairs, is_complete_code, maps_equal, member
 
 E = parse_element
 C = parse_clopen
@@ -56,6 +56,37 @@ class TestReduce:
                 else:
                     refined.append((d, r))
             assert PrefixMap.from_pairs(refined, 2) == g
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_code_check_matches_oracle(self, arity):
+        # random complete codes, then a duplicate, an overlap or a gap
+        rng = random.Random(40 + arity)
+        alpha = "012"[:arity]
+        verdicts = set()
+        for _ in range(300):
+            words = [""]
+            for _ in range(rng.randint(0, 5)):
+                w = words.pop(rng.randrange(len(words)))
+                words += [w + c for c in alpha]
+            fault = rng.choice(["none", "duplicate", "overlap", "gap"])
+            w = rng.choice(words)
+            if fault == "duplicate":
+                words.append(w)
+            elif fault == "overlap":
+                words.append(w[:rng.randint(0, len(w))] if rng.random() < 0.5
+                             else w + rng.choice(alpha))
+            elif fault == "gap":
+                words.remove(w)
+            rng.shuffle(words)
+            complete = is_complete_code(words, arity)
+            verdicts.add(complete)
+            try:
+                PrefixMap.from_pairs([(w, w) for w in words], arity)
+                accepted = True
+            except PreconditionError:
+                accepted = False
+            assert accepted == complete, words
+        assert verdicts == {True, False}
 
 
 class TestComposeInvert:
