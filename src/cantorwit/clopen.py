@@ -16,7 +16,7 @@ printing of clopen sets plain tuple operations.
 """
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ArityMismatchError, PreconditionError
 
@@ -32,9 +32,9 @@ def letters(arity: int) -> str:
 
 def check_word(word: str, arity: int) -> None:
     alpha = letters(arity)
-    for ch in word:
-        if ch not in alpha:
-            raise ArityMismatchError(f"symbol {ch!r} out of range for arity {arity} in word {word!r}")
+    if word.strip(alpha):
+        ch = next(ch for ch in word if ch not in alpha)
+        raise ArityMismatchError(f"symbol {ch!r} out of range for arity {arity} in word {word!r}")
 
 
 def lenlex(word: str) -> tuple[int, str]:
@@ -152,15 +152,29 @@ def canonicalize(words: Iterable[str], arity: int = 2) -> ClopenSet:
     return ClopenSet(tuple(sorted(merge_siblings(table, arity), key=lenlex)), arity)
 
 
-def refine(xs: Iterable[str], ys: Collection[str]) -> Iterator[tuple[str, str, str]]:
+def refine(xs: Iterable[str], ys: Iterable[str]) -> Iterator[tuple[str, str, str]]:
     """The common refinement of two antichains: (x, y, w) for every
-    prefix-comparable pair x in xs, y in ys, where [w] = [x] ∩ [y]."""
-    for x in xs:
-        for y in ys:
-            if x.startswith(y):
-                yield x, y, x
-            elif y.startswith(x):
-                yield x, y, y
+    prefix-comparable pair x in xs, y in ys, where [w] = [x] ∩ [y].
+
+    One merge walk over both codes in lexicographic order, in which the
+    words extending a word directly follow it: of a comparable pair the
+    shorter word stays for the next extension, of an incomparable pair the
+    smaller word can meet nothing further on.
+    """
+    xs, ys = sorted(xs), sorted(ys)
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x.startswith(y):
+            yield x, y, x
+            i += 1
+        elif y.startswith(x):
+            yield x, y, y
+            j += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
 
 
 def merge_siblings(table: dict[str, str], arity: int) -> dict[str, str]:

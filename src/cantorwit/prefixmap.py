@@ -14,8 +14,8 @@ Composition is written like function application: (g * h)(x) = g(h(x)).
 
 from dataclasses import dataclass
 
-from .clopen import (ClopenSet, canonicalize, cylinder, lenlex, check_word, merge_siblings,
-                     refine, split_words)
+from .clopen import (ClopenSet, canonicalize, cylinder, lenlex, check_word, letters,
+                     merge_siblings, refine, split_words)
 from .errors import ArityMismatchError, PreconditionError
 
 
@@ -66,11 +66,16 @@ class PrefixMap:
         return PrefixMap(flipped, self.arity)
 
     def __pow__(self, n: int) -> "PrefixMap":
-        if n < 0:
-            return self.inverse() ** (-n)
+        """Repeated squaring: O(log |n|) compositions."""
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
         acc = identity(self.arity)
-        for _ in range(n):
-            acc = acc * self
+        while n:
+            if n & 1:
+                acc = acc * base
+            n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def restrict(self, region: ClopenSet) -> list[tuple[str, str]]:
@@ -134,7 +139,17 @@ def _check_complete_code(words: list[str], arity: int, side: str) -> None:
     for a, b in zip(srt, srt[1:]):
         if b.startswith(a):
             raise PreconditionError(f"{side} words overlap: {a!r} is a prefix of {b!r}")
-    if not canonicalize(words, arity).is_full():
+    # the sorted cylinders must tile the space left to right: the first one
+    # starts at 0^inf, each next one starts at nxt·0^inf, the point right
+    # after w·top^inf, and the last one ends at top^inf
+    top = letters(arity)[-1]
+    nxt = ""
+    for w in srt:
+        if nxt is None or not w.startswith(nxt) or w[len(nxt):].strip("0"):
+            raise PreconditionError(f"incomplete {side} code")
+        stem = w.rstrip(top)
+        nxt = stem[:-1] + chr(ord(stem[-1]) + 1) if stem else None
+    if nxt is not None:
         raise PreconditionError(f"incomplete {side} code")
 
 

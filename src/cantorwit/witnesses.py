@@ -590,7 +590,9 @@ def certificate_from_obj(obj: dict, arity: int = 2):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("certificate object must carry a 'kind'")
     try:
-        k = int(obj.get("arity", arity))
+        k = obj.get("arity", arity)
+        if type(k) is not int:
+            raise ParseError(f"malformed certificate: arity must be an integer, got {type(k).__name__}")
         target = parse_element(obj["target"], k) if "target" in obj else None
         if obj["kind"] == "normal_word":
             base = parse_element(obj["base"], k)

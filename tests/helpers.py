@@ -39,6 +39,17 @@ def is_complete_code(words, arity: int) -> bool:
     return all(sum(w.startswith(c) for c in words) == 1 for w in all_words(arity, depth))
 
 
+def refine_oracle(xs, ys):
+    """Nested-loop common refinement of two antichains: (x, y, w) for every
+    prefix-comparable pair, w the longer word."""
+    for x in xs:
+        for y in ys:
+            if x.startswith(y):
+                yield x, y, x
+            elif y.startswith(x):
+                yield x, y, y
+
+
 def clopen_equal(a, b) -> bool:
     """Brute-force equality of two clopen sets via depth-wise membership."""
     depth = max(max_word_len(a.code, b.code), 1)

@@ -276,6 +276,8 @@ class TestFuzzing:
           for exp in ("1.7", "-1.2", '"1"', "true")),
         '{"kind":"simple_witness","conjugators":[],'
         '"witness":{"kind":"commutator_word","factors":[],"target":"{e->e}"}}',
+        *(f'{{"kind":"commutator_word","arity":{arity},"factors":[],"target":"{{e->e}}"}}'
+          for arity in ("2.9", '"2"', "2.0", "true")),
     ])
     def test_malformed_certificates_exit_parse(self, capsys, tmp_path, payload):
         path = tmp_path / "fz.json"

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import canonicalize, cylinder, empty_set, whole_space
+from cantorwit.clopen import canonicalize, cylinder, empty_set, refine, whole_space
 from cantorwit.errors import ArityMismatchError, PreconditionError
 
-from helpers import all_words, member
+from helpers import all_words, member, refine_oracle
 
 words2 = st.lists(st.text(alphabet="01", max_size=5), max_size=8)
 
@@ -113,6 +115,37 @@ class TestBooleanOps:
         pointwise = all(member(b.code, w) for w in all_words(2, depth)
                         if member(a.code, w))
         assert a.subset(b) == pointwise
+
+
+def random_antichain(rng, alpha, splits):
+    """A random subset of a random complete code."""
+    words = [""]
+    for _ in range(rng.randint(0, splits)):
+        w = words.pop(rng.randrange(len(words)))
+        words += [w + c for c in alpha]
+    return rng.sample(words, rng.randint(0, len(words)))
+
+
+class TestRefine:
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_matches_nested_loop_oracle(self, arity):
+        rng = random.Random(80 + arity)
+        alpha = "0123"[:arity]
+        pairs = [([], []), ([], [""]), ([""], [""]), ([""], ["0", alpha[-1] * 3])]
+        for _ in range(400):
+            xs = random_antichain(rng, alpha, 10)
+            kind = rng.choice(["random", "identical", "nested", "edge"])
+            if kind == "random":
+                ys = random_antichain(rng, alpha, 10)
+            elif kind == "identical":
+                ys = list(xs)
+            elif kind == "nested":
+                ys = [w + "".join(rng.choices(alpha, k=rng.randint(0, 3))) for w in xs]
+            else:
+                ys = rng.choice([[], [""]])
+            pairs.append((xs, ys) if rng.random() < 0.5 else (ys, xs))
+        for xs, ys in pairs:
+            assert sorted(refine(xs, ys)) == sorted(refine_oracle(xs, ys)), (xs, ys)
 
 
 class TestSplitToSize:

@@ -1,6 +1,7 @@
 """Golden CLI transcripts: byte-exact stdout and exit code of fixed
 invocations, so refactors of the constructions cannot silently change what
-a user sees.  Regenerate (only for an intended output change, recorded in
+a user sees.  A failing invocation also pins its stderr (`<name>.err`);
+a successful one may print timings there.  Regenerate (only for an intended output change, recorded in
 CHANGES.md) with `PYTHONPATH=src python tests/test_golden.py`."""
 
 import contextlib
@@ -57,27 +58,36 @@ CASES = {
     "verify_derived_conj": (["verify", str(GOLDEN / "derived_conj.txt")], 0),
     "verify_monolith_full": (["verify", str(GOLDEN / "monolith_full.txt")], 0),
     "verify_simple_full": (["verify", str(GOLDEN / "simple_full.txt")], 0),
+    "reduce_incomplete_domain": (["reduce", "{00->00,011->01,1->1}"], 2),
+    "reduce_arity3_incomplete_range": (["reduce", "--arity", "3",
+                                        "{00->00,01->01,02->02,1->10,2->2}"], 2),
+    "reduce_overlapping_domain": (["reduce", "{0->0,01->10,1->11}"], 2),
+    "wandering_arity3": (["wandering", "--arity", "3", "[01]", "--orbit-window", "8"], 0),
 }
 
 
-def _run(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_transcript(name):
     argv, expected_code = CASES[name]
-    code, out = _run(argv)
+    code, out, err = _run(argv)
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    if expected_code:
+        assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     for name, (argv, expected_code) in CASES.items():
-        code, out = _run(argv)
+        code, out, err = _run(argv)
         if code != expected_code:
             sys.exit(f"{name}: exit {code}, expected {expected_code}")
         (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
+        if expected_code:
+            (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")

@@ -57,15 +57,16 @@ class TestReduce:
                     refined.append((d, r))
             assert PrefixMap.from_pairs(refined, 2) == g
 
-    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_code_check_matches_oracle(self, arity):
         # random complete codes, then a duplicate, an overlap or a gap
         rng = random.Random(40 + arity)
-        alpha = "012"[:arity]
+        alpha = "0123"[:arity]
+        splits = {2: 12, 3: 8, 4: 6}[arity]
         verdicts = set()
         for _ in range(300):
             words = [""]
-            for _ in range(rng.randint(0, 5)):
+            for _ in range(rng.randint(0, splits)):
                 w = words.pop(rng.randrange(len(words)))
                 words += [w + c for c in alpha]
             fault = rng.choice(["none", "duplicate", "overlap", "gap"])
@@ -137,6 +138,13 @@ class TestComposeInvert:
         g = random_element(random.Random(seed))
         assert g ** 3 == g * g * g
         assert g ** -2 == (g * g).inverse()
+        for arity in (2, 3):
+            g = random_element(random.Random(seed), arity=arity)
+            forward = backward = identity(arity)
+            for n in range(10):
+                # forward and backward are the n-fold products of g and g^-1
+                assert g ** n == forward and g ** -n == backward
+                forward, backward = forward * g, backward * g.inverse()
 
 
 class TestImage:
