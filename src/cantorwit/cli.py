@@ -7,6 +7,7 @@ seeded random-corpus property suites.  Exit codes: 0 success, 1 usage,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,7 +52,7 @@ def _read_json(path: str) -> dict:
             return json.loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read certificate: {exc}") from exc
 
 
@@ -152,7 +153,7 @@ def _word_lines(word, value):
 def cmd_monolith(args):
     a, ya, b, yb, n = _parse_witness_args(args)
     word = wit.monolith_witness(a, ya, b, yb, n)
-    value = word.evaluate()
+    value = wit.commutator(a, b)  # the builder checked that the word evaluates to it
     _emit(args, _word_lines(word, value), normal_word_to_obj(word, target=value))
     return EXIT_OK
 
@@ -164,7 +165,7 @@ def cmd_simple(args):
     if not isinstance(n_cert, CommutatorWord):
         raise ParseError("--n-cert must contain a commutator_word certificate")
     word, conj_certs = wit.simple_witness(a, ya, b, yb, n, n_cert)
-    value = word.evaluate()
+    value = wit.commutator(a, b)  # the builder checked that the word evaluates to it
     obj = {
         "kind": "simple_witness",
         "arity": n.arity,
@@ -254,7 +255,9 @@ def _non_negative(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = _Parser(prog="cantorwit",
                      description="Exact witness constructions for prefix-exchange "
                                  "homeomorphism groups of the Cantor space.")

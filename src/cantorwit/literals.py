@@ -20,9 +20,9 @@ def _parse_word(tok: str, pos: int) -> str:
         return ""
     if not tok:
         raise ParseError("empty word token; write 'e' for the empty word", pos)
-    for ch in tok:
-        if ch not in ALPHABET:
-            raise ParseError(f"invalid symbol {ch!r} in word", pos)
+    if tok.strip(ALPHABET):
+        ch = next(ch for ch in tok if ch not in ALPHABET)
+        raise ParseError(f"invalid symbol {ch!r} in word", pos)
     return tok
 
 

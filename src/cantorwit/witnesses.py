@@ -57,10 +57,23 @@ class CommutatorWord:
     factors: tuple[tuple[PrefixMap, PrefixMap], ...] = ()
     arity: int = 2
 
-    def evaluate(self) -> PrefixMap:
+    def evaluate(self, memo: dict | None = None) -> PrefixMap:
+        """The product of the factors.  A memo shared by several words
+        computes each distinct commutator [x, y] and each distinct step
+        prefix·[x, y] once; its keys are the maps themselves (compared by
+        value), so equal but distinct objects share entries."""
+        if memo is None:
+            memo = {}
         acc = identity(self.arity)
         for x, y in self.factors:
-            acc = acc * commutator(x, y)
+            step = (acc, x, y)
+            nxt = memo.get(step)
+            if nxt is None:
+                comm = memo.get((x, y))
+                if comm is None:
+                    comm = memo[(x, y)] = commutator(x, y)
+                nxt = memo[step] = acc * comm
+            acc = nxt
         return acc
 
     def inverse(self) -> "CommutatorWord":
@@ -358,8 +371,9 @@ def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
     word = NormalWord(n, letters)
     if word.evaluate() != target:
         raise VerificationError("internal error: simple witness failed to evaluate")
+    memo: dict = {}
     for (conj, _), cert in zip(letters, certs):
-        if cert.evaluate() != conj:
+        if cert.evaluate(memo) != conj:
             raise VerificationError("internal error: conjugator certificate mismatch")
     return word, certs
 
@@ -581,26 +595,42 @@ def commutator_word_to_obj(word: CommutatorWord, target: PrefixMap | None = None
     return obj
 
 
-def certificate_from_obj(obj: dict, arity: int = 2):
+def _listed(obj: dict, field: str) -> list:
+    value = obj[field]
+    if not isinstance(value, list):
+        raise ParseError(f"malformed certificate: '{field}' must be a list")
+    return value
+
+
+def certificate_from_obj(obj: dict, arity: int = 2, literals: dict | None = None):
     """Parse a certificate object; returns (word, target-or-None).
 
-    Any structural defect (missing or mistyped fields, bad literals, an
+    Each distinct (literal, arity) is parsed once, through the `literals`
+    table when the caller shares one across several objects.  Any
+    structural defect (missing or mistyped fields, bad literals, an
     identity base) is reported as a ParseError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("certificate object must carry a 'kind'")
+    table = {} if literals is None else literals
     try:
         k = obj.get("arity", arity)
         if type(k) is not int:
             raise ParseError(f"malformed certificate: arity must be an integer, got {type(k).__name__}")
-        target = parse_element(obj["target"], k) if "target" in obj else None
+
+        def elem(text) -> PrefixMap:
+            g = table.get((text, k))
+            if g is None:
+                g = table[(text, k)] = parse_element(text, k)
+            return g
+
+        target = elem(obj["target"]) if "target" in obj else None
         if obj["kind"] == "normal_word":
-            base = parse_element(obj["base"], k)
-            letters = tuple((parse_element(l["conj"], k), l["exp"]) for l in obj["letters"])
+            base = elem(obj["base"])
+            letters = tuple((elem(l["conj"]), l["exp"]) for l in _listed(obj, "letters"))
             return NormalWord(base, letters), target
         if obj["kind"] == "commutator_word":
-            factors = tuple((parse_element(f["x"], k), parse_element(f["y"], k))
-                            for f in obj["factors"])
+            factors = tuple((elem(f["x"]), elem(f["y"])) for f in _listed(obj, "factors"))
             return CommutatorWord(factors, k), target
     except ParseError:
         raise
@@ -618,20 +648,24 @@ def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
     if isinstance(obj, dict) and obj.get("kind") == "simple_witness":
         if not isinstance(obj.get("witness"), dict):
             raise ParseError("simple_witness certificate needs a 'witness' object")
-        word, target = certificate_from_obj(obj["witness"], arity)
+        literals: dict = {}
+        word, target = certificate_from_obj(obj["witness"], arity, literals)
         if not isinstance(word, NormalWord):
             raise ParseError("a simple_witness 'witness' must be a normal_word")
+        conj_objs = obj.get("conjugators", [])
+        if not isinstance(conj_objs, list):
+            raise ParseError("a simple_witness 'conjugators' must be a list")
         value = word.evaluate()
         if target is None or value != target:
             raise VerificationError("witness does not evaluate to its target")
-        conj_objs = obj.get("conjugators", [])
         if len(conj_objs) != len(word.letters):
             raise VerificationError("conjugator certificate count mismatch")
+        memo: dict = {}
         for cobj, (conj, _) in zip(conj_objs, word.letters):
-            cert, _tgt = certificate_from_obj(cobj, arity)
+            cert, _tgt = certificate_from_obj(cobj, arity, literals)
             if not isinstance(cert, CommutatorWord):
                 raise ParseError("conjugator certificates must be commutator words")
-            if cert.evaluate() != conj:
+            if cert.evaluate(memo) != conj:
                 raise VerificationError("a conjugator certificate does not match its letter")
         return value
     word, target = certificate_from_obj(obj, arity)

@@ -3,10 +3,15 @@
 These deliberately avoid the library's own composition/reduction/boolean
 machinery: maps are evaluated pair-by-pair on explicit finite words, and
 clopen sets are compared by brute-force membership of every word of a
-given depth.  Tests check library results against these.
+given depth.  Tests check library results against these.  The one
+exception is `commutator_fold`, the plain unmemoised product that the
+memoised commutator-word evaluator is checked against.
 """
 
 import itertools
+
+from cantorwit.prefixmap import identity
+from cantorwit.witnesses import commutator
 
 ALPHABET = "0123456789"
 
@@ -71,3 +76,11 @@ def image_words(g, region, depth: int) -> set[str]:
         if member(region.code, w):
             out.add(apply_pairs(g.pairs, w))
     return out
+
+
+def commutator_fold(factors, arity: int):
+    """The product of commutator(x, y) over the factors, left to right."""
+    acc = identity(arity)
+    for x, y in factors:
+        acc = acc * commutator(x, y)
+    return acc

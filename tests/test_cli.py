@@ -1,10 +1,14 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from cantorwit import cli
+from cantorwit.corpus import random_element, random_witness_input
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.errors import ParseError
+from cantorwit.witnesses import certificate_from_obj, commutator
 
 
 def run(capsys, *argv):
@@ -234,6 +238,30 @@ class TestSimpleWitnessCommand:
         assert run(capsys, "verify", str(wpath))[0] == cli.EXIT_VERIFY
 
 
+class TestWitnessTargets:
+    """The witness commands emit [a, b] as the target without evaluating the
+    word; the emitted word must still evaluate to exactly that target."""
+
+    @pytest.mark.parametrize("full_union", [False, True])
+    def test_target_is_the_evaluated_word(self, capsys, full_union):
+        ncert = str(Path(__file__).parent / "golden" / "ncert.json")
+        n_simple = str(commutator(parse_element("{00->01,01->00,1->1}"),
+                                  parse_element("{01->10,10->01,00->00,11->11}")))
+        rng = random.Random(80 + full_union)
+        for _ in range(5):
+            a, ya, b, yb = random_witness_input(rng, full_union=full_union)
+            n = random_element(rng, nontrivial=True)
+            args = [str(a), str(ya), str(b), str(yb)]
+            for argv, part in ((["monolith-witness", *args, str(n)], None),
+                               (["simple-witness", *args, n_simple, "--n-cert", ncert],
+                                "witness")):
+                code, out, _ = run(capsys, *argv, "--json")
+                assert code == cli.EXIT_OK
+                obj = json.loads(out)
+                word, target = certificate_from_obj(obj[part] if part else obj)
+                assert word.evaluate() == target == commutator(a, b)
+
+
 class TestCorpusCommand:
     def test_quick_corpus(self, capsys):
         code, out, _ = run(capsys, "corpus", "--seed", "9", "--quick")
@@ -278,10 +306,21 @@ class TestFuzzing:
         '"witness":{"kind":"commutator_word","factors":[],"target":"{e->e}"}}',
         *(f'{{"kind":"commutator_word","arity":{arity},"factors":[],"target":"{{e->e}}"}}'
           for arity in ("2.9", '"2"', "2.0", "true")),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+        pytest.param('{"kind":"commutator_word","arity":' + "7" * 5000 + "}",
+                     id="integer-of-5000-digits"),
+        b'{"kind":"commutator_word","factors":[],"target":"{e->e}\xff"}',
+        *('{"kind":"simple_witness","witness":{"kind":"normal_word","base":"{0->1,1->0}",'
+          '"letters":[{"conj":"{e->e}","exp":1}],"target":"{0->1,1->0}"},'
+          f'"conjugators":{conjugators}}}' for conjugators in ("5", "{}")),
+        '{"kind":"simple_witness","witness":{"kind":"normal_word","base":"{0->1,1->0}",'
+        '"letters":{},"target":"{0->1,1->0}"},"conjugators":[]}',
+        '{"kind":"normal_word","base":"{0->1,1->0}","letters":{},"target":"{e->e}"}',
+        '{"kind":"commutator_word","factors":{},"target":"{e->e}"}',
     ])
     def test_malformed_certificates_exit_parse(self, capsys, tmp_path, payload):
         path = tmp_path / "fz.json"
-        path.write_text(payload)
+        path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         assert run(capsys, "verify", str(path))[0] == cli.EXIT_PARSE
 
     def test_trivial_certificate_verifies(self, capsys, tmp_path):

@@ -13,6 +13,7 @@ from cantorwit.witnesses import (CommutatorWord, NormalWord, claim1_transporter,
                                  commutator, commuting_chain, decompose2,
                                  derived_conjugator, monolith_witness,
                                  shift_identity_check, simple_witness)
+from helpers import commutator_fold
 
 C = parse_clopen
 E = parse_element
@@ -67,6 +68,68 @@ class TestWordEvaluation:
         assert NormalWord(n, ()).evaluate() == identity(3)
         _, cert = derived_conjugator(identity(3), C("[0]", 3))
         assert cert.arity == 3 and cert.evaluate() == identity(3)
+
+
+class TestMemoisedEvaluation:
+    """CommutatorWord.evaluate through a shared memo against the plain fold."""
+
+    @staticmethod
+    def pool(rng, arity, size=5):
+        return [random_element(rng, arity, max_depth=3) for _ in range(size)]
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_seeded_words_match_fold(self, arity):
+        rng = random.Random(60 + arity)
+        pool = self.pool(rng, arity)
+        stem = tuple((rng.choice(pool), rng.choice(pool)) for _ in range(6))
+        memo = {}
+        for _ in range(60):
+            # a shared stem cut at a random point, then a tail from the small
+            # pool: shared prefixes, and factors repeated inside and across words
+            tail = tuple((rng.choice(pool), rng.choice(pool))
+                         for _ in range(rng.randint(0, 5)))
+            factors = stem[:rng.randint(0, len(stem))] + tail
+            word = CommutatorWord(factors, arity)
+            expected = commutator_fold(factors, arity)
+            assert word.evaluate(memo) == expected
+            assert word.evaluate() == expected
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_repeated_factors_and_empty_word(self, arity):
+        rng = random.Random(62 + arity)
+        x, y, z = self.pool(rng, arity, 3)
+        memo = {}
+        for factors in [((x, y),) * 3, ((y, x), (x, y), (y, x)), (), ((x, y), (z, z)),
+                        ((x, y),), ((z, x), (x, y)), ()]:
+            assert (CommutatorWord(factors, arity).evaluate(memo)
+                    == commutator_fold(factors, arity))
+        assert CommutatorWord((), arity).evaluate(memo) == identity(arity)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_equal_distinct_objects_share_entries(self, arity):
+        rng = random.Random(64 + arity)
+        x, y = self.pool(rng, arity, 2)
+        x2, y2 = E(str(x), arity), E(str(y), arity)
+        assert (x2, y2) == (x, y) and x2 is not x and y2 is not y
+        memo = {}
+        value = CommutatorWord(((x, y), (y, x)), arity).evaluate(memo)
+        size = len(memo)
+        assert CommutatorWord(((x2, y2), (y2, x2)), arity).evaluate(memo) == value
+        assert len(memo) == size
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_fresh_objects_after_dropped_words(self, arity):
+        """Words of freshly built maps, each dropped before the next is
+        built, so object ids get reused while the memo lives on."""
+        rng = random.Random(66 + arity)
+        memo = {}
+        for _ in range(150):
+            texts = [str(random_element(rng, arity, max_depth=3)) for _ in range(3)]
+            a, b, c = (E(t, arity) for t in texts)
+            factors = ((a, b), (b, c), (a, b))
+            assert (CommutatorWord(factors, arity).evaluate(memo)
+                    == commutator_fold(factors, arity))
+            del a, b, c, factors
 
 
 class TestDecompose2:
