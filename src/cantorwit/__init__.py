@@ -10,10 +10,10 @@ from .errors import (ArityMismatchError, ParseError, PreconditionError,
 from .literals import parse_clopen, parse_element
 from .prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
 from .witnesses import (Claim2Result, Claim3Result, CommutatorWord, Decomposition,
-                        NormalWord, claim1_transporter, claim2_factorization,
-                        claim3_witness, commutator, commuting_chain, decompose2,
-                        derived_conjugator, monolith_witness, shift_identity_check,
-                        simple_witness, verify_certificate)
+                        NormalWord, SimpleWitness, claim1_transporter,
+                        claim2_factorization, claim3_witness, commutator,
+                        commuting_chain, decompose2, derived_conjugator, monolith_witness,
+                        shift_identity_check, simple_witness, verify_certificate)
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,8 @@ __all__ = [
     "PrefixMap", "identity", "onto_transporter", "patch", "sigma_swap",
     "TriCover", "join_compression", "min_cover_3", "transporter",
     "wandering_base", "wandering_witness",
-    "NormalWord", "CommutatorWord", "Decomposition", "Claim2Result", "Claim3Result",
+    "NormalWord", "CommutatorWord", "SimpleWitness", "Decomposition", "Claim2Result",
+    "Claim3Result",
     "commutator", "decompose2", "derived_conjugator", "shift_identity_check",
     "monolith_witness",
     "simple_witness", "claim1_transporter", "claim2_factorization",

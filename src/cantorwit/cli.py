@@ -20,7 +20,7 @@ from .errors import (ArityMismatchError, ParseError, PreconditionError,
 from .literals import parse_clopen, parse_element
 from .prefixmap import sigma_swap
 from .witnesses import (CommutatorWord, commutator_word_to_obj, dumps_certificate,
-                        normal_word_to_obj, verify_certificate)
+                        normal_word_to_obj, simple_witness_to_obj, verify_certificate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +54,13 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read certificate: {exc}") from exc
+
+
+def _read_commutator_word(path: str, arity: int, flag: str) -> CommutatorWord:
+    word, _target = wit.certificate_from_obj(_read_json(path), arity)
+    if not isinstance(word, CommutatorWord):
+        raise ParseError(f"{flag} must contain a commutator_word certificate")
+    return word
 
 
 def cmd_reduce(args):
@@ -160,20 +167,11 @@ def cmd_monolith(args):
 
 def cmd_simple(args):
     a, ya, b, yb, n = _parse_witness_args(args)
-    cert_obj = _read_json(args.n_cert)
-    n_cert, _target = wit.certificate_from_obj(cert_obj, args.arity)
-    if not isinstance(n_cert, CommutatorWord):
-        raise ParseError("--n-cert must contain a commutator_word certificate")
-    word, conj_certs = wit.simple_witness(a, ya, b, yb, n, n_cert)
+    n_cert = _read_commutator_word(args.n_cert, args.arity, "--n-cert")
+    cert = wit.simple_witness(a, ya, b, yb, n, n_cert)
     value = wit.commutator(a, b)  # the builder checked that the word evaluates to it
-    obj = {
-        "kind": "simple_witness",
-        "arity": n.arity,
-        "witness": normal_word_to_obj(word, target=value),
-        "conjugators": [commutator_word_to_obj(c, target=conj)
-                        for c, (conj, _e) in zip(conj_certs, word.letters)],
-    }
-    _emit(args, _word_lines(word, value) + [f"conjugator_certs = {len(conj_certs)}"], obj)
+    _emit(args, _word_lines(cert.word, value) + [f"conjugator_certs = {len(cert.certs)}"],
+          simple_witness_to_obj(cert, target=value))
     return EXIT_OK
 
 
@@ -191,10 +189,7 @@ def cmd_claim1(args):
 
 def cmd_claim2(args):
     g = parse_element(args.element, args.arity)
-    g_cert = None
-    if args.cert:
-        obj = _read_json(args.cert)
-        g_cert, _t = wit.certificate_from_obj(obj, args.arity)
+    g_cert = _read_commutator_word(args.cert, args.arity, "--cert") if args.cert else None
     cover = min_cover_3(args.arity)
     res = wit.claim2_factorization(g, cover, g_cert)
     lines = [f"s1 = {res.s1}", f"s2 = {res.s2}", f"s3 = {res.s3}",

@@ -144,12 +144,14 @@ class SuiteResult:
         return f"{status} {self.name}: {self.cases - self.failures}/{self.cases} cases"
 
 
-def _run(name, cases, check) -> SuiteResult:
+def _run(name, *batches) -> SuiteResult:
+    """Run each batch (cases, check) in turn; check(i) gets the index of the
+    case within its batch and returns whether the case passed."""
     start = time.monotonic()
-    failures = 0
-    for i in range(cases):
-        if not check(i):
-            failures += 1
+    cases = failures = 0
+    for count, check in batches:
+        cases += count
+        failures += sum(1 for i in range(count) if not check(i))
     return SuiteResult(name, cases, failures, time.monotonic() - start)
 
 
@@ -173,7 +175,7 @@ def suite_group_laws(seed: int = 0, cases: int = 500, arity: int = 2,
                 refined.append((d, r))
         return PrefixMap.from_pairs(refined, arity) == g
 
-    return _run("group laws", cases, check)
+    return _run("group laws", (cases, check))
 
 
 def suite_sigma_decompose(seed: int = 1, cases: int = 500, arity: int = 2,
@@ -193,7 +195,7 @@ def suite_sigma_decompose(seed: int = 1, cases: int = 500, arity: int = 2,
             return False
         return dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2)
 
-    return _run("sigma/decompose2", cases, check)
+    return _run("sigma/decompose2", (cases, check))
 
 
 def suite_compression(seed: int = 2, transporter_cases: int = 1000,
@@ -225,16 +227,8 @@ def suite_compression(seed: int = 2, transporter_cases: int = 1000,
         g = join_compression(y, z)
         return g.image(y.union(z)).subset(y)
 
-    start = time.monotonic()
-    failures = 0
-    for i in range(transporter_cases):
-        failures += 0 if check_transporter(i) else 1
-    for i in range(wandering_cases):
-        failures += 0 if check_wandering(i) else 1
-    for i in range(join_cases):
-        failures += 0 if check_join(i) else 1
-    return SuiteResult("compression", transporter_cases + wandering_cases + join_cases,
-                       failures, time.monotonic() - start)
+    return _run("compression", (transporter_cases, check_transporter),
+                (wandering_cases, check_wandering), (join_cases, check_join))
 
 
 def suite_commutator_identity(seed: int = 3, cases: int = 200, arity: int = 2,
@@ -248,7 +242,7 @@ def suite_commutator_identity(seed: int = 3, cases: int = 200, arity: int = 2,
         _g, ok = wit.shift_identity_check(a, b, y)
         return ok
 
-    return _run("commutator identity", cases, check)
+    return _run("commutator identity", (cases, check))
 
 
 def suite_monolith(seed: int = 4, cases: int = 200, arity: int = 2,
@@ -263,7 +257,7 @@ def suite_monolith(seed: int = 4, cases: int = 200, arity: int = 2,
             return False
         return word.evaluate() == commutator(a, b)
 
-    return _run("monolith witness", cases, check)
+    return _run("monolith witness", (cases, check))
 
 
 def suite_derived_conjugator(seed: int = 5, cases: int = 300, arity: int = 2,
@@ -280,27 +274,26 @@ def suite_derived_conjugator(seed: int = 5, cases: int = 300, arity: int = 2,
             return False
         return d.image(w) == g.image(w)
 
-    return _run("derived conjugator", cases, check)
+    return _run("derived conjugator", (cases, check))
 
 
 def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200,
                  claim3_cases: int = 100, arity: int = 2, depth: int = 4) -> SuiteResult:
     rng = random.Random(seed)
     cover = min_cover_3(arity)
-    start = time.monotonic()
-    failures = 0
 
-    full = whole_space(arity)
-    cover_ok = (cover.j1.union(cover.j2).union(cover.j3) == full
-                and not cover.j2.union(cover.j3).is_full()
-                and not cover.j1.union(cover.j3).is_full()
-                and not cover.j1.union(cover.j2).is_full())
-    for i, u in enumerate(cover.privates):
-        cover_ok = cover_ok and u.subset(cover.cover[i])
-        for j, other in enumerate(cover.cover):
-            if i != j:
-                cover_ok = cover_ok and u.disjoint(other)
-    failures += 0 if cover_ok else 1
+    def check_cover(_i):
+        full = whole_space(arity)
+        ok = (cover.j1.union(cover.j2).union(cover.j3) == full
+              and not cover.j2.union(cover.j3).is_full()
+              and not cover.j1.union(cover.j3).is_full()
+              and not cover.j1.union(cover.j2).is_full())
+        for i, u in enumerate(cover.privates):
+            ok = ok and u.subset(cover.cover[i])
+            for j, other in enumerate(cover.cover):
+                if i != j:
+                    ok = ok and u.disjoint(other)
+        return ok
 
     def disjoint_triple():
         while True:
@@ -313,16 +306,15 @@ def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200
                 continue
             return tuple(canonicalize([w], arity) for w in picks)
 
-    for _ in range(claim1_cases):
+    def check_claim1(_i):
         ia, ib, ic = disjoint_triple()
         e, cert = wit.claim1_transporter(ia, ib, ic)
-        ok = (len(cert.factors) <= 1
-              and cert.evaluate() == e
-              and e.image(ia) == ib
-              and e.in_rist(ic.complement()))
-        failures += 0 if ok else 1
+        return (len(cert.factors) <= 1
+                and cert.evaluate() == e
+                and e.image(ia) == ib
+                and e.in_rist(ic.complement()))
 
-    for i in range(claim2_cases):
+    def check_claim2(i):
         g = random_element(rng, arity, depth)
         g_cert = None
         if i % 2 == 0:
@@ -338,9 +330,9 @@ def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200
             ok = ok and res.certs is not None
             for s, cert in zip((res.s1, res.s2, res.s3), res.certs):
                 ok = ok and cert.evaluate() == s
-        failures += 0 if ok else 1
+        return ok
 
-    for _ in range(claim3_cases):
+    def check_claim3(_i):
         g = random_element(rng, arity, depth)
         h = random_element(rng, arity, depth)
         res = wit.claim3_witness(g, h, cover)
@@ -354,10 +346,10 @@ def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200
               and len(res.f_table) == 6)
         for member, f in zip(cover.members, res.f_table):
             ok = ok and f.image(member.complement()).disjoint(blocked)
-        failures += 0 if ok else 1
+        return ok
 
-    cases = 1 + claim1_cases + claim2_cases + claim3_cases
-    return SuiteResult("cover and claims", cases, failures, time.monotonic() - start)
+    return _run("cover and claims", (1, check_cover), (claim1_cases, check_claim1),
+                (claim2_cases, check_claim2), (claim3_cases, check_claim3))
 
 
 def run_all(seed: int = 0, arity: int = 2, window: int = 8, scale: int = 1,

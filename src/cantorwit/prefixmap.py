@@ -104,11 +104,6 @@ class PrefixMap:
         """Membership in the rigid stabiliser: fixes the complement pointwise."""
         return self.fixes_pointwise(region.complement())
 
-    def support_upper(self) -> ClopenSet:
-        """Clopen over-approximation of the support (diagnostic only: the
-        exact support may be smaller by finitely many fixed points)."""
-        return canonicalize([d for d, r in self.pairs if d != r], self.arity)
-
     def moved_cylinder(self) -> ClopenSet:
         """A cylinder Z with g(Z) disjoint from Z.
 

@@ -16,8 +16,10 @@ witness builders below compose them into full certificates.
 
 import json
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
-from .clopen import ClopenSet, canonicalize, cylinder, whole_space
+from .clopen import ClopenSet, canonicalize, cylinder, letters, whole_space
 from .compression import transporter, two_disjoint_cylinders, wandering_witness
 from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
 from .literals import parse_element
@@ -348,9 +350,28 @@ def _agreeing_conjugator(x: PrefixMap, bound: ClopenSet) -> _Certified:
     return _Certified(elem, cert.factors)
 
 
+class SimpleWitness(NamedTuple):
+    """A normal word whose every conjugator carries a commutator-word
+    certificate, one per letter: it shows that the word's value lies in
+    <<base>> with every conjugator inside the derived subgroup."""
+
+    word: NormalWord
+    certs: tuple[CommutatorWord, ...]
+
+    def evaluate(self) -> PrefixMap:
+        """The word's value, once every conjugator certificate is checked
+        against its letter (one memo serves all certificates)."""
+        if len(self.certs) != len(self.word.letters):
+            raise VerificationError("conjugator certificate count mismatch")
+        memo: dict = {}
+        for cert, (conj, _) in zip(self.certs, self.word.letters):
+            if cert.evaluate(memo) != conj:
+                raise VerificationError("a conjugator certificate does not match its letter")
+        return self.word.evaluate()
+
+
 def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
-                   n: PrefixMap, n_cert: CommutatorWord
-                   ) -> tuple[NormalWord, tuple[CommutatorWord, ...]]:
+                   n: PrefixMap, n_cert: CommutatorWord) -> SimpleWitness:
     """Like monolith_witness, but every conjugator carries a
     commutator-word certificate, so the whole certificate shows
     [a, b] ∈ <<n>> with conjugation inside the derived subgroup.
@@ -364,18 +385,13 @@ def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
         raise PreconditionError("n_cert does not evaluate to the base element")
     target = commutator(a, b)
     if target.is_identity():
-        return NormalWord(n, ()), ()
+        return SimpleWitness(NormalWord(n, ()), ())
     tagged = _witness_letters(a, ya, b, yb, _small_base(n), _agreeing_conjugator)
-    letters = tuple((c.elem, e) for c, e in tagged)
-    certs = tuple(c.cert() for c, _ in tagged)
-    word = NormalWord(n, letters)
-    if word.evaluate() != target:
+    out = SimpleWitness(NormalWord(n, tuple((c.elem, e) for c, e in tagged)),
+                        tuple(c.cert() for c, _ in tagged))
+    if out.evaluate() != target:
         raise VerificationError("internal error: simple witness failed to evaluate")
-    memo: dict = {}
-    for (conj, _), cert in zip(letters, certs):
-        if cert.evaluate(memo) != conj:
-            raise VerificationError("internal error: conjugator certificate mismatch")
-    return word, certs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +539,7 @@ def _claim3_targets(g: PrefixMap, h: PrefixMap, k: int):
     """Three disjoint cylinders whose g/h-images avoid each other as the
     patch in claim3 requires; exists at some finite depth because finitely
     many point constraints can always be separated."""
-    from itertools import product
-
-    from .clopen import letters as _letters
-
-    alpha = _letters(k)
+    alpha = letters(k)
     for depth in range(2, 13):
         words = ["".join(p) for p in product(alpha, repeat=depth)]
         for wc in words:
@@ -572,27 +584,33 @@ def commuting_chain(ya: ClopenSet, yb: ClopenSet) -> tuple[PrefixMap, PrefixMap]
 # JSON serialization of certificates
 
 
-def normal_word_to_obj(word: NormalWord, target: PrefixMap | None = None) -> dict:
-    obj = {
+def normal_word_to_obj(word: NormalWord, target: PrefixMap) -> dict:
+    return {
         "kind": "normal_word",
         "arity": word.base.arity,
         "base": str(word.base),
         "letters": [{"conj": str(c), "exp": e} for c, e in word.letters],
+        "target": str(target),
     }
-    if target is not None:
-        obj["target"] = str(target)
-    return obj
 
 
-def commutator_word_to_obj(word: CommutatorWord, target: PrefixMap | None = None) -> dict:
-    obj = {
+def commutator_word_to_obj(word: CommutatorWord, target: PrefixMap) -> dict:
+    return {
         "kind": "commutator_word",
         "arity": word.arity,
         "factors": [{"x": str(x), "y": str(y)} for x, y in word.factors],
+        "target": str(target),
     }
-    if target is not None:
-        obj["target"] = str(target)
-    return obj
+
+
+def simple_witness_to_obj(cert: SimpleWitness, target: PrefixMap) -> dict:
+    return {
+        "kind": "simple_witness",
+        "arity": cert.word.base.arity,
+        "witness": normal_word_to_obj(cert.word, target),
+        "conjugators": [commutator_word_to_obj(c, target=conj)
+                        for c, (conj, _e) in zip(cert.certs, cert.word.letters)],
+    }
 
 
 def _listed(obj: dict, field: str) -> list:
@@ -602,21 +620,43 @@ def _listed(obj: dict, field: str) -> list:
     return value
 
 
-def certificate_from_obj(obj: dict, arity: int = 2, literals: dict | None = None):
-    """Parse a certificate object; returns (word, target-or-None).
+def certificate_from_obj(obj: dict, arity: int = 2):
+    """Parse a certificate object into (certificate, target-or-None): a
+    NormalWord, a CommutatorWord, or a SimpleWitness with its witness's
+    target, whose parts default to its arity and share one table of parsed
+    literals.  Any structural defect (missing or mistyped fields, bad
+    literals, an identity base) is reported as a ParseError."""
+    table: dict = {}
+    if not (isinstance(obj, dict) and obj.get("kind") == "simple_witness"):
+        return _word_from_obj(obj, arity, table)
+    if not isinstance(obj.get("witness"), dict):
+        raise ParseError("simple_witness certificate needs a 'witness' object")
+    k = _arity(obj, arity)
+    word, target = _word_from_obj(obj["witness"], k, table)
+    if not isinstance(word, NormalWord):
+        raise ParseError("a simple_witness 'witness' must be a normal_word")
+    if not isinstance(obj.get("conjugators"), list):
+        raise ParseError("a simple_witness 'conjugators' must be a list")
+    certs = tuple(_word_from_obj(c, k, table)[0] for c in obj["conjugators"])
+    if not all(isinstance(c, CommutatorWord) for c in certs):
+        raise ParseError("conjugator certificates must be commutator words")
+    return SimpleWitness(word, certs), target
 
-    Each distinct (literal, arity) is parsed once, through the `literals`
-    table when the caller shares one across several objects.  Any
-    structural defect (missing or mistyped fields, bad literals, an
-    identity base) is reported as a ParseError.
-    """
+
+def _arity(obj: dict, default: int) -> int:
+    k = obj.get("arity", default)
+    if type(k) is not int:
+        raise ParseError(f"malformed certificate: arity must be an integer, got {type(k).__name__}")
+    return k
+
+
+def _word_from_obj(obj, arity: int, table: dict):
+    """Parse a normal_word or commutator_word object through the literal
+    table keyed by (literal, arity)."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("certificate object must carry a 'kind'")
-    table = {} if literals is None else literals
     try:
-        k = obj.get("arity", arity)
-        if type(k) is not int:
-            raise ParseError(f"malformed certificate: arity must be an integer, got {type(k).__name__}")
+        k = _arity(obj, arity)
 
         def elem(text) -> PrefixMap:
             g = table.get((text, k))
@@ -640,38 +680,14 @@ def certificate_from_obj(obj: dict, arity: int = 2, literals: dict | None = None
 
 
 def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
-    """Re-evaluate a certificate object against its embedded target.
+    """Re-evaluate a certificate object of any kind against its target.
 
     Raises VerificationError on mismatch; returns the evaluated element.
-    Composite simple-witness objects are verified part by part.
     """
-    if isinstance(obj, dict) and obj.get("kind") == "simple_witness":
-        if not isinstance(obj.get("witness"), dict):
-            raise ParseError("simple_witness certificate needs a 'witness' object")
-        literals: dict = {}
-        word, target = certificate_from_obj(obj["witness"], arity, literals)
-        if not isinstance(word, NormalWord):
-            raise ParseError("a simple_witness 'witness' must be a normal_word")
-        conj_objs = obj.get("conjugators", [])
-        if not isinstance(conj_objs, list):
-            raise ParseError("a simple_witness 'conjugators' must be a list")
-        value = word.evaluate()
-        if target is None or value != target:
-            raise VerificationError("witness does not evaluate to its target")
-        if len(conj_objs) != len(word.letters):
-            raise VerificationError("conjugator certificate count mismatch")
-        memo: dict = {}
-        for cobj, (conj, _) in zip(conj_objs, word.letters):
-            cert, _tgt = certificate_from_obj(cobj, arity, literals)
-            if not isinstance(cert, CommutatorWord):
-                raise ParseError("conjugator certificates must be commutator words")
-            if cert.evaluate(memo) != conj:
-                raise VerificationError("a conjugator certificate does not match its letter")
-        return value
-    word, target = certificate_from_obj(obj, arity)
+    cert, target = certificate_from_obj(obj, arity)
     if target is None:
         raise ParseError("certificate carries no target to verify against")
-    value = word.evaluate()
+    value = cert.evaluate()
     if value != target:
         raise VerificationError("certificate does not evaluate to its target")
     return value

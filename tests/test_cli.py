@@ -10,6 +10,8 @@ from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.errors import ParseError
 from cantorwit.witnesses import certificate_from_obj, commutator
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -208,6 +210,34 @@ class TestVerify:
         path.write_text(json.dumps(obj))
         assert run(capsys, "verify", str(path))[0] == cli.EXIT_PARSE
 
+    def test_simple_witness_off_target_fails(self, capsys, tmp_path):
+        obj = json.loads((GOLDEN / "simple_proper.txt").read_text())
+        obj["witness"]["letters"][0]["exp"] *= -1
+        path = tmp_path / "sw.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == cli.EXIT_VERIFY
+        assert err == "verification failed: certificate does not evaluate to its target\n"
+
+
+class TestCertificateFlags:
+    """--cert and --n-cert both take a commutator_word file and nothing else."""
+
+    def test_claim2_rejects_normal_word_cert(self, capsys):
+        path = GOLDEN / "monolith_proper.txt"
+        target = json.loads(path.read_text())["target"]
+        code, _, err = run(capsys, "claim2", target, "--cert", str(path))
+        assert code == cli.EXIT_PARSE
+        assert err == "parse error: --cert must contain a commutator_word certificate\n"
+
+    def test_simple_witness_rejects_normal_word_n_cert(self, capsys):
+        path = GOLDEN / "monolith_proper.txt"
+        code, _, err = run(capsys, "simple-witness", "{00->01,01->00,1->1}", "[0]",
+                           "{00->00,01->10,10->01,11->11}", "[01,1]",
+                           "{00->01,01->10,10->00,11->11}", "--n-cert", str(path))
+        assert code == cli.EXIT_PARSE
+        assert err == "parse error: --n-cert must contain a commutator_word certificate\n"
+
 
 class TestSimpleWitnessCommand:
     def test_simple_witness_roundtrip(self, capsys, tmp_path):
@@ -317,6 +347,21 @@ class TestFuzzing:
         '"letters":{},"target":"{0->1,1->0}"},"conjugators":[]}',
         '{"kind":"normal_word","base":"{0->1,1->0}","letters":{},"target":"{e->e}"}',
         '{"kind":"commutator_word","factors":{},"target":"{e->e}"}',
+        '{"kind":"simple_witness","witness":{"kind":"normal_word","base":"{0->1,1->0}",'
+        '"letters":[]},"conjugators":[]}',
+        '{"kind":"simple_witness","witness":{"kind":"normal_word","base":"{0->1,1->0}",'
+        '"letters":[],"target":"{e->e}"}}',
+        '{"kind":"simple_witness","witness":{"kind":"normal_word","base":"{0->1,1->0}",'
+        '"letters":[{"conj":"{e->e}","exp":1}],"target":"{0->1,1->0}"}}',
+        '{"kind":"simple_witness","arity":2.9,"witness":{"kind":"normal_word",'
+        '"base":"{0->1,1->0}","letters":[],"target":"{e->e}"},"conjugators":[]}',
+        '{"kind":"simple_witness","witness":{"kind":"normal_word",'
+        '"base":"{00->01,01->10,10->00,11->11}","letters":[{"conj":"{e->e}","exp":-1}],'
+        '"target":"{00->01,01->10,10->00,11->11}"},'
+        '"conjugators":[{"kind":"commutator_word","factors":[{"x":"{0->"}]}]}',
+        '{"kind":"simple_witness","conjugators":[],"witness":{"kind":"simple_witness",'
+        '"conjugators":[],"witness":{"kind":"normal_word","base":"{0->1,1->0}",'
+        '"letters":[],"target":"{e->e}"}}}',
     ])
     def test_malformed_certificates_exit_parse(self, capsys, tmp_path, payload):
         path = tmp_path / "fz.json"

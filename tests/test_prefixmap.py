@@ -205,10 +205,6 @@ class TestFixesAndRist:
         assert not g.fixes_pointwise(C("[0]"))
         assert not g.fixes_pointwise(C("[000]"))
 
-    def test_support_upper(self):
-        g = E("{00->10,10->00,01->01,11->11}")
-        assert g.support_upper() == C("[00,10]")
-
 
 class TestMovedCylinder:
     def test_incomparable(self):

@@ -1,18 +1,22 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from cantorwit.compression import join_compression, min_cover_3, transporter
 from cantorwit.corpus import (random_clopen, random_element, random_rist_element,
                               random_witness_input)
-from cantorwit.errors import ArityMismatchError, PreconditionError
+from cantorwit.errors import ArityMismatchError, PreconditionError, VerificationError
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.prefixmap import identity
-from cantorwit.witnesses import (CommutatorWord, NormalWord, claim1_transporter,
+from cantorwit.witnesses import (CommutatorWord, NormalWord, SimpleWitness,
+                                 certificate_from_obj, claim1_transporter,
                                  claim2_factorization, claim3_witness,
                                  commutator, commuting_chain, decompose2,
                                  derived_conjugator, monolith_witness,
-                                 shift_identity_check, simple_witness)
+                                 shift_identity_check, simple_witness,
+                                 simple_witness_to_obj)
 from helpers import commutator_fold
 
 C = parse_clopen
@@ -305,6 +309,46 @@ class TestSimpleWitness:
             assert w.evaluate() == commutator(a, b)
             for (conj, _e), cert in zip(w.letters, certs):
                 assert cert.evaluate() == conj
+
+
+class TestSimpleWitnessCertificate:
+    @pytest.mark.parametrize("name", ["simple_proper", "simple_full"])
+    def test_golden_roundtrip(self, name):
+        obj = json.loads((Path(__file__).parent / "golden" / f"{name}.txt").read_text())
+        sw, target = certificate_from_obj(obj)
+        assert isinstance(sw, SimpleWitness)
+        assert simple_witness_to_obj(sw, target) == obj
+        assert certificate_from_obj(simple_witness_to_obj(sw, target)) == (sw, target)
+
+    @pytest.mark.parametrize("full_union", [False, True])
+    def test_arity3_roundtrip(self, full_union):
+        rng = random.Random(60 + full_union)
+        for _ in range(4):
+            x = random_element(rng, 3, 3, nontrivial=True)
+            y = random_element(rng, 3, 3, nontrivial=True)
+            n = commutator(x, y)
+            if n.is_identity():
+                continue
+            a, ya, b, yb = random_witness_input(rng, 3, full_union=full_union)
+            sw = simple_witness(a, ya, b, yb, n, CommutatorWord(((x, y),), 3))
+            target = commutator(a, b)
+            obj = simple_witness_to_obj(sw, target)
+            assert obj["arity"] == 3
+            assert certificate_from_obj(obj) == (sw, target)
+            assert sw.evaluate() == target
+
+    def test_evaluate_count_mismatch(self):
+        n, n_cert = nontrivial_commutator_base()
+        sw = SimpleWitness(NormalWord(n, ((n, 1), (n, -1))), (n_cert,))
+        with pytest.raises(VerificationError, match="count mismatch"):
+            sw.evaluate()
+
+    def test_evaluate_conjugator_mismatch(self):
+        n, n_cert = nontrivial_commutator_base()
+        assert SimpleWitness(NormalWord(n, ((n, 1),)), (n_cert,)).evaluate() == n
+        sw = SimpleWitness(NormalWord(n, ((identity(), 1),)), (n_cert,))
+        with pytest.raises(VerificationError, match="does not match its letter"):
+            sw.evaluate()
 
 
 class TestClaim1:
