@@ -42,6 +42,14 @@ def lenlex(word: str) -> tuple[int, str]:
     return (len(word), word)
 
 
+def lenlex_sorted(words: Iterable[str]) -> list[str]:
+    """The words in length-lexicographic order: a lexicographic sort, then
+    a stable sort by length (two sorts in C, no Python key function)."""
+    out = sorted(words)
+    out.sort(key=len)
+    return out
+
+
 @dataclass(frozen=True)
 class ClopenSet:
     """A clopen subset of the Cantor space in canonical antichain form.
@@ -79,7 +87,7 @@ class ClopenSet:
         return canonicalize([w for _, _, w in refine(self.code, other.code)], self.arity)
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet(tuple(sorted(_complement_words(self.code, self.arity), key=lenlex)),
+        return ClopenSet(tuple(lenlex_sorted(_complement_words(self.code, self.arity))),
                          self.arity)
 
     def subset(self, other: "ClopenSet") -> bool:
@@ -122,13 +130,16 @@ def _complement_words(code: tuple[str, ...], arity: int) -> list[str]:
 
 def split_words(words: Iterable[str], size: int, arity: int) -> tuple[str, ...]:
     """Refine an antichain to exactly `size` words, splitting the
-    length-lexicographically last word at each step."""
-    out = sorted(words, key=lenlex)
+    length-lexicographically last word at each step.
+
+    The list stays sorted without re-sorting: the popped word is the
+    longest, so its children are longer than every word left, and they
+    are appended in alphabet order."""
+    out = lenlex_sorted(words)
     alpha = letters(arity)
     while len(out) < size:
         w = out.pop()
         out.extend(w + c for c in alpha)
-        out.sort(key=lenlex)
     if len(out) != size:
         raise PreconditionError(f"infeasible size {size} for {len(out)}-word antichain")
     return tuple(out)
@@ -149,7 +160,7 @@ def canonicalize(words: Iterable[str], arity: int = 2) -> ClopenSet:
         check_word(w, arity)
     # prefix absorption: drop any word with a proper prefix present
     table = {w: w for w in ws if not any(w[:i] in ws for i in range(len(w)))}
-    return ClopenSet(tuple(sorted(merge_siblings(table, arity), key=lenlex)), arity)
+    return ClopenSet(tuple(lenlex_sorted(merge_siblings(table, arity))), arity)
 
 
 def refine(xs: Iterable[str], ys: Iterable[str]) -> Iterator[tuple[str, str, str]]:
@@ -179,22 +190,31 @@ def refine(xs: Iterable[str], ys: Iterable[str]) -> Iterator[tuple[str, str, str
 
 def merge_siblings(table: dict[str, str], arity: int) -> dict[str, str]:
     """Merge each full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) of a
-    word table to p -> q, in place; a merge can complete only the family of
-    p, so only that one is checked again.  A clopen code is the table
-    mapping each of its words to itself."""
+    word table to p -> q, in place.  A clopen code is the table mapping
+    each of its words to itself.
+
+    The worklist holds parents p, each checked once from p0: first every p
+    whose p0 maps to a word ending in 0, then, after each merge, the parent
+    of p, the only family the new word p can complete.  An entry whose p0
+    has gone is stale and skipped."""
     alpha = letters(arity)
-    work = list(table)
+    rest = alpha[1:]
+    work = [d[:-1] for d, r in table.items() if d[-1:] == "0" and r[-1:] == "0"]
     while work:
-        d = work.pop()
-        r = table.get(d)
-        if not d or not r or d[-1] != r[-1]:
+        p = work.pop()
+        r = table.get(p + "0")
+        if not r or r[-1] != "0":
             continue
-        p, q = d[:-1], r[:-1]
-        if all(table.get(p + c) == q + c for c in alpha):
+        q = r[:-1]
+        for c in rest:
+            if table.get(p + c) != q + c:
+                break
+        else:
             for c in alpha:
                 del table[p + c]
             table[p] = q
-            work.append(p)
+            if p:
+                work.append(p[:-1])
     return table
 
 

@@ -13,8 +13,9 @@ Composition is written like function application: (g * h)(x) = g(h(x)).
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .clopen import (ClopenSet, canonicalize, cylinder, lenlex, check_word, letters,
+from .clopen import (ClopenSet, canonicalize, cylinder, check_word, lenlex_sorted, letters,
                      merge_siblings, refine, split_words)
 from .errors import ArityMismatchError, PreconditionError
 
@@ -36,9 +37,10 @@ class PrefixMap:
         plist = [(str(d), str(r)) for d, r in pairs]
         if not plist:
             raise PreconditionError("a prefix map needs at least one pair")
-        for d, r in plist:
-            check_word(d, arity)
-            check_word(r, arity)
+        if "".join(chain.from_iterable(plist)).strip(letters(arity)):
+            for d, r in plist:
+                check_word(d, arity)
+                check_word(r, arity)
         _check_complete_code([d for d, _ in plist], arity, "domain")
         _check_complete_code([r for _, r in plist], arity, "range")
         return cls(_reduce(dict(plist), arity), arity)
@@ -55,15 +57,10 @@ class PrefixMap:
 
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
         """Composition: (g * h)(x) = g(h(x))."""
-        self._check_same(other)
-        h_inv = {r: d for d, r in other.pairs}
-        g = dict(self.pairs)
-        table = {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine(h_inv, g)}
-        return PrefixMap(_reduce(table, self.arity), self.arity)
+        return compose(self, other)
 
     def inverse(self) -> "PrefixMap":
-        flipped = tuple(sorted(((r, d) for d, r in self.pairs), key=lambda p: lenlex(p[0])))
-        return PrefixMap(flipped, self.arity)
+        return PrefixMap(_sorted_pairs({r: d for d, r in self.pairs}), self.arity)
 
     def __pow__(self, n: int) -> "PrefixMap":
         """Repeated squaring: O(log |n|) compositions."""
@@ -148,8 +145,31 @@ def _check_complete_code(words: list[str], arity: int, side: str) -> None:
         raise PreconditionError(f"incomplete {side} code")
 
 
+def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
+    """first·rest[0]·rest[1]·…: the tables are composed unreduced left to
+    right and the product is reduced once."""
+    table = first.pairs
+    for g in rest:
+        first._check_same(g)
+        table = _compose(table, g.pairs)
+    return PrefixMap(_reduce(dict(table), first.arity), first.arity)
+
+
+def _compose(g_pairs, h_pairs) -> dict[str, str]:
+    """The unreduced table of g·h from the (d, r) pairs of g and h, reduced
+    or not: one pair for each piece of the common refinement of h's range
+    code and g's domain code."""
+    h_inv = {r: d for d, r in h_pairs}
+    g = dict(g_pairs)
+    return {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine(h_inv, g)}
+
+
 def _reduce(table: dict[str, str], arity: int) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(merge_siblings(table, arity).items(), key=lambda pr: lenlex(pr[0])))
+    return _sorted_pairs(merge_siblings(table, arity))
+
+
+def _sorted_pairs(table: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    return tuple([(d, table[d]) for d in lenlex_sorted(table)])
 
 
 def matched_pairs(dom_words, ran_words, arity: int) -> list[tuple[str, str]]:

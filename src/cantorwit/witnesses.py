@@ -23,7 +23,7 @@ from .clopen import ClopenSet, canonicalize, cylinder, letters, whole_space
 from .compression import transporter, two_disjoint_cylinders, wandering_witness
 from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
 from .literals import parse_element
-from .prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
+from .prefixmap import PrefixMap, compose, identity, onto_transporter, patch, sigma_swap
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +44,11 @@ class NormalWord:
             raise PreconditionError("letter exponents must be the integers +1 or -1")
 
     def evaluate(self) -> PrefixMap:
+        """The product, reduced once per letter (see `compose`)."""
         acc = identity(self.base.arity)
-        inv = self.base.inverse()
+        power = {1: self.base, -1: self.base.inverse()}
         for conj, exp in self.letters:
-            acc = acc * (conj * (self.base if exp == 1 else inv) * conj.inverse())
+            acc = compose(acc, conj, power[exp], conj.inverse())
         return acc
 
 
@@ -83,7 +84,8 @@ class CommutatorWord:
 
 
 def commutator(x: PrefixMap, y: PrefixMap) -> PrefixMap:
-    return x * y * x.inverse() * y.inverse()
+    """[x, y] = x·y·x^-1·y^-1, reduced once (see `compose`)."""
+    return compose(x, y, x.inverse(), y.inverse())
 
 
 @dataclass(frozen=True)
@@ -637,9 +639,15 @@ def certificate_from_obj(obj: dict, arity: int = 2):
         raise ParseError("a simple_witness 'witness' must be a normal_word")
     if not isinstance(obj.get("conjugators"), list):
         raise ParseError("a simple_witness 'conjugators' must be a list")
-    certs = tuple(_word_from_obj(c, k, table)[0] for c in obj["conjugators"])
+    parsed = [_word_from_obj(c, k, table) for c in obj["conjugators"]]
+    certs = tuple(c for c, _ in parsed)
     if not all(isinstance(c, CommutatorWord) for c in certs):
         raise ParseError("conjugator certificates must be commutator words")
+    # with one certificate per letter, a target a conjugator object carries
+    # must be its letter's conjugator (a count mismatch fails in evaluate)
+    if len(parsed) == len(word.letters) and any(
+            t is not None and t != conj for (_, t), (conj, _) in zip(parsed, word.letters)):
+        raise ParseError("a conjugator certificate's target is not its letter's conjugator")
     return SimpleWitness(word, certs), target
 
 

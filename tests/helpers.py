@@ -3,13 +3,18 @@
 These deliberately avoid the library's own composition/reduction/boolean
 machinery: maps are evaluated pair-by-pair on explicit finite words, and
 clopen sets are compared by brute-force membership of every word of a
-given depth.  Tests check library results against these.  The one
-exception is `commutator_fold`, the plain unmemoised product that the
-memoised commutator-word evaluator is checked against.
+given depth.  Tests check library results against these.  The exceptions
+are the plain versions that faster library paths are checked against:
+`commutator_fold`, the unmemoised product of a commutator word;
+`merge_siblings_worklist`, the sibling merge that checks a family once per
+member; `commutator_three_reduce` and `normal_word_fold`, which reduce
+after every single composition; and `split_words_resorting`, which sorts
+again after every split.
 """
 
 import itertools
 
+from cantorwit.clopen import lenlex, letters
 from cantorwit.prefixmap import identity
 from cantorwit.witnesses import commutator
 
@@ -84,3 +89,46 @@ def commutator_fold(factors, arity: int):
     for x, y in factors:
         acc = acc * commutator(x, y)
     return acc
+
+
+def merge_siblings_worklist(table, arity: int):
+    """Merge full sibling families in place, starting from every word and
+    checking the whole family again for each member popped."""
+    alpha = letters(arity)
+    work = list(table)
+    while work:
+        d = work.pop()
+        r = table.get(d)
+        if not d or not r or d[-1] != r[-1]:
+            continue
+        p, q = d[:-1], r[:-1]
+        if all(table.get(p + c) == q + c for c in alpha):
+            for c in alpha:
+                del table[p + c]
+            table[p] = q
+            work.append(p)
+    return table
+
+
+def commutator_three_reduce(x, y):
+    """[x, y] as three reduced products."""
+    return x * y * x.inverse() * y.inverse()
+
+
+def normal_word_fold(word):
+    """A normal word's value, reducing after every composition."""
+    acc = identity(word.base.arity)
+    for conj, exp in word.letters:
+        acc = acc * (conj * (word.base if exp == 1 else word.base.inverse()) * conj.inverse())
+    return acc
+
+
+def split_words_resorting(words, size: int, arity: int) -> tuple:
+    """Split the length-lexicographically last word until there are `size`
+    words, sorting after every split."""
+    out = sorted(words, key=lenlex)
+    while len(out) < size:
+        w = out.pop()
+        out.extend(w + c for c in letters(arity))
+        out.sort(key=lenlex)
+    return tuple(out)

@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def simple_proper_with_conjugator_target(target):
+    """The simple_proper golden certificate with its first conjugator
+    object's target replaced (dropped when None), as JSON text."""
+    obj = json.loads((GOLDEN / "simple_proper.txt").read_text())
+    if target is None:
+        del obj["conjugators"][0]["target"]
+    else:
+        obj["conjugators"][0]["target"] = target
+    return json.dumps(obj)
+
+
 class TestParsing:
     def test_element_roundtrip(self):
         g = parse_element("{0->1, 1->0}")
@@ -220,6 +231,17 @@ class TestVerify:
         assert err == "verification failed: certificate does not evaluate to its target\n"
 
 
+    def test_conjugator_target_must_be_its_letter(self, capsys, tmp_path):
+        path = tmp_path / "sw.json"
+        path.write_text(simple_proper_with_conjugator_target("{0->1,1->0}"))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == cli.EXIT_PARSE
+        assert err == ("parse error: a conjugator certificate's target is not its "
+                       "letter's conjugator\n")
+        path.write_text(simple_proper_with_conjugator_target(None))
+        assert run(capsys, "verify", str(path))[0] == cli.EXIT_OK
+
+
 class TestCertificateFlags:
     """--cert and --n-cert both take a commutator_word file and nothing else."""
 
@@ -362,6 +384,8 @@ class TestFuzzing:
         '{"kind":"simple_witness","conjugators":[],"witness":{"kind":"simple_witness",'
         '"conjugators":[],"witness":{"kind":"normal_word","base":"{0->1,1->0}",'
         '"letters":[],"target":"{e->e}"}}}',
+        pytest.param(simple_proper_with_conjugator_target("{0->1,1->0}"),
+                     id="simple-proper-wrong-conjugator-target"),
     ])
     def test_malformed_certificates_exit_parse(self, capsys, tmp_path, payload):
         path = tmp_path / "fz.json"

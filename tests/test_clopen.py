@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import canonicalize, cylinder, empty_set, refine, whole_space
+from cantorwit.clopen import (canonicalize, cylinder, empty_set, lenlex, refine, split_words,
+                              whole_space)
 from cantorwit.errors import ArityMismatchError, PreconditionError
 
-from helpers import all_words, member, refine_oracle
+from helpers import all_words, member, refine_oracle, split_words_resorting
 
 words2 = st.lists(st.text(alphabet="01", max_size=5), max_size=8)
 
@@ -162,6 +163,17 @@ class TestSplitToSize:
     def test_too_small(self):
         with pytest.raises(PreconditionError):
             codes("0", "10").split_to_size(1)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_result_stays_lenlex_sorted(self, arity):
+        rng = random.Random(140 + arity)
+        alpha = "0123"[:arity]
+        for _ in range(200):
+            words = random_antichain(rng, alpha, 8) or [""]
+            size = len(words) + (arity - 1) * rng.randint(0, 12)
+            result = split_words(words, size, arity)
+            assert result == tuple(sorted(result, key=lenlex))
+            assert result == split_words_resorting(words, size, arity)
 
     @given(words2, st.integers(min_value=0, max_value=6))
     @settings(max_examples=100)

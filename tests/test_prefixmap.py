@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import cylinder, whole_space
-from cantorwit.corpus import random_clopen, random_element
+from cantorwit.clopen import canonicalize, cylinder, lenlex, merge_siblings, whole_space
+from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import PrefixMap, identity, patch, sigma_swap
+from cantorwit.prefixmap import PrefixMap, _compose, _reduce, compose, identity, patch, sigma_swap
 
-from helpers import all_words, apply_pairs, is_complete_code, maps_equal, member
+from helpers import (all_words, apply_pairs, is_complete_code, maps_equal, member,
+                     merge_siblings_worklist)
 
 E = parse_element
 C = parse_clopen
@@ -88,6 +89,88 @@ class TestReduce:
                 accepted = False
             assert accepted == complete, words
         assert verdicts == {True, False}
+
+
+    def test_symbol_out_of_range_names_the_first_bad_word(self):
+        with pytest.raises(ArityMismatchError,
+                           match=r"^symbol '2' out of range for arity 2 in word '02'$"):
+            PrefixMap.from_pairs([("0", "1"), ("1", "02"), ("2", "0")], 2)
+        with pytest.raises(ArityMismatchError, match="arity must be between 2 and 10"):
+            PrefixMap.from_pairs([("", "")], 11)
+
+
+def word_tables(seed, arity, count):
+    """Word tables that merge_siblings meets or could meet, by kind:
+    refinements of reduced elements, unreduced product tables, cascades
+    that merge down to the empty word, and clopen codes whose sibling
+    families are partial."""
+    rng = random.Random(seed)
+    alpha = "0123"[:arity]
+    depth = {2: 5, 3: 3, 4: 3}[arity]
+    tables = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            table = dict(random_element(rng, arity, depth).pairs)
+            for _ in range(rng.randint(0, 8)):
+                d = rng.choice(list(table))
+                r = table.pop(d)
+                table.update((d + c, r + c) for c in alpha)
+        elif kind == 1:
+            g, h = (random_element(rng, arity, depth) for _ in range(2))
+            table = _compose(g.pairs, rng.choice([h, g.inverse()]).pairs)
+        elif kind == 2:
+            stem = "".join(rng.choices(alpha, k=rng.randint(0, 3)))
+            words = rng.choice([all_words(arity, rng.randint(0, depth - 1)),
+                                random_code(rng, arity, depth)])
+            table = {w: stem + w for w in words}
+        else:
+            code = random_code(rng, arity, depth)
+            table = {w: w for w in rng.sample(code, rng.randint(1, len(code)))}
+        tables.append(table)
+    return tables
+
+
+class TestMergeSiblings:
+    """The once-per-family sibling merge, the single-reduce product and
+    the two-sort orders against the plain versions they replace."""
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_matches_worklist_oracle(self, arity):
+        merged_to_root = partial = 0
+        for table in word_tables(60 + arity, arity, 400):
+            out = merge_siblings(dict(table), arity)
+            assert out == merge_siblings_worklist(dict(table), arity), table
+            merged_to_root += len(out) == 1 and "" in out
+            partial += len(out) == len(table)
+        assert merged_to_root and partial
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_reduced_tables_are_reduced_elements(self, arity):
+        tables = word_tables(70 + arity, arity, 200)
+        for table in tables[0::4] + tables[1::4]:   # complete codes on both sides
+            pairs = _reduce(dict(table), arity)
+            assert PrefixMap.from_pairs(pairs, arity).pairs == pairs
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_orders_are_lenlex(self, arity):
+        for table in word_tables(80 + arity, arity, 200):
+            merged = merge_siblings_worklist(dict(table), arity)
+            assert _reduce(dict(table), arity) == tuple(
+                sorted(merged.items(), key=lambda pr: lenlex(pr[0])))
+            assert canonicalize(table, arity).code == tuple(
+                sorted(merge_siblings_worklist({w: w for w in table}, arity), key=lenlex))
+        for g in seeded_elements(90 + arity, 100, arity=arity, max_depth=4):
+            assert g.inverse().pairs == tuple(
+                sorted(((r, d) for d, r in g.pairs), key=lambda pr: lenlex(pr[0])))
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_compose_matches_reduced_products(self, arity):
+        els = seeded_elements(100 + arity, 120, arity=arity, max_depth=4)
+        for f, g, h in zip(els, els[1:], els[2:]):
+            assert compose(f, g, h) == f * g * h
+            assert compose(f, f.inverse(), g) == g
+        assert compose(els[0]) == els[0]
 
 
 class TestComposeInvert:

@@ -17,7 +17,7 @@ from cantorwit.witnesses import (CommutatorWord, NormalWord, SimpleWitness,
                                  derived_conjugator, monolith_witness,
                                  shift_identity_check, simple_witness,
                                  simple_witness_to_obj)
-from helpers import commutator_fold
+from helpers import commutator_fold, commutator_three_reduce, normal_word_fold
 
 C = parse_clopen
 E = parse_element
@@ -134,6 +134,32 @@ class TestMemoisedEvaluation:
             assert (CommutatorWord(factors, arity).evaluate(memo)
                     == commutator_fold(factors, arity))
             del a, b, c, factors
+
+
+class TestSingleReduce:
+    """commutator reduces once and NormalWord.evaluate once per letter;
+    both against the versions that reduce after every composition."""
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_commutator_matches_three_reduce(self, arity):
+        rng = random.Random(120 + arity)
+        depth = {2: 6, 3: 4, 4: 3}[arity]
+        els = [random_element(rng, arity, max_depth=depth) for _ in range(150)]
+        for x, y in zip(els, els[1:]):
+            assert commutator(x, y) == commutator_three_reduce(x, y)
+        for x in els[:20]:
+            for y in (x, x.inverse(), x * x, identity(arity)):
+                assert commutator(x, y) == commutator_three_reduce(x, y)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_normal_word_matches_fold(self, arity):
+        rng = random.Random(130 + arity)
+        for _ in range(40):
+            base = random_element(rng, arity, max_depth=4, nontrivial=True)
+            letters = tuple((random_element(rng, arity, max_depth=4), rng.choice((1, -1)))
+                            for _ in range(rng.randint(0, 8)))
+            word = NormalWord(base, letters)
+            assert word.evaluate() == normal_word_fold(word)
 
 
 class TestDecompose2:
@@ -473,7 +499,13 @@ class TestClaim3:
     lambda: transporter(C("[0]"), C("[0]", 3)),
     lambda: join_compression(C("[00]"), C("[01]", 3)),
     lambda: claim3_witness(E(SWAP), identity(3), min_cover_3(2)),
-], ids=["transporter", "join_compression", "claim3_witness"])
+    lambda: E(SWAP) * identity(3),
+    lambda: commutator(E(SWAP), identity(3)),
+    lambda: commutator(identity(3), E(SWAP)),
+    lambda: NormalWord(E(SWAP), ((identity(3), 1),)).evaluate(),
+    lambda: NormalWord(E(SWAP), ((identity(), 1), (identity(3), -1))).evaluate(),
+], ids=["transporter", "join_compression", "claim3_witness", "mul", "commutator",
+        "commutator_reversed", "normal_word_letter", "normal_word_later_letter"])
 def test_mixed_arities_rejected(build):
     with pytest.raises(ArityMismatchError):
         build()
