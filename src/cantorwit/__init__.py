@@ -9,7 +9,7 @@ from .errors import (ArityMismatchError, ParseError, PreconditionError,
                      ToolkitError, VerificationError)
 from .literals import parse_clopen, parse_element
 from .prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
-from .witnesses import (Claim2Result, Claim3Result, CommutatorWord, Decomposition,
+from .witnesses import (Certified, Claim2Result, Claim3Result, CommutatorWord, Decomposition,
                         NormalWord, SimpleWitness, claim1_transporter,
                         claim2_factorization, claim3_witness, commutator,
                         commuting_chain, decompose2, derived_conjugator, monolith_witness,
@@ -22,7 +22,7 @@ __all__ = [
     "PrefixMap", "identity", "onto_transporter", "patch", "sigma_swap",
     "TriCover", "join_compression", "min_cover_3", "transporter",
     "wandering_base", "wandering_witness",
-    "NormalWord", "CommutatorWord", "SimpleWitness", "Decomposition", "Claim2Result",
+    "NormalWord", "CommutatorWord", "Certified", "SimpleWitness", "Decomposition", "Claim2Result",
     "Claim3Result",
     "commutator", "decompose2", "derived_conjugator", "shift_identity_check",
     "monolith_witness",

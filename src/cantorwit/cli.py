@@ -13,6 +13,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import witnesses as wit
+from .clopen import ALPHABET
 from .compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
                           wandering_witness)
 from .errors import (ArityMismatchError, ParseError, PreconditionError,
@@ -130,15 +131,17 @@ def cmd_cover3(args):
     return EXIT_OK
 
 
+def _emit_certified(args, name: str, out: wit.Certified):
+    _emit(args, [f"{name} = {out.elem}",
+                 *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(out.word.factors))],
+          commutator_word_to_obj(out.word, target=out.elem))
+    return EXIT_OK
+
+
 def cmd_derived_conj(args):
     g = parse_element(args.element, args.arity)
     region = parse_clopen(args.region, args.arity)
-    d, cert = wit.derived_conjugator(g, region)
-    obj = commutator_word_to_obj(cert, target=d)
-    _emit(args, [f"d = {d}",
-                 *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(cert.factors))],
-          obj)
-    return EXIT_OK
+    return _emit_certified(args, "d", wit.derived_conjugator(g, region))
 
 
 def _parse_witness_args(args):
@@ -179,12 +182,7 @@ def cmd_claim1(args):
     ia = parse_clopen(args.ia, args.arity)
     ib = parse_clopen(args.ib, args.arity)
     ic = parse_clopen(args.ic, args.arity)
-    e, cert = wit.claim1_transporter(ia, ib, ic)
-    _emit(args,
-          [f"e = {e}",
-           *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(cert.factors))],
-          commutator_word_to_obj(cert, target=e))
-    return EXIT_OK
+    return _emit_certified(args, "e", wit.claim1_transporter(ia, ib, ic))
 
 
 def cmd_claim2(args):
@@ -257,8 +255,9 @@ def build_parser() -> _Parser:
                      description="Exact witness constructions for prefix-exchange "
                                  "homeomorphism groups of the Cantor space.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--arity", type=int, default=2,
-                        help="alphabet size (default 2)")
+    common.add_argument("--arity", type=int, default=2, metavar="K",
+                        choices=range(2, len(ALPHABET) + 1),
+                        help=f"alphabet size, 2 to {len(ALPHABET)} (default 2)")
     common.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
     window = argparse.ArgumentParser(add_help=False)

@@ -155,12 +155,14 @@ def canonicalize(words: Iterable[str], arity: int = 2) -> ClopenSet:
     >>> canonicalize({"00", "01", "10", "11"}).code
     ('',)
     """
-    ws = set(words)
-    for w in ws:
+    # prefix absorption: in lexicographic order the words extending a word
+    # directly follow it, so drop each word that extends the last word kept
+    kept: list[str] = []
+    for w in sorted(set(words)):
         check_word(w, arity)
-    # prefix absorption: drop any word with a proper prefix present
-    table = {w: w for w in ws if not any(w[:i] in ws for i in range(len(w)))}
-    return ClopenSet(tuple(lenlex_sorted(merge_siblings(table, arity))), arity)
+        if not kept or not w.startswith(kept[-1]):
+            kept.append(w)
+    return ClopenSet(tuple(lenlex_sorted(merge_siblings({w: w for w in kept}, arity))), arity)
 
 
 def refine(xs: Iterable[str], ys: Iterable[str]) -> Iterator[tuple[str, str, str]]:

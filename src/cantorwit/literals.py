@@ -31,11 +31,9 @@ def parse_clopen(text: str, arity: int = 2) -> ClopenSet:
     if not s.startswith("[") or not s.endswith("]"):
         raise ParseError("clopen literal must be bracketed like [0,10]", 0)
     body = s[1:-1]
-    if not body:
-        return ClopenSet((), arity)
     words = []
     pos = 1
-    for tok in body.split(","):
+    for tok in body.split(",") if body else ():
         words.append(_parse_word(tok, pos))
         pos += len(tok) + 1
     try:

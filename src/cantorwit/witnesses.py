@@ -79,6 +79,12 @@ class CommutatorWord:
             acc = nxt
         return acc
 
+    def __mul__(self, other: "CommutatorWord") -> "CommutatorWord":
+        """The concatenated word, which evaluates to the product."""
+        if self.arity != other.arity:
+            raise ArityMismatchError(f"mixed arities {self.arity} and {other.arity}")
+        return CommutatorWord(self.factors + other.factors, self.arity)
+
     def inverse(self) -> "CommutatorWord":
         return CommutatorWord(tuple((y, x) for x, y in reversed(self.factors)), self.arity)
 
@@ -88,22 +94,24 @@ def commutator(x: PrefixMap, y: PrefixMap) -> PrefixMap:
     return compose(x, y, x.inverse(), y.inverse())
 
 
-@dataclass(frozen=True)
-class _Certified:
-    """A prefix map together with commutator-word factors evaluating to it."""
+class Certified(NamedTuple):
+    """An element together with a commutator word evaluating to it, which
+    shows that the element lies in the derived subgroup.  Products and
+    inverses carry their words along; it unpacks as (elem, word)."""
 
     elem: PrefixMap
-    factors: tuple[tuple[PrefixMap, PrefixMap], ...] = ()
+    word: CommutatorWord
 
-    def __mul__(self, other: "_Certified") -> "_Certified":
-        return _Certified(self.elem * other.elem, self.factors + other.factors)
+    @classmethod
+    def from_word(cls, word: CommutatorWord) -> "Certified":
+        """The word with its value, evaluated once."""
+        return cls(word.evaluate(), word)
 
-    def inverse(self) -> "_Certified":
-        return _Certified(self.elem.inverse(),
-                          tuple((y, x) for x, y in reversed(self.factors)))
+    def __mul__(self, other: "Certified") -> "Certified":
+        return Certified(self.elem * other.elem, self.word * other.word)
 
-    def cert(self) -> CommutatorWord:
-        return CommutatorWord(self.factors, self.elem.arity)
+    def inverse(self) -> "Certified":
+        return Certified(self.elem.inverse(), self.word.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +146,7 @@ def decompose2(g: PrefixMap) -> Decomposition:
     return Decomposition(s1, gy.complement(), s2, y.union(gy))
 
 
-def derived_conjugator(g: PrefixMap, region: ClopenSet) -> tuple[PrefixMap, CommutatorWord]:
+def derived_conjugator(g: PrefixMap, region: ClopenSet) -> Certified:
     """A product of at most two commutators agreeing with g pointwise on
     the proper clopen `region` (hence with the same image of it).
 
@@ -149,7 +157,7 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet) -> tuple[PrefixMap, Comm
     if not region.is_proper():
         raise PreconditionError("degenerate region for derived conjugator")
     if g.is_identity():
-        return identity(g.arity), CommutatorWord((), g.arity)
+        return Certified.from_word(CommutatorWord((), g.arity))
     dec = decompose2(g)
     current = region
     built: list[tuple[PrefixMap, PrefixMap]] = []
@@ -160,8 +168,7 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet) -> tuple[PrefixMap, Comm
         built.append((s, h))
         current = s.image(current)
     built.reverse()
-    word = CommutatorWord(tuple(built), g.arity)
-    return word.evaluate(), word
+    return Certified.from_word(CommutatorWord(tuple(built), g.arity))
 
 
 def shift_identity_check(a: PrefixMap, b: PrefixMap, region: ClopenSet
@@ -186,34 +193,28 @@ def shift_identity_check(a: PrefixMap, b: PrefixMap, region: ClopenSet
 # normal-closure witnesses
 
 
-def _check_witness_inputs(a, ya, b, yb, n):
-    if n.is_identity():
-        raise PreconditionError("base element must be non-trivial")
-    for name, (elem, region) in {"a": (a, ya), "b": (b, yb)}.items():
-        if not region.is_proper():
-            raise PreconditionError(f"support region of {name} must be proper and non-empty")
-        if not elem.in_rist(region):
-            raise PreconditionError(f"element {name} is not supported in its region")
-
-
 @dataclass(frozen=True)
 class _Base:
     """A certified element m of the normal closure of n, the base of the
     witness expansion."""
 
-    m: _Certified
+    m: Certified
     letters: tuple           # m as letters over n
-    inv_letters: tuple       # m^-1 as letters over n
     bound: ClopenSet         # clopen support bound of m
     zone: ClopenSet          # target for W in the proper branch; zone, m(zone) disjoint
 
 
-def _conjugate_letters(outer: _Certified, lts) -> list[tuple[_Certified, int]]:
+def _conjugate_letters(outer: Certified, lts) -> list[tuple[Certified, int]]:
     return [(outer * c, e) for c, e in lts]
 
 
-def _proper_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certified, int]]:
-    """Letters for [a, b] when W = ya ∪ yb is proper.
+def _inverse_letters(lts) -> list[tuple[Certified, int]]:
+    """Letters of the inverse word: reversed, with the exponents flipped."""
+    return [(c, -e) for c, e in reversed(lts)]
+
+
+def _proper_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified, int]]:
+    """Letters for a non-trivial [a, b] when W = ya ∪ yb is proper.
 
     g' = d^-1·m·d moves W off itself (d lifts a transporter of W into the
     base zone), so g'·a^-1·g'^-1 commutes with b and [a, b] = [[a, g'], b],
@@ -221,23 +222,21 @@ def _proper_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certif
     a, e, b, b·a, each lifted on the support bound of g'.  lift(x, S)
     returns a certified element agreeing with x pointwise on S.
     """
-    if commutator(a, b).is_identity():
-        return []
     w = ya.union(yb)
     d = lift(transporter(w, base.zone), w)
     dinv = d.inverse()
     sp = dinv.elem.image(base.bound)
-    g_letters = _conjugate_letters(dinv, base.letters)        # g' = d^-1 m d
-    g_inv_letters = _conjugate_letters(dinv, base.inv_letters)
+    g_letters = _conjugate_letters(dinv, base.letters)           # g' = d^-1 m d
+    g_inverse = _inverse_letters(g_letters)
     out = []
     out += _conjugate_letters(lift(a, sp), g_letters)            # a g' a^-1
-    out += g_inv_letters                                         # g'^-1
+    out += g_inverse                                             # g'^-1
     out += _conjugate_letters(lift(b, sp), g_letters)            # b g' b^-1
-    out += _conjugate_letters(lift(b * a, sp), g_inv_letters)    # (b a) g'^-1 (b a)^-1
+    out += _conjugate_letters(lift(b * a, sp), g_inverse)        # (b a) g'^-1 (b a)^-1
     return out
 
 
-def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certified, int]]:
+def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified, int]]:
     """Letters for [a, b] when ya ∪ yb is the whole space.
 
     h = d^-1·m·d carries ya into its own complement: d lifts a patch u
@@ -263,22 +262,48 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certifie
     h = h_cert.elem
     sh = dinv.elem.image(base.bound)
     a1 = h * a * h.inverse()
-    inner = _proper_union_letters(a1, h.image(ya), b, yb, base, lift)
     h_letters = _conjugate_letters(dinv, base.letters)
-    hinv_letters = _conjugate_letters(dinv, base.inv_letters)
+    h_inverse = _inverse_letters(h_letters)
     pre = []
     pre += _conjugate_letters(lift(a1, sh), h_letters)          # a1 h a1^-1
-    pre += _conjugate_letters(lift(a1 * b, sh), hinv_letters)   # (a1 b) h^-1 (a1 b)^-1
-    pre += inner                                                # [a1, b]
+    pre += _conjugate_letters(lift(a1 * b, sh), h_inverse)      # (a1 b) h^-1 (a1 b)^-1
+    if not commutator(a1, b).is_identity():                     # [a1, b]
+        pre += _proper_union_letters(a1, h.image(ya), b, yb, base, lift)
     out = _conjugate_letters(h_cert.inverse(), pre)             # conjugate the block by h^-1
-    out += hinv_letters                                         # [h^-1, b] = h^-1 · (b h b^-1)
+    out += h_inverse                                            # [h^-1, b] = h^-1 · (b h b^-1)
     out += _conjugate_letters(lift(b, sh), h_letters)
     return out
 
 
-def _witness_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[_Certified, int]]:
+def _expand(a, ya, b, yb, n, n_cert, base_of, lift):
+    """The prologue both builders share: check the inputs, then n_cert
+    when one is given, and return ([a, b], letters), with no letters when
+    [a, b] is trivial and otherwise the expansion over base_of(n) on the
+    branch that ya ∪ yb selects."""
+    if n.is_identity():
+        raise PreconditionError("base element must be non-trivial")
+    for name, (elem, region) in {"a": (a, ya), "b": (b, yb)}.items():
+        if not region.is_proper():
+            raise PreconditionError(f"support region of {name} must be proper and non-empty")
+        if not elem.in_rist(region):
+            raise PreconditionError(f"element {name} is not supported in its region")
+    if n_cert is not None and n_cert.evaluate() != n:
+        raise PreconditionError("n_cert does not evaluate to the base element")
+    target = commutator(a, b)
+    if target.is_identity():
+        return target, []
     build = _full_union_letters if ya.union(yb).is_full() else _proper_union_letters
-    return build(a, ya, b, yb, base, lift)
+    return target, build(a, ya, b, yb, base_of(n), lift)
+
+
+def _raw(x: PrefixMap, _bound=None) -> Certified:
+    """x with the empty word: a raw conjugator, whose word nothing reads."""
+    return Certified(x, CommutatorWord((), x.arity))
+
+
+def _raw_base(n: PrefixMap) -> _Base:
+    k = n.arity
+    return _Base(_raw(n), ((_raw(identity(k)), 1),), whole_space(k), n.moved_cylinder())
 
 
 def monolith_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
@@ -290,17 +315,9 @@ def monolith_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
     directly; otherwise the one-letter conjugate h of n adds 2 + 2 letters
     around the inner four, for 8.
     """
-    _check_witness_inputs(a, ya, b, yb, n)
-    target = commutator(a, b)
-    if target.is_identity():
-        return NormalWord(n, ())
-    k = n.arity
-    one = _Certified(identity(k))
-    base = _Base(_Certified(n), ((one, 1),), ((one, -1),), whole_space(k),
-                 n.moved_cylinder())
-    tagged = _witness_letters(a, ya, b, yb, base, lambda x, _: _Certified(x))
+    target, tagged = _expand(a, ya, b, yb, n, None, _raw_base, _raw)
     word = NormalWord(n, tuple((c.elem, e) for c, e in tagged))
-    if word.evaluate() != target:
+    if tagged and word.evaluate() != target:
         raise VerificationError("internal error: monolith witness failed to evaluate")
     return word
 
@@ -309,9 +326,11 @@ def monolith_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
 # simple witnesses: certified conjugators
 
 
-def _swap_cylinders(wa: str, wb: str, arity: int) -> PrefixMap:
-    rest = canonicalize([wa, wb], arity).complement()
-    pairs = [(wa, wb), (wb, wa)] + [(w, w) for w in rest.code]
+def _cycle(words, arity: int) -> PrefixMap:
+    """The cyclic permutation words[0] -> words[1] -> ... -> words[0] of
+    disjoint cylinders, the identity elsewhere."""
+    rest = canonicalize(words, arity).complement()
+    pairs = list(zip(words, words[1:] + words[:1])) + [(w, w) for w in rest.code]
     return PrefixMap.from_pairs(pairs, arity)
 
 
@@ -328,28 +347,14 @@ def _small_base(n: PrefixMap) -> _Base:
     k = n.arity
     z1 = n.moved_cylinder().code[0] + "0"
     wa, wb, wc = z1 + "00", z1 + "01", z1 + "10"
-    sig = _swap_cylinders(wa, wb, k)
-    tau = _swap_cylinders(wb, wc, k)
-    three_cycle = PrefixMap.from_pairs(
-        [(wa, wb), (wb, wc), (wc, wa)]
-        + [(w, w) for w in canonicalize([wa, wb, wc], k).complement().code], k)
-    q = _Certified(three_cycle, ((tau, sig),))
-    if q.cert().evaluate() != three_cycle:
+    q = Certified.from_word(CommutatorWord(((_cycle((wb, wc), k), _cycle((wa, wb), k)),), k))
+    if q.elem != _cycle((wa, wb, wc), k):
         raise VerificationError("internal error: 3-cycle certificate")
-    m = _Certified(commutator(three_cycle, n), ((three_cycle, n),))
+    m = Certified(commutator(q.elem, n), CommutatorWord(((q.elem, n),), k))
     zone = cylinder(z1, k)
-    one = _Certified(identity(k))
-    return _Base(m, letters=((q, 1), (one, -1)), inv_letters=((one, 1), (q, -1)),
+    return _Base(m, letters=((q, 1), (_raw(identity(k)), -1)),
                  bound=zone.union(n.image(zone)),
                  zone=cylinder(m.elem.moved_cylinder().code[0] + "0", k))
-
-
-def _agreeing_conjugator(x: PrefixMap, bound: ClopenSet) -> _Certified:
-    """A certified element acting like x on everything supported in `bound`:
-    it agrees with x pointwise on the proper clopen set, so conjugating any
-    element supported inside the bound by it or by x gives the same result."""
-    elem, cert = derived_conjugator(x, bound)
-    return _Certified(elem, cert.factors)
 
 
 class SimpleWitness(NamedTuple):
@@ -382,16 +387,10 @@ def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
     (each base letter becomes two letters of the small certified word
     m = [q, n]).
     """
-    _check_witness_inputs(a, ya, b, yb, n)
-    if n_cert.evaluate() != n:
-        raise PreconditionError("n_cert does not evaluate to the base element")
-    target = commutator(a, b)
-    if target.is_identity():
-        return SimpleWitness(NormalWord(n, ()), ())
-    tagged = _witness_letters(a, ya, b, yb, _small_base(n), _agreeing_conjugator)
+    target, tagged = _expand(a, ya, b, yb, n, n_cert, _small_base, derived_conjugator)
     out = SimpleWitness(NormalWord(n, tuple((c.elem, e) for c, e in tagged)),
-                        tuple(c.cert() for c, _ in tagged))
-    if out.evaluate() != target:
+                        tuple(c.word for c, _ in tagged))
+    if tagged and out.evaluate() != target:
         raise VerificationError("internal error: simple witness failed to evaluate")
     return out
 
@@ -401,7 +400,7 @@ def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
 
 
 def claim1_transporter(ia: ClopenSet, ib: ClopenSet, ic: ClopenSet
-                       ) -> tuple[PrefixMap, CommutatorWord]:
+                       ) -> Certified:
     """A single commutator e = [c, d] with e(ia) = ib and e fixing ic
     pointwise; c swaps ia and ib (so it fixes ic pointwise too) and d is a
     certified transporter moving ia ∪ ib into the free region."""
@@ -414,20 +413,19 @@ def claim1_transporter(ia: ClopenSet, ib: ClopenSet, ic: ClopenSet
         # the image condition already holds; no movement is needed
         if not ia.disjoint(ic):
             raise PreconditionError("regions must be pairwise disjoint")
-        return identity(ia.arity), CommutatorWord((), ia.arity)
+        return Certified.from_word(CommutatorWord((), ia.arity))
     for x, y in ((ia, ib), (ia, ic), (ib, ic)):
         if not x.disjoint(y):
             raise PreconditionError("regions must be pairwise disjoint")
     phi = onto_transporter(ia, ib)
     c = patch([(ia, phi), (ib, phi.inverse())])
     u = transporter(ia.union(ib), free)
-    d, _ = derived_conjugator(u, ia.union(ib))
-    word = CommutatorWord(((c, d),), ia.arity)
-    return word.evaluate(), word
+    d = derived_conjugator(u, ia.union(ib)).elem
+    return Certified.from_word(CommutatorWord(((c, d),), ia.arity))
 
 
 def _certified_patch(region: ClopenSet, action: PrefixMap, spare: ClopenSet,
-                     free: ClopenSet) -> tuple[PrefixMap, CommutatorWord]:
+                     free: ClopenSet) -> Certified:
     """A single commutator agreeing with `action` pointwise on `region`
     and fixing pointwise everything outside region ∪ action(region) ∪
     spare ∪ free.
@@ -441,9 +439,8 @@ def _certified_patch(region: ClopenSet, action: PrefixMap, spare: ClopenSet,
     zone = region.union(img).union(spare)
     c = patch([(region, action), (zone.complement(), identity(k))])
     u = transporter(zone, free)
-    dm, _ = derived_conjugator(u, zone)
-    word = CommutatorWord(((c, dm),), k)
-    return word.evaluate(), word
+    dm = derived_conjugator(u, zone).elem
+    return Certified.from_word(CommutatorWord(((c, dm),), k))
 
 
 @dataclass(frozen=True)
@@ -500,9 +497,7 @@ def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = No
     s2 = s1.inverse() * g * s3.inverse()
     certs = None
     if g_cert is not None:
-        s2_cert = CommutatorWord(s1_cert.inverse().factors + g_cert.factors
-                                 + s3_cert.inverse().factors, g.arity)
-        certs = (s1_cert, s2_cert, s3_cert)
+        certs = (s1_cert, s1_cert.inverse() * g_cert * s3_cert.inverse(), s3_cert)
     return Claim2Result(s1, s2, s3, (3 + alpha, 3 + beta, 3 + gamma), certs)
 
 

@@ -57,6 +57,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_clopen("[02]", 2)
 
+    @pytest.mark.parametrize("arity", [1, 11])
+    def test_invalid_arity_rejected(self, arity):
+        for text in ("[]", "[0]"):
+            with pytest.raises(ParseError):
+                parse_clopen(text, arity)
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -82,6 +88,13 @@ class TestExitCodes:
         ("reduce", "{e->e}", "--seed", "3"),
         ("wandering", "[01]", "--orbit-window", "-1"),
         ("corpus", "--quick", "--orbit-window", "-1"),
+        ("reduce", "{e->e}", "--arity", "1"),
+        ("derived-conj", "{0->1,1->0}", "[00]", "--arity", "11"),
+        ("cover3", "--arity", "1"),
+        ("corpus", "--quick", "--arity", "11"),
+        ("chain", "[00]", "[01]", "--arity", "1"),
+        ("join-compress", "[00]", "[01]", "--arity", "11"),
+        ("wandering", "[01]", "--arity", "11"),
     ])
     def test_rejected_options(self, capsys, argv):
         assert run(capsys, *argv)[0] == cli.EXIT_USAGE

@@ -37,6 +37,24 @@ class TestCanonicalize:
         with pytest.raises(ArityMismatchError):
             canonicalize({"02"}, arity=2)
 
+    def test_absorbed_word_still_checked(self):
+        # "02" extends "0" and is dropped, but its symbol is out of range
+        with pytest.raises(ArityMismatchError):
+            canonicalize({"0", "02"}, 2)
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_same_denotation_higher_arity(self, arity):
+        rng = random.Random(90 + arity)
+        alpha = "0123"[:arity]
+        for _ in range(150):
+            ws = {"".join(rng.choice(alpha) for _ in range(rng.randint(0, 4)))
+                  for _ in range(rng.randint(0, 10))}
+            c = canonicalize(ws, arity)
+            assert canonicalize(c.code, arity) == c
+            depth = max([len(w) for w in ws] + [len(w) for w in c.code] + [1])
+            for w in all_words(arity, depth):
+                assert member(ws, w) == member(c.code, w)
+
     def test_arity3_partial_family_not_merged(self):
         assert canonicalize({"00", "01"}, arity=3).code == ("00", "01")
         assert canonicalize({"00", "01", "02"}, arity=3).code == ("0",)

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,8 @@ from cantorwit.corpus import (random_clopen, random_element, random_rist_element
 from cantorwit.errors import ArityMismatchError, PreconditionError, VerificationError
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.prefixmap import identity
-from cantorwit.witnesses import (CommutatorWord, NormalWord, SimpleWitness,
-                                 certificate_from_obj, claim1_transporter,
+from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
+                                 _inverse_letters, certificate_from_obj, claim1_transporter,
                                  claim2_factorization, claim3_witness,
                                  commutator, commuting_chain, decompose2,
                                  derived_conjugator, monolith_witness,
@@ -72,6 +73,69 @@ class TestWordEvaluation:
         assert NormalWord(n, ()).evaluate() == identity(3)
         _, cert = derived_conjugator(identity(3), C("[0]", 3))
         assert cert.arity == 3 and cert.evaluate() == identity(3)
+
+
+class TestCertified:
+    """One certified-element type: each construction's word evaluates to
+    its element, and products and inverses carry their words along."""
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_derived_conjugator_is_certified(self, arity):
+        rng = random.Random(70 + arity)
+        for _ in range(25):
+            out = derived_conjugator(random_element(rng, arity, 3), random_clopen(rng, arity, 3))
+            assert isinstance(out, Certified)
+            assert out.word.arity == arity and out.word.evaluate() == out.elem
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_claim1_transporter_is_certified(self, arity):
+        # three distinct cylinders of one depth: disjoint, equal sizes (so the
+        # swap is feasible at every arity), and never covering the space
+        rng = random.Random(73 + arity)
+        alpha = "0123"[:arity]
+        for _ in range(10):
+            words = ["".join(p) for p in product(alpha, repeat=rng.randint(2, 3))]
+            ia, ib, ic = (C(f"[{w}]", arity) for w in rng.sample(words, 3))
+            out = claim1_transporter(ia, ib, ic)
+            assert isinstance(out, Certified)
+            assert out.word.arity == arity and out.word.evaluate() == out.elem
+            assert out.elem.image(ia) == ib
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_product_and_inverse_carry_words(self, arity):
+        rng = random.Random(76 + arity)
+        x, y = (derived_conjugator(random_element(rng, arity, 3, nontrivial=True),
+                                   random_clopen(rng, arity, 3)) for _ in range(2))
+        for out in (x * y, y * x, x.inverse(), (x * y).inverse()):
+            assert out.word.evaluate() == out.elem
+        assert (x * y).elem == x.elem * y.elem
+        elem, word = x * y
+        assert word == x.word * y.word
+
+    def test_commutator_word_product(self):
+        rng = random.Random(79)
+        pool = [random_element(rng, 3, 3) for _ in range(4)]
+        v = CommutatorWord(((pool[0], pool[1]),), 3)
+        w = CommutatorWord(((pool[2], pool[3]), (pool[1], pool[2])), 3)
+        assert (v * w).factors == v.factors + w.factors
+        assert (v * w).evaluate() == v.evaluate() * w.evaluate()
+        assert (w * v.inverse()).evaluate() == w.evaluate() * v.evaluate().inverse()
+        assert (v * CommutatorWord((), 3)).evaluate() == v.evaluate()
+
+    def test_commutator_word_product_mixed_arities(self):
+        with pytest.raises(ArityMismatchError):
+            CommutatorWord((), 2) * CommutatorWord((), 3)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_inverse_letters_invert_the_word(self, arity):
+        rng = random.Random(80 + arity)
+        for _ in range(10):
+            n = random_element(rng, arity, 3, nontrivial=True)
+            lts = tuple((random_element(rng, arity, 3), rng.choice((1, -1)))
+                        for _ in range(rng.randint(0, 4)))
+            word = NormalWord(n, lts)
+            inverse = NormalWord(n, tuple(_inverse_letters(lts)))
+            assert inverse.evaluate() == word.evaluate().inverse()
 
 
 class TestMemoisedEvaluation:
