@@ -190,18 +190,21 @@ def refine(xs: Iterable[str], ys: Iterable[str]) -> Iterator[tuple[str, str, str
             j += 1
 
 
-def merge_siblings(table: dict[str, str], arity: int) -> dict[str, str]:
+def merge_siblings(table: dict[str, str], arity: int,
+                   work: list[str] | None = None) -> dict[str, str]:
     """Merge each full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) of a
     word table to p -> q, in place.  A clopen code is the table mapping
     each of its words to itself.
 
-    The worklist holds parents p, each checked once from p0: first every p
-    whose p0 maps to a word ending in 0, then, after each merge, the parent
-    of p, the only family the new word p can complete.  An entry whose p0
-    has gone is stale and skipped."""
+    The worklist holds parents p, each checked once from p0: first the
+    parents in `work` (the list is consumed), or without it every p whose
+    p0 maps to a word ending in 0, then, after each merge, the parent of p,
+    the only family the new word p can complete.  An entry whose p0 has
+    gone is stale and skipped."""
     alpha = letters(arity)
     rest = alpha[1:]
-    work = [d[:-1] for d, r in table.items() if d[-1:] == "0" and r[-1:] == "0"]
+    if work is None:
+        work = [d[:-1] for d, r in table.items() if d[-1:] == "0" and r[-1:] == "0"]
     while work:
         p = work.pop()
         r = table.get(p + "0")

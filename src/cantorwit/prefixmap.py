@@ -12,12 +12,15 @@ their reduced forms are identical.
 Composition is written like function application: (g * h)(x) = g(h(x)).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
-from .clopen import (ClopenSet, canonicalize, cylinder, check_word, lenlex_sorted, letters,
+from .clopen import (ALPHABET, ClopenSet, canonicalize, cylinder, check_word, letters,
                      merge_siblings, refine, split_words)
 from .errors import ArityMismatchError, PreconditionError
+
+_AFTER = chr(ord(ALPHABET[-1]) + 1)
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,10 @@ class PrefixMap:
             for d, r in plist:
                 check_word(d, arity)
                 check_word(r, arity)
-        _check_complete_code([d for d, _ in plist], arity, "domain")
+        dom = _check_complete_code([d for d, _ in plist], arity, "domain")
         _check_complete_code([r for _, r in plist], arity, "range")
-        return cls(_reduce(dict(plist), arity), arity)
+        table = merge_siblings(dict(plist), arity)
+        return cls(_sorted_pairs(table, dom if len(table) == len(dom) else None), arity)
 
     def __str__(self) -> str:
         return "{" + ",".join(f"{d if d else 'e'}->{r if r else 'e'}" for d, r in self.pairs) + "}"
@@ -63,13 +67,15 @@ class PrefixMap:
         return PrefixMap(_sorted_pairs({r: d for d, r in self.pairs}), self.arity)
 
     def __pow__(self, n: int) -> "PrefixMap":
-        """Repeated squaring: O(log |n|) compositions."""
-        base = self if n >= 0 else self.inverse()
+        """Repeated squaring: O(log |n|) compositions, none with the identity."""
+        if n == 0:
+            return identity(self.arity)
+        base = self if n > 0 else self.inverse()
         n = abs(n)
-        acc = identity(self.arity)
+        acc = None
         while n:
             if n & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             n >>= 1
             if n:
                 base = base * base
@@ -124,7 +130,9 @@ def identity(arity: int = 2) -> PrefixMap:
     return PrefixMap((("", ""),), arity)
 
 
-def _check_complete_code(words: list[str], arity: int, side: str) -> None:
+def _check_complete_code(words: list[str], arity: int, side: str) -> list[str]:
+    """The words in lexicographic order, once they are checked to form a
+    complete prefix code."""
     # in lexicographic order the words extending a word follow it directly,
     # so an antichain check needs only neighbours (a duplicate is a prefix too)
     srt = sorted(words)
@@ -143,33 +151,111 @@ def _check_complete_code(words: list[str], arity: int, side: str) -> None:
         nxt = stem[:-1] + chr(ord(stem[-1]) + 1) if stem else None
     if nxt is not None:
         raise PreconditionError(f"incomplete {side} code")
+    return srt
 
 
 def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
     """first·rest[0]·rest[1]·…: the tables are composed unreduced left to
-    right and the product is reduced once."""
+    right and the product is reduced once, checking only the sibling
+    families that the last composition can have made (see `_compose`)."""
+    if not rest:
+        return first
     table = first.pairs
-    for g in rest:
+    for g in rest[:-1]:
         first._check_same(g)
         table = _compose(table, g.pairs)
-    return PrefixMap(_reduce(dict(table), first.arity), first.arity)
+    first._check_same(rest[-1])
+    seeds: list[str] = []
+    table = _compose(table, rest[-1].pairs, seeds, outer_reduced=len(rest) == 1)
+    return PrefixMap(_reduce(table, first.arity, seeds), first.arity)
 
 
-def _compose(g_pairs, h_pairs) -> dict[str, str]:
-    """The unreduced table of g·h from the (d, r) pairs of g and h, reduced
-    or not: one pair for each piece of the common refinement of h's range
-    code and g's domain code."""
+def _compose(g_pairs, h_pairs, seeds: list[str] | None = None,
+             outer_reduced: bool = True) -> dict[str, str]:
+    """The unreduced table of g·h from the (d, r) pairs of g (the outer
+    table, reduced or not) and of the reduced element h: one pair for each
+    piece of the common refinement of h's range code and g's domain code.
+
+    One merge walk over both codes in lexicographic order.  Both are
+    complete codes, so the two current words x (a range word of h) and y (a
+    domain word of g) always start at the same point of the space, and one
+    is a prefix of the other.  Equal words give one piece and both advance.
+    Otherwise the shorter word gives one piece with each word of the other
+    code that extends it: those words are a run, the sorted words from it
+    up to it + _AFTER (the symbol after the alphabet), found by bisection.
+    The incomparable branches keep the walk total on any antichains.
+
+    With a `seeds` list, the parents p of the product's pieces that may
+    start a full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) are appended
+    to it, for `merge_siblings`.  The family is checked from its piece
+    p0 -> q0, so only pieces whose words both end in 0 seed.  By kind of
+    the piece p0 -> q0:
+
+    - x longer than y (x = y·u): never seeds.  q0 extends g's range word
+      g[y] by u, so [q] lies in g's cylinder [g[y]], and every sibling
+      p·c is a domain word of h (a shorter one would be a prefix of p0).
+      Pulling [q·c] back through that one pair of g shows that h maps
+      p·c -> x'·c for one word x': a full family of h, which is reduced.
+    - x shorter than y (y = x·u): seeds only when g is an unreduced
+      intermediate (`outer_reduced` false).  Every sibling then comes
+      through the one pair of h at x, and every q·c is a range word of g,
+      so g maps y'·c -> q·c for one word y': a full family of g.
+    - x equal to y: seeds, as a full scan would.
+
+    Merges cascade in `merge_siblings` as in a full scan."""
     h_inv = {r: d for d, r in h_pairs}
     g = dict(g_pairs)
-    return {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine(h_inv, g)}
+    xs, ys = sorted(h_inv), sorted(g)
+    nx, ny = len(xs), len(ys)
+    record = seeds is not None
+    seed_shorter = record and not outer_reduced
+    table = {}
+    i = j = 0
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        if x == y:
+            d, r = h_inv[x], g[y]
+            table[d] = r
+            i += 1
+            j += 1
+            if record and d[-1:] == "0" and r[-1:] == "0":
+                seeds.append(d[:-1])
+        elif x.startswith(y):
+            end = bisect_left(xs, y + _AFTER, i)
+            r, n = g[y], len(y)
+            for x in xs[i:end]:
+                table[h_inv[x]] = r + x[n:]
+            i = end
+            j += 1
+        elif y.startswith(x):
+            end = bisect_left(ys, x + _AFTER, j)
+            d, n = h_inv[x], len(x)
+            for y in ys[j:end]:
+                r = table[d + y[n:]] = g[y]
+                if seed_shorter and y[-1] == "0" and r[-1:] == "0":
+                    seeds.append(d + y[n:-1])
+            j = end
+            i += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
+    return table
 
 
-def _reduce(table: dict[str, str], arity: int) -> tuple[tuple[str, str], ...]:
-    return _sorted_pairs(merge_siblings(table, arity))
+def _reduce(table: dict[str, str], arity: int,
+            work: list[str] | None = None) -> tuple[tuple[str, str], ...]:
+    return _sorted_pairs(merge_siblings(table, arity, work))
 
 
-def _sorted_pairs(table: dict[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple([(d, table[d]) for d in lenlex_sorted(table)])
+def _sorted_pairs(table: dict[str, str],
+                  lex: list[str] | None = None) -> tuple[tuple[str, str], ...]:
+    """The pairs in length-lexicographic order of domain word: a
+    lexicographic sort, which `lex` (the domain words already in that
+    order) saves, then a stable sort by length."""
+    words = sorted(table) if lex is None else lex
+    words.sort(key=len)
+    return tuple([(d, table[d]) for d in words])
 
 
 def matched_pairs(dom_words, ran_words, arity: int) -> list[tuple[str, str]]:

@@ -44,12 +44,14 @@ class NormalWord:
             raise PreconditionError("letter exponents must be the integers +1 or -1")
 
     def evaluate(self) -> PrefixMap:
-        """The product, reduced once per letter (see `compose`)."""
-        acc = identity(self.base.arity)
+        """The product, reduced once per letter (see `compose`); the first
+        letter starts it."""
+        acc = None
         power = {1: self.base, -1: self.base.inverse()}
         for conj, exp in self.letters:
-            acc = compose(acc, conj, power[exp], conj.inverse())
-        return acc
+            factors = (conj, power[exp], conj.inverse())
+            acc = compose(*factors) if acc is None else compose(acc, *factors)
+        return identity(self.base.arity) if acc is None else acc
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,11 @@ class CommutatorWord:
         """The product of the factors.  A memo shared by several words
         computes each distinct commutator [x, y] and each distinct step
         prefix·[x, y] once; its keys are the maps themselves (compared by
-        value), so equal but distinct objects share entries."""
+        value), so equal but distinct objects share entries.  The first
+        commutator starts the product."""
         if memo is None:
             memo = {}
-        acc = identity(self.arity)
+        acc = None
         for x, y in self.factors:
             step = (acc, x, y)
             nxt = memo.get(step)
@@ -75,8 +78,12 @@ class CommutatorWord:
                 comm = memo.get((x, y))
                 if comm is None:
                     comm = memo[(x, y)] = commutator(x, y)
-                nxt = memo[step] = acc * comm
+                nxt = memo[step] = comm if acc is None else acc * comm
             acc = nxt
+        if acc is None:
+            return identity(self.arity)
+        if acc.arity != self.arity:
+            raise ArityMismatchError(f"mixed arities {self.arity} and {acc.arity}")
         return acc
 
     def __mul__(self, other: "CommutatorWord") -> "CommutatorWord":

@@ -8,14 +8,15 @@ are the plain versions that faster library paths are checked against:
 `commutator_fold`, the unmemoised product of a commutator word;
 `merge_siblings_worklist`, the sibling merge that checks a family once per
 member; `commutator_three_reduce` and `normal_word_fold`, which reduce
-after every single composition; and `split_words_resorting`, which sorts
-again after every split.
+after every single composition; `split_words_resorting`, which sorts
+again after every split; and `compose_full_scan`, the product through the
+`refine` walk and a sibling merge that scans the whole table.
 """
 
 import itertools
 
-from cantorwit.clopen import lenlex, letters
-from cantorwit.prefixmap import identity
+from cantorwit.clopen import lenlex, letters, refine
+from cantorwit.prefixmap import PrefixMap, _reduce, identity
 from cantorwit.witnesses import commutator
 
 ALPHABET = "0123456789"
@@ -132,3 +133,20 @@ def split_words_resorting(words, size: int, arity: int) -> tuple:
         out.extend(w + c for c in letters(arity))
         out.sort(key=lenlex)
     return tuple(out)
+
+
+def refine_table(g_pairs, h_pairs) -> dict:
+    """The unreduced table of g·h built from the `refine` walk over h's
+    range code and g's domain code."""
+    h_inv = {r: d for d, r in h_pairs}
+    g = dict(g_pairs)
+    return {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine(h_inv, g)}
+
+
+def compose_full_scan(first, *rest):
+    """first·rest[0]·…: `refine_table` left to right, then one sibling
+    merge started from every piece of the whole table."""
+    table = dict(first.pairs)
+    for g in rest:
+        table = refine_table(table, g.pairs)
+    return PrefixMap(_reduce(table, first.arity), first.arity)

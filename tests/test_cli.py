@@ -87,6 +87,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("reduce", "{e->e}", "--seed", "3"),
         ("wandering", "[01]", "--orbit-window", "-1"),
+        ("wandering", "[01]", "--orbit-window", "x"),
         ("corpus", "--quick", "--orbit-window", "-1"),
         ("reduce", "{e->e}", "--arity", "1"),
         ("derived-conj", "{0->1,1->0}", "[00]", "--arity", "11"),
@@ -98,6 +99,12 @@ class TestExitCodes:
     ])
     def test_rejected_options(self, capsys, argv):
         assert run(capsys, *argv)[0] == cli.EXIT_USAGE
+
+    def test_orbit_window_message_names_no_private_function(self, capsys):
+        code, _, err = run(capsys, "wandering", "[01]", "--orbit-window", "x")
+        assert code == cli.EXIT_USAGE
+        assert "must be a non-negative integer, got 'x'" in err
+        assert "_non_negative" not in err
 
 
 class TestSubcommands:

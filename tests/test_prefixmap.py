@@ -10,8 +10,8 @@ from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.prefixmap import PrefixMap, _compose, _reduce, compose, identity, patch, sigma_swap
 
-from helpers import (all_words, apply_pairs, is_complete_code, maps_equal, member,
-                     merge_siblings_worklist)
+from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, maps_equal,
+                     member, merge_siblings_worklist, refine_table)
 
 E = parse_element
 C = parse_clopen
@@ -171,6 +171,57 @@ class TestMergeSiblings:
             assert compose(f, g, h) == f * g * h
             assert compose(f, f.inverse(), g) == g
         assert compose(els[0]) == els[0]
+
+
+class TestSeededMerge:
+    """compose's walk and its seeded sibling merge against the `refine`
+    walk with a full-scan merge, and against from_pairs of the unreduced
+    table."""
+
+    DEPTH = {2: 5, 3: 3, 4: 3}
+
+    @classmethod
+    def chains(cls, seed, arity, count):
+        """Random chains of 2-5 factors, chains g·g^-1 that collapse to the
+        identity, and chains whose unreduced intermediates hold full
+        sibling families (a prefix that cancels, then more factors)."""
+        rng = random.Random(seed)
+        pool = seeded_elements(seed, 40, arity=arity, max_depth=cls.DEPTH[arity])
+        for i in range(count):
+            kind = i % 3
+            if kind == 0:
+                yield rng.choices(pool, k=rng.randint(2, 5))
+            elif kind == 1:
+                gs = rng.choices(pool, k=rng.randint(1, 2))
+                yield gs + [g.inverse() for g in reversed(gs)]
+            else:
+                f, g = rng.choices(pool, k=2)
+                head = rng.choice([[f, f.inverse()], [f, g, (f * g).inverse()]])
+                yield head + rng.choices(pool, k=rng.randint(1, 2))
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_matches_full_scan_and_from_pairs(self, arity):
+        collapsed = families = 0
+        for chain in self.chains(110 + arity, arity, 150):
+            table = chain[0].pairs
+            for k, g in enumerate(chain[1:], 1):
+                table = _compose(table, g.pairs)
+                if k < len(chain) - 1:
+                    families += len(merge_siblings(dict(table), arity)) < len(table)
+            product = compose(*chain)
+            assert product == compose_full_scan(*chain), chain
+            assert product == PrefixMap.from_pairs(list(table.items()), arity)
+            collapsed += product.is_identity()
+        assert collapsed and families
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_walk_matches_refine_table(self, arity):
+        for chain in self.chains(120 + arity, arity, 60):
+            table = chain[0].pairs
+            for g in chain[1:]:
+                walked = _compose(table, g.pairs)
+                assert walked == refine_table(table, g.pairs)
+                table = walked
 
 
 class TestComposeInvert:
