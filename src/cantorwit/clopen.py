@@ -30,6 +30,13 @@ def letters(arity: int) -> str:
     return ALPHABET[:arity]
 
 
+def off_alphabet(text: str, arity: int) -> bool:
+    """Whether some symbol of `text` is not a letter of the arity: one pass
+    in C that deletes the letters from the ASCII bytes of the text (any
+    other symbol becomes '?') and looks for a remainder."""
+    return bool(text.encode("ascii", "replace").translate(None, letters(arity).encode()))
+
+
 def check_word(word: str, arity: int) -> None:
     alpha = letters(arity)
     if word.strip(alpha):
@@ -113,19 +120,16 @@ class ClopenSet:
 
 
 def _complement_words(code: tuple[str, ...], arity: int) -> list[str]:
-    # code is a canonical antichain; recurse on first letters.
+    # code is a canonical antichain: its complement is every child p·c of a
+    # proper prefix p of a code word that is not itself a prefix of a code
+    # word.  Such children form an antichain, and no full sibling family
+    # survives (p would have no code word below it), so no merge is needed.
     if not code:
         return [""]
-    if "" in code:
-        return []
-    out = []
-    for ch in letters(arity):
-        sub = tuple(w[1:] for w in code if w[0] == ch)
-        if not sub:
-            out.append(ch)
-        else:
-            out.extend(ch + v for v in _complement_words(sub, arity))
-    return out
+    alpha = letters(arity)
+    inner = {w[:i] for w in code for i in range(len(w))}
+    covered = inner.union(code)
+    return [q for p in inner for q in map(p.__add__, alpha) if q not in covered]
 
 
 def split_words(words: Iterable[str], size: int, arity: int) -> tuple[str, ...]:
@@ -155,11 +159,14 @@ def canonicalize(words: Iterable[str], arity: int = 2) -> ClopenSet:
     >>> canonicalize({"00", "01", "10", "11"}).code
     ('',)
     """
+    srt = sorted(set(words))
+    if off_alphabet("".join(srt), arity):
+        for w in srt:
+            check_word(w, arity)
     # prefix absorption: in lexicographic order the words extending a word
     # directly follow it, so drop each word that extends the last word kept
     kept: list[str] = []
-    for w in sorted(set(words)):
-        check_word(w, arity)
+    for w in srt:
         if not kept or not w.startswith(kept[-1]):
             kept.append(w)
     return ClopenSet(tuple(lenlex_sorted(merge_siblings({w: w for w in kept}, arity))), arity)

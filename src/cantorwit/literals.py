@@ -6,9 +6,16 @@ denoting the empty word.  Formatting is the __str__ of the value types;
 parse(format(v)) == v and format(parse(text)) is the canonical form.
 """
 
+import re
+
 from .clopen import ALPHABET, ClopenSet, canonicalize
 from .errors import ParseError, PreconditionError, ArityMismatchError
 from .prefixmap import PrefixMap
+
+
+# the body of a valid element literal: pairs of words, each `e` or digits
+_WORD = r"(?:e|[0-9]+)"
+_PAIRS = re.compile(rf"{_WORD}->{_WORD}(?:,{_WORD}->{_WORD})*")
 
 
 def _strip(text: str) -> str:
@@ -47,6 +54,21 @@ def parse_element(text: str, arity: int = 2) -> PrefixMap:
     if not s.startswith("{") or not s.endswith("}"):
         raise ParseError("element literal must be braced like {0->1,1->0}", 0)
     body = s[1:-1]
+    if _PAIRS.fullmatch(body):
+        # a valid body has `e` only as a whole word, so it is split in C
+        words = body.replace("e", "").replace("->", ",").split(",")
+        pairs = zip(words[::2], words[1::2])
+    else:
+        pairs = _parse_pairs(body)
+    try:
+        return PrefixMap.from_pairs(pairs, arity)
+    except (PreconditionError, ArityMismatchError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _parse_pairs(body: str) -> list[tuple[str, str]]:
+    """The pairs of an element body token by token, raising a ParseError at
+    the first bad token: the path of the bodies the one-pass match refuses."""
     if not body:
         raise ParseError("an element needs at least one pair", 1)
     pairs = []
@@ -57,7 +79,4 @@ def parse_element(text: str, arity: int = 2) -> PrefixMap:
         d, _, r = tok.partition("->")
         pairs.append((_parse_word(d, pos), _parse_word(r, pos + len(d) + 2)))
         pos += len(tok) + 1
-    try:
-        return PrefixMap.from_pairs(pairs, arity)
-    except (PreconditionError, ArityMismatchError) as exc:
-        raise ParseError(str(exc)) from exc
+    return pairs

@@ -16,8 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
-from .clopen import (ALPHABET, ClopenSet, canonicalize, cylinder, check_word, letters,
-                     merge_siblings, refine, split_words)
+from .clopen import (ALPHABET, ClopenSet, canonicalize, cylinder, check_word, merge_siblings,
+                     off_alphabet, refine, split_words)
 from .errors import ArityMismatchError, PreconditionError
 
 _AFTER = chr(ord(ALPHABET[-1]) + 1)
@@ -40,7 +40,7 @@ class PrefixMap:
         plist = [(str(d), str(r)) for d, r in pairs]
         if not plist:
             raise PreconditionError("a prefix map needs at least one pair")
-        if "".join(chain.from_iterable(plist)).strip(letters(arity)):
+        if off_alphabet("".join(chain.from_iterable(plist)), arity):
             for d, r in plist:
                 check_word(d, arity)
                 check_word(r, arity)
@@ -136,22 +136,37 @@ def _check_complete_code(words: list[str], arity: int, side: str) -> list[str]:
     # in lexicographic order the words extending a word follow it directly,
     # so an antichain check needs only neighbours (a duplicate is a prefix too)
     srt = sorted(words)
-    for a, b in zip(srt, srt[1:]):
-        if b.startswith(a):
-            raise PreconditionError(f"{side} words overlap: {a!r} is a prefix of {b!r}")
-    # the sorted cylinders must tile the space left to right: the first one
-    # starts at 0^inf, each next one starts at nxt·0^inf, the point right
-    # after w·top^inf, and the last one ends at top^inf
-    top = letters(arity)[-1]
-    nxt = ""
-    for w in srt:
-        if nxt is None or not w.startswith(nxt) or w[len(nxt):].strip("0"):
-            raise PreconditionError(f"incomplete {side} code")
-        stem = w.rstrip(top)
-        nxt = stem[:-1] + chr(ord(stem[-1]) + 1) if stem else None
-    if nxt is not None:
+    if any(map(str.startswith, srt[1:], srt)):
+        a, b = next((a, b) for a, b in zip(srt, srt[1:]) if b.startswith(a))
+        raise PreconditionError(f"{side} words overlap: {a!r} is a prefix of {b!r}")
+    if not _fills_space(map(len, srt), arity):
         raise PreconditionError(f"incomplete {side} code")
     return srt
+
+
+def _fills_space(lengths, arity: int) -> bool:
+    """Kraft's equality, the sum of arity**-n over the word lengths n equal
+    to 1, which an antichain meets exactly when its cylinders cover the
+    space.
+
+    Folded in small integers from the deepest level up: the words counted
+    at a level, its own and those carried up from below, must make whole
+    sibling families of `arity`, each of which carries one parent word to
+    the level above, and the root must end up with exactly one.  A count
+    that is not divisible fails at once, and a carry shrinks by the factor
+    `arity` on every level without words, so the fold takes time linear in
+    the number of words however deep they are."""
+    lengths = sorted(lengths, reverse=True)
+    lengths.append(0)  # the root: counts the word carried up to it, plus one
+    carry, level = 0, lengths[0]
+    for n in lengths:
+        while level > n:
+            if carry % arity:
+                return False
+            carry //= arity
+            level -= 1
+        carry += 1
+    return carry == 2
 
 
 def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:

@@ -10,12 +10,16 @@ are the plain versions that faster library paths are checked against:
 member; `commutator_three_reduce` and `normal_word_fold`, which reduce
 after every single composition; `split_words_resorting`, which sorts
 again after every split; and `compose_full_scan`, the product through the
-`refine` walk and a sibling merge that scans the whole table.
+`refine` walk and a sibling merge that scans the whole table; and
+`parse_element_per_token`, the element parser that reads the literal
+token by token.
 """
 
 import itertools
 
 from cantorwit.clopen import lenlex, letters, refine
+from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError
+from cantorwit.literals import _parse_word, _strip
 from cantorwit.prefixmap import PrefixMap, _reduce, identity
 from cantorwit.witnesses import commutator
 
@@ -150,3 +154,26 @@ def compose_full_scan(first, *rest):
     for g in rest:
         table = refine_table(table, g.pairs)
     return PrefixMap(_reduce(table, first.arity), first.arity)
+
+
+def parse_element_per_token(text: str, arity: int = 2) -> PrefixMap:
+    """An element literal parsed token by token: split at commas, each
+    token at its first '->', each word checked on its own."""
+    s = _strip(text)
+    if not s.startswith("{") or not s.endswith("}"):
+        raise ParseError("element literal must be braced like {0->1,1->0}", 0)
+    body = s[1:-1]
+    if not body:
+        raise ParseError("an element needs at least one pair", 1)
+    pairs = []
+    pos = 1
+    for tok in body.split(","):
+        if "->" not in tok:
+            raise ParseError(f"pair {tok!r} is missing '->'", pos)
+        d, _, r = tok.partition("->")
+        pairs.append((_parse_word(d, pos), _parse_word(r, pos + len(d) + 2)))
+        pos += len(tok) + 1
+    try:
+        return PrefixMap.from_pairs(pairs, arity)
+    except (PreconditionError, ArityMismatchError) as exc:
+        raise ParseError(str(exc)) from exc

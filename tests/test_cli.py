@@ -10,6 +10,8 @@ from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.errors import ParseError
 from cantorwit.witnesses import certificate_from_obj, commutator
 
+from helpers import parse_element_per_token
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -416,3 +418,62 @@ class TestFuzzing:
         path = tmp_path / "triv.json"
         path.write_text('{"kind":"commutator_word","factors":[],"target":"{e->e}"}')
         assert run(capsys, "verify", str(path))[0] == cli.EXIT_OK
+
+
+def parse_outcome(parse, text, arity):
+    try:
+        return "value", parse(text, arity)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+
+
+class TestParseElementDifferential:
+    """The one-pass element parser against the per-token reference: the
+    same value, or a ParseError with the same message and position."""
+
+    MUTATION_CHARS = "0123456789e->{}[], \t\nab"
+
+    @staticmethod
+    def assert_same(text, arity=2):
+        assert (parse_outcome(parse_element, text, arity)
+                == parse_outcome(parse_element_per_token, text, arity)), (text, arity)
+
+    @pytest.mark.parametrize("text", [
+        "{}", "{ }", "{e->e}", " { e -> e } ", "{e->ee}", "{ee->e}", "{0e1->1,1->0}",
+        "{0->1,1->0,}", "{,0->1,1->0}", "{0->1,,1->0}", "{0->->1,1->0}", "{0->1->0,1->1}",
+        "{->}", "{0->,1->0}", "{->1,1->0}", "{0->1,1->0", "0->1,1->0}", "{0->1\n,\t1->0}",
+        "{0->1,1->2}", "{0->\u0661,1->0}", "{0->1,1->0}}", "{{0->1,1->0}", "{e->0,e->1}",
+        "{0->0,1->1,e->e}", "{0->00,10->01}",
+    ])
+    def test_edge_cases(self, text):
+        self.assert_same(text)
+
+    def test_fuzz_strings(self):
+        rng = random.Random(3)
+        pieces = list("01239->{}[],e ab") + ["\t", "\n", "->->", ",", "e0", "0e1", "->e"]
+        for _ in range(3000):
+            body = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+            text = "{" + body + "}" if rng.random() < 0.8 else body
+            self.assert_same(text, rng.choice([2, 3, 10]))
+
+    @pytest.mark.parametrize("arity", range(2, 11))
+    def test_valid_literals_and_their_mutations(self, arity):
+        rng = random.Random(300 + arity)
+        alpha = "0123456789"[:arity]
+        for _ in range(25):
+            g = random_element(rng, arity, 3 if arity <= 4 else 2)
+            pairs = []
+            for d, r in g.pairs:
+                if rng.random() < 0.3:
+                    pairs.extend((d + c, r + c) for c in alpha)
+                else:
+                    pairs.append((d, r))
+            sep = rng.choice([",", ", ", " ,\n"])
+            text = "{" + sep.join(f"{d or 'e'}->{r or 'e'}" for d, r in pairs) + "}"
+            assert parse_element(text, arity) == g
+            self.assert_same(text, arity)
+            for _ in range(12):
+                i = rng.randrange(len(text))
+                c = rng.choice(self.MUTATION_CHARS)
+                self.assert_same(rng.choice([text[:i] + text[i + 1:], text[:i] + c + text[i + 1:],
+                                             text[:i] + c + text[i:]]), arity)

@@ -42,6 +42,14 @@ class TestCanonicalize:
         with pytest.raises(ArityMismatchError):
             canonicalize({"0", "02"}, 2)
 
+    def test_bad_symbol_names_the_first_bad_word(self):
+        # in sorted order "02" comes before "0\u00e9", whose symbol is not ASCII
+        with pytest.raises(ArityMismatchError,
+                           match="^symbol '2' out of range for arity 2 in word '02'$"):
+            canonicalize({"1", "0\u00e9", "02"}, 2)
+        with pytest.raises(ArityMismatchError, match="symbol '\u00e9'"):
+            canonicalize({"1", "0\u00e9"}, 2)
+
     @pytest.mark.parametrize("arity", [3, 4])
     def test_same_denotation_higher_arity(self, arity):
         rng = random.Random(90 + arity)
@@ -143,6 +151,20 @@ def random_antichain(rng, alpha, splits):
         w = words.pop(rng.randrange(len(words)))
         words += [w + c for c in alpha]
     return rng.sample(words, rng.randint(0, len(words)))
+
+
+class TestComplement:
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_matches_membership_oracle(self, arity):
+        rng = random.Random(60 + arity)
+        alpha = "0123"[:arity]
+        for _ in range(300):
+            a = canonicalize(random_antichain(rng, alpha, 10), arity)
+            comp = a.complement()
+            assert canonicalize(comp.code, arity) == comp
+            depth = max([len(w) for w in a.code] + [1])
+            for w in all_words(arity, depth):
+                assert member(comp.code, w) != member(a.code, w), (a, w)
 
 
 class TestRefine:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from cantorwit.clopen import canonicalize, cylinder, lenlex, merge_siblings, who
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import PrefixMap, _compose, _reduce, compose, identity, patch, sigma_swap
+from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _compose, _reduce, compose,
+                                 identity, patch, sigma_swap)
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, maps_equal,
                      member, merge_siblings_worklist, refine_table)
@@ -58,38 +60,64 @@ class TestReduce:
                     refined.append((d, r))
             assert PrefixMap.from_pairs(refined, 2) == g
 
-    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("arity", range(2, 11))
     def test_code_check_matches_oracle(self, arity):
-        # random complete codes, then a duplicate, an overlap or a gap
+        # random complete codes of depth at most `depth`, arity**depth <= 50 000,
+        # then a word dropped, added, duplicated or extended, or an overlap
         rng = random.Random(40 + arity)
-        alpha = "0123"[:arity]
-        splits = {2: 12, 3: 8, 4: 6}[arity]
+        alpha = "0123456789"[:arity]
+        depth = max(d for d in range(1, 17) if arity ** d <= 50_000)
         verdicts = set()
-        for _ in range(300):
+        for _ in range(300 if arity <= 4 else 100):
             words = [""]
-            for _ in range(rng.randint(0, splits)):
-                w = words.pop(rng.randrange(len(words)))
-                words += [w + c for c in alpha]
-            fault = rng.choice(["none", "duplicate", "overlap", "gap"])
+            for _ in range(rng.randint(0, 24 // arity + 4)):
+                w = rng.choice(words)
+                if len(w) < depth - 1:
+                    words.remove(w)
+                    words += [w + c for c in alpha]
+            fault = rng.choice(["none", "drop", "add", "duplicate", "extend", "overlap"])
             w = rng.choice(words)
-            if fault == "duplicate":
+            if fault == "drop":
+                words.remove(w)
+            elif fault == "add":
+                words.append("".join(rng.choices(alpha, k=rng.randint(0, depth))))
+            elif fault == "duplicate":
                 words.append(w)
+            elif fault == "extend":
+                words[words.index(w)] = w + rng.choice(alpha)
             elif fault == "overlap":
                 words.append(w[:rng.randint(0, len(w))] if rng.random() < 0.5
                              else w + rng.choice(alpha))
-            elif fault == "gap":
-                words.remove(w)
             rng.shuffle(words)
             complete = is_complete_code(words, arity)
             verdicts.add(complete)
+            overlap = any(u.startswith(v) or v.startswith(u)
+                          for i, u in enumerate(words) for v in words[i + 1:])
             try:
-                PrefixMap.from_pairs([(w, w) for w in words], arity)
-                accepted = True
-            except PreconditionError:
+                accepted = _check_complete_code(words, arity, "domain") == sorted(words)
+            except PreconditionError as exc:
                 accepted = False
+                assert str(exc).startswith("domain words overlap" if overlap
+                                           else "incomplete domain code"), words
             assert accepted == complete, words
         assert verdicts == {True, False}
 
+    def test_deep_comb_rejected_in_linear_time(self):
+        # arity 10: the nine words 0^i·c at every level i below 156, and one
+        # word of a million symbols under the gap 0^156 that they leave
+        comb = ["0" * i + c for i in range(156) for c in "123456789"]
+        comb.append("0" * 10**6)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="^incomplete domain code$"):
+            PrefixMap.from_pairs(list(zip(comb, comb)), 10)
+        assert time.perf_counter() - start < 1
+
+    def test_literal_of_131072_pairs_parses(self):
+        words = all_words(2, 17)
+        pairs = tuple((w, w[:-1] + "10"[int(w[-1])]) for w in words)
+        text = "{" + ",".join(f"{d}->{r}" for d, r in pairs) + "}"
+        assert len(text) > 4_800_000
+        assert parse_element(text).pairs == pairs
 
     def test_symbol_out_of_range_names_the_first_bad_word(self):
         with pytest.raises(ArityMismatchError,
