@@ -15,12 +15,14 @@ printing of clopen sets plain tuple operations.
 ('1', '00')
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ArityMismatchError, PreconditionError
 
 ALPHABET = "0123456789"
+_AFTER = chr(ord(ALPHABET[-1]) + 1)
 
 
 def letters(arity: int) -> str:
@@ -42,11 +44,6 @@ def check_word(word: str, arity: int) -> None:
     if word.strip(alpha):
         ch = next(ch for ch in word if ch not in alpha)
         raise ArityMismatchError(f"symbol {ch!r} out of range for arity {arity} in word {word!r}")
-
-
-def lenlex(word: str) -> tuple[int, str]:
-    """Sort key for the canonical length-lexicographic order."""
-    return (len(word), word)
 
 
 def lenlex_sorted(words: Iterable[str]) -> list[str]:
@@ -91,7 +88,8 @@ class ClopenSet:
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check_same(other)
-        return canonicalize([w for _, _, w in refine(self.code, other.code)], self.arity)
+        return canonicalize(refine(dict(zip(self.code, self.code)),
+                                   dict(zip(other.code, other.code))), self.arity)
 
     def complement(self) -> "ClopenSet":
         return ClopenSet(tuple(lenlex_sorted(_complement_words(self.code, self.arity))),
@@ -102,7 +100,7 @@ class ClopenSet:
 
     def disjoint(self, other: "ClopenSet") -> bool:
         self._check_same(other)
-        return next(refine(self.code, other.code), None) is None
+        return not refine(dict(zip(self.code, self.code)), dict(zip(other.code, other.code)))
 
     def split_to_size(self, size: int) -> tuple[str, ...]:
         """Refine the canonical code into an antichain of exactly `size` words.
@@ -172,29 +170,78 @@ def canonicalize(words: Iterable[str], arity: int = 2) -> ClopenSet:
     return ClopenSet(tuple(lenlex_sorted(merge_siblings({w: w for w in kept}, arity))), arity)
 
 
-def refine(xs: Iterable[str], ys: Iterable[str]) -> Iterator[tuple[str, str, str]]:
-    """The common refinement of two antichains: (x, y, w) for every
-    prefix-comparable pair x in xs, y in ys, where [w] = [x] ∩ [y].
+def refine(xs: dict[str, str], ys: dict[str, str], seeds: list[str] | None = None,
+           outer_reduced: bool = True) -> dict[str, str]:
+    """The common refinement of two word tables: for each prefix-comparable
+    pair of keys x of `xs` and y of `ys`, with meet w = x·u = y·v, the
+    entry xs[x]·u -> ys[y]·v.  On two clopen codes (each the table mapping
+    its words to itself) the keys are the meets; the unreduced table of a
+    product g·h is the refinement of h's range-to-domain table and of g's
+    pair table (the outer table, reduced or not).
 
-    One merge walk over both codes in lexicographic order, in which the
-    words extending a word directly follow it: of a comparable pair the
-    shorter word stays for the next extension, of an incomparable pair the
-    smaller word can meet nothing further on.
-    """
-    xs, ys = sorted(xs), sorted(ys)
+    One merge walk over both key sets in lexicographic order, in which the
+    words extending a word directly follow it.  Equal words give one entry
+    and both advance.  Otherwise the shorter word gives one entry with each
+    key of the other table that extends it: those keys are a run, the
+    sorted words from it up to it + _AFTER (the symbol after the alphabet),
+    found by bisection.  Of an incomparable pair the smaller word can meet
+    nothing further on; on two complete codes (a product) the current words
+    always start at the same point of the space and are comparable.
+
+    With a `seeds` list, the parents p of the product's pieces that may
+    start a full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) are appended
+    to it, for `merge_siblings`.  The family is checked from its piece
+    p0 -> q0, so only pieces whose words both end in 0 seed.  By kind of
+    the piece p0 -> q0, with x a range word of h and y a domain word of g:
+
+    - x longer than y (x = y·u): never seeds.  q0 extends g's range word
+      g[y] by u, so [q] lies in g's cylinder [g[y]], and every sibling
+      p·c is a domain word of h (a shorter one would be a prefix of p0).
+      Pulling [q·c] back through that one pair of g shows that h maps
+      p·c -> x'·c for one word x': a full family of h, which is reduced.
+    - x shorter than y (y = x·u): seeds only when g is an unreduced
+      intermediate (`outer_reduced` false).  Every sibling then comes
+      through the one pair of h at x, and every q·c is a range word of g,
+      so g maps y'·c -> q·c for one word y': a full family of g.
+    - x equal to y: seeds, as a full scan would.
+
+    Merges cascade in `merge_siblings` as in a full scan."""
+    xkeys, ykeys = sorted(xs), sorted(ys)
+    nx, ny = len(xkeys), len(ykeys)
+    record = seeds is not None
+    seed_shorter = record and not outer_reduced
+    table = {}
     i = j = 0
-    while i < len(xs) and j < len(ys):
-        x, y = xs[i], ys[j]
-        if x.startswith(y):
-            yield x, y, x
+    while i < nx and j < ny:
+        x, y = xkeys[i], ykeys[j]
+        if x == y:
+            d, r = xs[x], ys[y]
+            table[d] = r
             i += 1
-        elif y.startswith(x):
-            yield x, y, y
             j += 1
+            if record and d[-1:] == "0" and r[-1:] == "0":
+                seeds.append(d[:-1])
+        elif x.startswith(y):
+            end = bisect_left(xkeys, y + _AFTER, i)
+            r, n = ys[y], len(y)
+            for x in xkeys[i:end]:
+                table[xs[x]] = r + x[n:]
+            i = end
+            j += 1
+        elif y.startswith(x):
+            end = bisect_left(ykeys, x + _AFTER, j)
+            d, n = xs[x], len(x)
+            for y in ykeys[j:end]:
+                r = table[d + y[n:]] = ys[y]
+                if seed_shorter and y[-1] == "0" and r[-1:] == "0":
+                    seeds.append(d + y[n:-1])
+            j = end
+            i += 1
         elif x < y:
             i += 1
         else:
             j += 1
+    return table
 
 
 def merge_siblings(table: dict[str, str], arity: int,

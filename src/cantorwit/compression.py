@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .clopen import ClopenSet, canonicalize, cylinder, letters, split_words
 from .errors import ArityMismatchError, PreconditionError
-from .prefixmap import PrefixMap, identity, matched_pairs, sigma_swap
+from .prefixmap import PrefixMap, compose, identity, matched_pairs, sigma_swap
 
 
 def transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
@@ -71,7 +71,7 @@ def wandering_witness(region: ClopenSet) -> tuple[PrefixMap, ClopenSet]:
         raise PreconditionError("wandering witness needs a proper non-empty region")
     g0, z0 = wandering_base(region.arity)
     f = transporter(region, z0)
-    g = f.inverse() * g0 * f
+    g = compose(f.inverse(), g0, f)
     return g, f.inverse().image(z0)
 
 
@@ -110,7 +110,7 @@ def join_compression(part_a: ClopenSet, part_b: ClopenSet) -> PrefixMap:
     half_a, half_b = _split_in_two(landing)
     g2 = transporter(part_a, half_a)
     g3 = transporter(part_b, half_b)
-    return g1.inverse() * sigma_swap(g2, part_a) * sigma_swap(g3, part_b)
+    return compose(g1.inverse(), sigma_swap(g2, part_a), sigma_swap(g3, part_b))
 
 
 def _split_in_two(region: ClopenSet) -> tuple[ClopenSet, ClopenSet]:

@@ -12,15 +12,12 @@ their reduced forms are identical.
 Composition is written like function application: (g * h)(x) = g(h(x)).
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
-from .clopen import (ALPHABET, ClopenSet, canonicalize, cylinder, check_word, merge_siblings,
-                     off_alphabet, refine, split_words)
+from .clopen import (ClopenSet, canonicalize, cylinder, check_word, merge_siblings, off_alphabet,
+                     refine, split_words)
 from .errors import ArityMismatchError, PreconditionError
-
-_AFTER = chr(ord(ALPHABET[-1]) + 1)
 
 
 @dataclass(frozen=True)
@@ -36,8 +33,9 @@ class PrefixMap:
 
     @classmethod
     def from_pairs(cls, pairs, arity: int = 2) -> "PrefixMap":
-        """Validate a pair list and return its reduced form."""
-        plist = [(str(d), str(r)) for d, r in pairs]
+        """Validate a list of (domain word, range word) pairs of `str` words
+        and return its reduced form."""
+        plist = list(pairs)
         if not plist:
             raise PreconditionError("a prefix map needs at least one pair")
         if off_alphabet("".join(chain.from_iterable(plist)), arity):
@@ -89,8 +87,7 @@ class PrefixMap:
         """
         if self.arity != region.arity:
             raise ArityMismatchError("region arity differs from map arity")
-        g = dict(self.pairs)
-        return [(w, g[d] + w[len(d):]) for d, _, w in refine(g, region.code)]
+        return list(refine(dict(zip(region.code, region.code)), dict(self.pairs)).items())
 
     def image(self, region: ClopenSet) -> ClopenSet:
         return canonicalize([im for _, im in self.restrict(region)], self.arity)
@@ -171,91 +168,20 @@ def _fills_space(lengths, arity: int) -> bool:
 
 def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
     """first·rest[0]·rest[1]·…: the tables are composed unreduced left to
-    right and the product is reduced once, checking only the sibling
-    families that the last composition can have made (see `_compose`)."""
+    right, each the common refinement (`refine`) of the inner factor's
+    range-to-domain table and the outer table, and the product is reduced
+    once, checking only the sibling families that the last composition can
+    have made (see `refine`)."""
     if not rest:
         return first
-    table = first.pairs
+    table = dict(first.pairs)
     for g in rest[:-1]:
         first._check_same(g)
-        table = _compose(table, g.pairs)
+        table = refine({r: d for d, r in g.pairs}, table)
     first._check_same(rest[-1])
     seeds: list[str] = []
-    table = _compose(table, rest[-1].pairs, seeds, outer_reduced=len(rest) == 1)
+    table = refine({r: d for d, r in rest[-1].pairs}, table, seeds, outer_reduced=len(rest) == 1)
     return PrefixMap(_reduce(table, first.arity, seeds), first.arity)
-
-
-def _compose(g_pairs, h_pairs, seeds: list[str] | None = None,
-             outer_reduced: bool = True) -> dict[str, str]:
-    """The unreduced table of g·h from the (d, r) pairs of g (the outer
-    table, reduced or not) and of the reduced element h: one pair for each
-    piece of the common refinement of h's range code and g's domain code.
-
-    One merge walk over both codes in lexicographic order.  Both are
-    complete codes, so the two current words x (a range word of h) and y (a
-    domain word of g) always start at the same point of the space, and one
-    is a prefix of the other.  Equal words give one piece and both advance.
-    Otherwise the shorter word gives one piece with each word of the other
-    code that extends it: those words are a run, the sorted words from it
-    up to it + _AFTER (the symbol after the alphabet), found by bisection.
-    The incomparable branches keep the walk total on any antichains.
-
-    With a `seeds` list, the parents p of the product's pieces that may
-    start a full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) are appended
-    to it, for `merge_siblings`.  The family is checked from its piece
-    p0 -> q0, so only pieces whose words both end in 0 seed.  By kind of
-    the piece p0 -> q0:
-
-    - x longer than y (x = y·u): never seeds.  q0 extends g's range word
-      g[y] by u, so [q] lies in g's cylinder [g[y]], and every sibling
-      p·c is a domain word of h (a shorter one would be a prefix of p0).
-      Pulling [q·c] back through that one pair of g shows that h maps
-      p·c -> x'·c for one word x': a full family of h, which is reduced.
-    - x shorter than y (y = x·u): seeds only when g is an unreduced
-      intermediate (`outer_reduced` false).  Every sibling then comes
-      through the one pair of h at x, and every q·c is a range word of g,
-      so g maps y'·c -> q·c for one word y': a full family of g.
-    - x equal to y: seeds, as a full scan would.
-
-    Merges cascade in `merge_siblings` as in a full scan."""
-    h_inv = {r: d for d, r in h_pairs}
-    g = dict(g_pairs)
-    xs, ys = sorted(h_inv), sorted(g)
-    nx, ny = len(xs), len(ys)
-    record = seeds is not None
-    seed_shorter = record and not outer_reduced
-    table = {}
-    i = j = 0
-    while i < nx and j < ny:
-        x, y = xs[i], ys[j]
-        if x == y:
-            d, r = h_inv[x], g[y]
-            table[d] = r
-            i += 1
-            j += 1
-            if record and d[-1:] == "0" and r[-1:] == "0":
-                seeds.append(d[:-1])
-        elif x.startswith(y):
-            end = bisect_left(xs, y + _AFTER, i)
-            r, n = g[y], len(y)
-            for x in xs[i:end]:
-                table[h_inv[x]] = r + x[n:]
-            i = end
-            j += 1
-        elif y.startswith(x):
-            end = bisect_left(ys, x + _AFTER, j)
-            d, n = h_inv[x], len(x)
-            for y in ys[j:end]:
-                r = table[d + y[n:]] = g[y]
-                if seed_shorter and y[-1] == "0" and r[-1:] == "0":
-                    seeds.append(d + y[n:-1])
-            j = end
-            i += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return table
 
 
 def _reduce(table: dict[str, str], arity: int,

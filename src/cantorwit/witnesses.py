@@ -268,7 +268,7 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified
     h_cert = dinv * base.m * d
     h = h_cert.elem
     sh = dinv.elem.image(base.bound)
-    a1 = h * a * h.inverse()
+    a1 = compose(h, a, h.inverse())
     h_letters = _conjugate_letters(dinv, base.letters)
     h_inverse = _inverse_letters(h_letters)
     pre = []
@@ -501,7 +501,7 @@ def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = No
     s1, s1_cert = _certified_patch(u_b, psi, spare1, free1)
     spare3, free3 = two_disjoint_cylinders(parked.union(u_b).union(u_c).complement())
     s3, s3_cert = _certified_patch(parked, phi.inverse(), spare3, free3)
-    s2 = s1.inverse() * g * s3.inverse()
+    s2 = compose(s1.inverse(), g, s3.inverse())
     certs = None
     if g_cert is not None:
         certs = (s1_cert, s1_cert.inverse() * g_cert * s3_cert.inverse(), s3_cert)

@@ -1,23 +1,26 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's own composition/reduction/boolean
-machinery: maps are evaluated pair-by-pair on explicit finite words, and
+machinery: maps are evaluated pair-by-pair on explicit finite words,
 clopen sets are compared by brute-force membership of every word of a
-given depth.  Tests check library results against these.  The exceptions
-are the plain versions that faster library paths are checked against:
+given depth, common refinements come from a nested loop over both codes
+(`refine_oracle`, and `refine_table` for the unreduced table of a
+product), and length-lexicographic order is a plain `lenlex` sort key.
+Tests check library results against these.  The exceptions are the plain
+versions that faster library paths are checked against:
 `commutator_fold`, the unmemoised product of a commutator word;
 `merge_siblings_worklist`, the sibling merge that checks a family once per
 member; `commutator_three_reduce` and `normal_word_fold`, which reduce
 after every single composition; `split_words_resorting`, which sorts
-again after every split; and `compose_full_scan`, the product through the
-`refine` walk and a sibling merge that scans the whole table; and
+again after every split; `compose_full_scan`, the product through
+`refine_table` and a sibling merge that scans the whole table; and
 `parse_element_per_token`, the element parser that reads the literal
 token by token.
 """
 
 import itertools
 
-from cantorwit.clopen import lenlex, letters, refine
+from cantorwit.clopen import letters
 from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError
 from cantorwit.literals import _parse_word, _strip
 from cantorwit.prefixmap import PrefixMap, _reduce, identity
@@ -52,6 +55,11 @@ def is_complete_code(words, arity: int) -> bool:
     depth has exactly one prefix in the list (a duplicate counts twice)."""
     depth = max_word_len(words)
     return all(sum(w.startswith(c) for c in words) == 1 for w in all_words(arity, depth))
+
+
+def lenlex(word: str) -> tuple[int, str]:
+    """Sort key for the length-lexicographic order."""
+    return (len(word), word)
 
 
 def refine_oracle(xs, ys):
@@ -140,11 +148,11 @@ def split_words_resorting(words, size: int, arity: int) -> tuple:
 
 
 def refine_table(g_pairs, h_pairs) -> dict:
-    """The unreduced table of g·h built from the `refine` walk over h's
-    range code and g's domain code."""
+    """The unreduced table of g·h built from `refine_oracle` over h's range
+    code and g's domain code."""
     h_inv = {r: d for d, r in h_pairs}
     g = dict(g_pairs)
-    return {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine(h_inv, g)}
+    return {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine_oracle(h_inv, g)}
 
 
 def compose_full_scan(first, *rest):

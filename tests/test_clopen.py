@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import (canonicalize, cylinder, empty_set, lenlex, refine, split_words,
-                              whole_space)
+from cantorwit.clopen import canonicalize, cylinder, empty_set, refine, split_words, whole_space
+from cantorwit.corpus import random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 
-from helpers import all_words, member, refine_oracle, split_words_resorting
+from helpers import (all_words, apply_pairs, lenlex, member, refine_oracle,
+                     split_words_resorting)
 
 words2 = st.lists(st.text(alphabet="01", max_size=5), max_size=8)
 
@@ -167,26 +168,48 @@ class TestComplement:
                 assert member(comp.code, w) != member(a.code, w), (a, w)
 
 
+def antichain_pairs(rng, arity, count):
+    """Pairs of antichains: random, identical, nested and edge cases."""
+    alpha = "0123"[:arity]
+    pairs = [([], []), ([], [""]), ([""], [""]), ([""], ["0", alpha[-1] * 3])]
+    for _ in range(count):
+        xs = random_antichain(rng, alpha, 10)
+        kind = rng.choice(["random", "identical", "nested", "edge"])
+        if kind == "random":
+            ys = random_antichain(rng, alpha, 10)
+        elif kind == "identical":
+            ys = list(xs)
+        elif kind == "nested":
+            ys = [w + "".join(rng.choices(alpha, k=rng.randint(0, 3))) for w in xs]
+        else:
+            ys = rng.choice([[], [""]])
+        pairs.append((xs, ys) if rng.random() < 0.5 else (ys, xs))
+    return pairs
+
+
+def identity_table(words):
+    return {w: w for w in words}
+
+
 class TestRefine:
+    """The common-refinement walk on word tables against the nested-loop
+    oracle."""
+
     @pytest.mark.parametrize("arity", [2, 3, 4])
-    def test_matches_nested_loop_oracle(self, arity):
-        rng = random.Random(80 + arity)
-        alpha = "0123"[:arity]
-        pairs = [([], []), ([], [""]), ([""], [""]), ([""], ["0", alpha[-1] * 3])]
-        for _ in range(400):
-            xs = random_antichain(rng, alpha, 10)
-            kind = rng.choice(["random", "identical", "nested", "edge"])
-            if kind == "random":
-                ys = random_antichain(rng, alpha, 10)
-            elif kind == "identical":
-                ys = list(xs)
-            elif kind == "nested":
-                ys = [w + "".join(rng.choices(alpha, k=rng.randint(0, 3))) for w in xs]
-            else:
-                ys = rng.choice([[], [""]])
-            pairs.append((xs, ys) if rng.random() < 0.5 else (ys, xs))
-        for xs, ys in pairs:
-            assert sorted(refine(xs, ys)) == sorted(refine_oracle(xs, ys)), (xs, ys)
+    def test_codes_refine_to_their_meets(self, arity):
+        for xs, ys in antichain_pairs(random.Random(80 + arity), arity, 400):
+            walked = refine(identity_table(xs), identity_table(ys))
+            assert walked == identity_table(w for _, _, w in refine_oracle(xs, ys)), (xs, ys)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_element_table_maps_the_pieces(self, arity):
+        rng = random.Random(90 + arity)
+        for xs, _ in antichain_pairs(rng, arity, 200):
+            g = random_element(rng, arity, {2: 5, 3: 3, 4: 3}[arity])
+            walked = refine(identity_table(xs), dict(g.pairs))
+            dom = [d for d, _ in g.pairs]
+            assert walked == {w: apply_pairs(g.pairs, w)
+                              for _, _, w in refine_oracle(xs, dom)}, (xs, g)
 
 
 class TestSplitToSize:

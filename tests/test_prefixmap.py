@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import canonicalize, cylinder, lenlex, merge_siblings, whole_space
+from cantorwit.clopen import canonicalize, cylinder, merge_siblings, refine, whole_space
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _compose, _reduce, compose,
-                                 identity, patch, sigma_swap)
+from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _reduce, compose, identity,
+                                 patch, sigma_swap)
 
-from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, maps_equal,
-                     member, merge_siblings_worklist, refine_table)
+from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
+                     maps_equal, member, merge_siblings_worklist, refine_table)
 
 E = parse_element
 C = parse_clopen
@@ -22,6 +22,12 @@ C = parse_clopen
 def seeded_elements(seed, count, **kw):
     rng = random.Random(seed)
     return [random_element(rng, **kw) for _ in range(count)]
+
+
+def walk_table(g_pairs, h_pairs) -> dict:
+    """The unreduced table of g·h through the library walk, as `compose`
+    builds it: h's range-to-domain table refined with g's pair table."""
+    return refine({r: d for d, r in h_pairs}, dict(g_pairs))
 
 
 class TestReduce:
@@ -146,7 +152,7 @@ def word_tables(seed, arity, count):
                 table.update((d + c, r + c) for c in alpha)
         elif kind == 1:
             g, h = (random_element(rng, arity, depth) for _ in range(2))
-            table = _compose(g.pairs, rng.choice([h, g.inverse()]).pairs)
+            table = walk_table(g.pairs, rng.choice([h, g.inverse()]).pairs)
         elif kind == 2:
             stem = "".join(rng.choices(alpha, k=rng.randint(0, 3)))
             words = rng.choice([all_words(arity, rng.randint(0, depth - 1)),
@@ -202,9 +208,9 @@ class TestMergeSiblings:
 
 
 class TestSeededMerge:
-    """compose's walk and its seeded sibling merge against the `refine`
-    walk with a full-scan merge, and against from_pairs of the unreduced
-    table."""
+    """compose's walk and its seeded sibling merge against the nested-loop
+    refinement with a full-scan merge, and against from_pairs of the
+    unreduced table."""
 
     DEPTH = {2: 5, 3: 3, 4: 3}
 
@@ -233,7 +239,7 @@ class TestSeededMerge:
         for chain in self.chains(110 + arity, arity, 150):
             table = chain[0].pairs
             for k, g in enumerate(chain[1:], 1):
-                table = _compose(table, g.pairs)
+                table = walk_table(table, g.pairs)
                 if k < len(chain) - 1:
                     families += len(merge_siblings(dict(table), arity)) < len(table)
             product = compose(*chain)
@@ -247,7 +253,7 @@ class TestSeededMerge:
         for chain in self.chains(120 + arity, arity, 60):
             table = chain[0].pairs
             for g in chain[1:]:
-                walked = _compose(table, g.pairs)
+                walked = walk_table(table, g.pairs)
                 assert walked == refine_table(table, g.pairs)
                 table = walked
 
@@ -328,16 +334,20 @@ class TestImage:
         c = C("[001,1]")
         assert g.inverse().image(g.image(c)) == c
 
-    def test_image_matches_pointwise_oracle(self):
-        rng = random.Random(7)
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_image_matches_pointwise_oracle(self, arity):
+        rng = random.Random(7 + arity)
+        max_depth = {2: 5, 3: 3, 4: 2}[arity]
         for _ in range(50):
-            g = random_element(rng)
-            c = random_clopen(rng, proper=False)
+            g = random_element(rng, arity, max_depth)
+            c = random_clopen(rng, arity, max_depth)   # proper: a partial antichain
             img = g.image(c)
-            # deep enough that every image word is longer than every code word
-            depth = (max(len(d) for d, _ in g.pairs)
-                     + max([len(w) for w in c.code + img.code] + [1]) + 1)
-            for w in all_words(2, depth):
+            # deep enough that every word is at least as long as every code
+            # word and domain word, and its image as every image word
+            shrink = max(len(d) - len(r) for d, r in g.pairs)
+            depth = max([len(w) for w in c.code] + [len(d) for d, _ in g.pairs]
+                        + [len(w) + shrink for w in img.code] + [1])
+            for w in all_words(arity, depth):
                 assert member(img.code, apply_pairs(g.pairs, w)) == member(c.code, w)
 
     def test_boolean_isomorphism(self):
