@@ -19,7 +19,7 @@ from .compression import (join_compression, min_cover_3, orbit_disjoint, transpo
 from .errors import (ArityMismatchError, ParseError, PreconditionError,
                      ToolkitError, VerificationError)
 from .literals import parse_clopen, parse_element
-from .prefixmap import sigma_swap
+from .prefixmap import compose, sigma_swap
 from .witnesses import (CommutatorWord, commutator_word_to_obj, dumps_certificate,
                         normal_word_to_obj, simple_witness_to_obj, verify_certificate)
 
@@ -65,29 +65,22 @@ def _read_commutator_word(path: str, arity: int, flag: str) -> CommutatorWord:
 
 
 def cmd_reduce(args):
-    g = parse_element(args.element, args.arity)
-    print(g)
+    print(args.element)
     return EXIT_OK
 
 
 def cmd_compose(args):
-    acc = parse_element(args.elements[0], args.arity)
-    for text in args.elements[1:]:
-        acc = acc * parse_element(text, args.arity)
-    print(acc)
+    print(compose(*args.elements))
     return EXIT_OK
 
 
 def cmd_sigma(args):
-    g = parse_element(args.element, args.arity)
-    region = parse_clopen(args.region, args.arity)
-    print(sigma_swap(g, region))
+    print(sigma_swap(args.element, args.region))
     return EXIT_OK
 
 
 def cmd_decompose2(args):
-    g = parse_element(args.element, args.arity)
-    dec = wit.decompose2(g)
+    dec = wit.decompose2(args.element)
     _emit(args,
           [f"s1 = {dec.s1}", f"support1 = {dec.support1}",
            f"s2 = {dec.s2}", f"support2 = {dec.support2}"],
@@ -97,17 +90,14 @@ def cmd_decompose2(args):
 
 
 def cmd_transporter(args):
-    src = parse_clopen(args.source, args.arity)
-    dst = parse_clopen(args.target, args.arity)
-    print(transporter(src, dst))
+    print(transporter(args.source, args.target))
     return EXIT_OK
 
 
 def cmd_wandering(args):
-    region = parse_clopen(args.region, args.arity)
-    g, z = wandering_witness(region)
+    g, z = wandering_witness(args.region)
     window = args.orbit_window
-    disjoint = orbit_disjoint(g, region, window)
+    disjoint = orbit_disjoint(g, args.region, window)
     _emit(args,
           [f"g = {g}", f"Z = {z}", f"disjoint(|n|<={window}) = {str(disjoint).lower()}"],
           {"g": str(g), "Z": str(z), "window": window, "disjoint": disjoint,
@@ -116,9 +106,7 @@ def cmd_wandering(args):
 
 
 def cmd_join_compress(args):
-    a = parse_clopen(args.part_a, args.arity)
-    b = parse_clopen(args.part_b, args.arity)
-    print(join_compression(a, b))
+    print(join_compression(args.part_a, args.part_b))
     return EXIT_OK
 
 
@@ -139,18 +127,7 @@ def _emit_certified(args, name: str, out: wit.Certified):
 
 
 def cmd_derived_conj(args):
-    g = parse_element(args.element, args.arity)
-    region = parse_clopen(args.region, args.arity)
-    return _emit_certified(args, "d", wit.derived_conjugator(g, region))
-
-
-def _parse_witness_args(args):
-    a = parse_element(args.a, args.arity)
-    ya = parse_clopen(args.ya, args.arity)
-    b = parse_element(args.b, args.arity)
-    yb = parse_clopen(args.yb, args.arity)
-    n = parse_element(args.n, args.arity)
-    return a, ya, b, yb, n
+    return _emit_certified(args, "d", wit.derived_conjugator(args.element, args.region))
 
 
 def _word_lines(word, value):
@@ -161,35 +138,27 @@ def _word_lines(word, value):
 
 
 def cmd_monolith(args):
-    a, ya, b, yb, n = _parse_witness_args(args)
-    word = wit.monolith_witness(a, ya, b, yb, n)
-    value = wit.commutator(a, b)  # the builder checked that the word evaluates to it
+    word = wit.monolith_witness(args.a, args.ya, args.b, args.yb, args.n)
+    value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
     _emit(args, _word_lines(word, value), normal_word_to_obj(word, target=value))
     return EXIT_OK
 
 
 def cmd_simple(args):
-    a, ya, b, yb, n = _parse_witness_args(args)
-    n_cert = _read_commutator_word(args.n_cert, args.arity, "--n-cert")
-    cert = wit.simple_witness(a, ya, b, yb, n, n_cert)
-    value = wit.commutator(a, b)  # the builder checked that the word evaluates to it
+    cert = wit.simple_witness(args.a, args.ya, args.b, args.yb, args.n, args.n_cert)
+    value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
     _emit(args, _word_lines(cert.word, value) + [f"conjugator_certs = {len(cert.certs)}"],
           simple_witness_to_obj(cert, target=value))
     return EXIT_OK
 
 
 def cmd_claim1(args):
-    ia = parse_clopen(args.ia, args.arity)
-    ib = parse_clopen(args.ib, args.arity)
-    ic = parse_clopen(args.ic, args.arity)
-    return _emit_certified(args, "e", wit.claim1_transporter(ia, ib, ic))
+    return _emit_certified(args, "e", wit.claim1_transporter(args.ia, args.ib, args.ic))
 
 
 def cmd_claim2(args):
-    g = parse_element(args.element, args.arity)
-    g_cert = _read_commutator_word(args.cert, args.arity, "--cert") if args.cert else None
     cover = min_cover_3(args.arity)
-    res = wit.claim2_factorization(g, cover, g_cert)
+    res = wit.claim2_factorization(args.element, cover, args.cert)
     lines = [f"s1 = {res.s1}", f"s2 = {res.s2}", f"s3 = {res.s3}",
              f"fixes = {','.join(str(i) for i in res.indices)}"]
     obj = {"s1": str(res.s1), "s2": str(res.s2), "s3": str(res.s3),
@@ -203,10 +172,8 @@ def cmd_claim2(args):
 
 
 def cmd_claim3(args):
-    g = parse_element(args.g, args.arity)
-    h = parse_element(args.h, args.arity)
     cover = min_cover_3(args.arity)
-    res = wit.claim3_witness(g, h, cover)
+    res = wit.claim3_witness(args.g, args.h, cover)
     lines = [f"c = {res.c}", f"IA = {res.ia}", f"IB = {res.ib}", f"IC = {res.ic}"]
     lines += [f"f{i} = {f}" for i, f in enumerate(res.f_table)]
     obj = {"c": str(res.c), "IA": str(res.ia), "IB": str(res.ib), "IC": str(res.ic),
@@ -216,9 +183,7 @@ def cmd_claim3(args):
 
 
 def cmd_chain(args):
-    ya = parse_clopen(args.ya, args.arity)
-    yb = parse_clopen(args.yb, args.arity)
-    g, h = wit.commuting_chain(ya, yb)
+    g, h = wit.commuting_chain(args.ya, args.yb)
     _emit(args, [f"g = {g}", f"h = {h}"],
           {"g": str(g), "h": str(h), "arity": args.arity})
     return EXIT_OK
@@ -251,6 +216,61 @@ def _non_negative(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
+# An argument is (name, reader, [add_argument options]).  The reader turns the
+# text into a value at the parsed --arity, or is None for a plain argument.
+_ORBIT_WINDOW = ("--orbit-window", None, {"type": _non_negative, "default": 8,
+                                          "help": "wandering disjointness check window"})
+_WITNESS_ARGS = (("a", parse_element), ("ya", parse_clopen), ("b", parse_element),
+                 ("yb", parse_clopen), ("n", parse_element))
+
+# Each subcommand once: name, handler, help, arguments.
+_COMMANDS = (
+    ("reduce", cmd_reduce, "canonical reduced form", (("element", parse_element),)),
+    ("compose", cmd_compose, "compose elements left to right",
+     (("elements", parse_element, {"nargs": "+"}),)),
+    ("sigma", cmd_sigma, "swap involution on a moved region",
+     (("element", parse_element), ("region", parse_clopen))),
+    ("decompose2", cmd_decompose2, "split into two rigidly supported factors",
+     (("element", parse_element),)),
+    ("transporter", cmd_transporter, "element carrying one clopen set inside another",
+     (("source", parse_clopen), ("target", parse_clopen))),
+    ("wandering", cmd_wandering, "element with pairwise disjoint powers of a region",
+     (("region", parse_clopen), _ORBIT_WINDOW)),
+    ("join-compress", cmd_join_compress, "map a disjoint union into its first part",
+     (("part_a", parse_clopen), ("part_b", parse_clopen))),
+    ("cover3", cmd_cover3, "minimal 3-cover with private witness sets", ()),
+    ("derived-conj", cmd_derived_conj, "commutator word matching g on a region",
+     (("element", parse_element), ("region", parse_clopen))),
+    ("monolith-witness", cmd_monolith, "normal word over n evaluating to [a,b]",
+     _WITNESS_ARGS),
+    ("simple-witness", cmd_simple, "monolith witness with certified conjugators",
+     (*_WITNESS_ARGS,
+      ("--n-cert", functools.partial(_read_commutator_word, flag="--n-cert"),
+       {"required": True,
+        "help": "path to a commutator_word certificate for n ('-' for stdin)"}))),
+    ("claim1", cmd_claim1, "single commutator mapping IA to IB fixing IC",
+     (("ia", parse_clopen), ("ib", parse_clopen), ("ic", parse_clopen))),
+    ("claim2", cmd_claim2, "three-factor factorization over the 3-cover",
+     (("element", parse_element),
+      # an empty path means no certificate
+      ("--cert", functools.partial(_read_commutator_word, flag="--cert"),
+       {"type": lambda path: path or None,
+        "help": "optional commutator_word certificate for g"}))),
+    ("claim3", cmd_claim3, "simultaneous fixing witness and transporter table",
+     (("g", parse_element), ("h", parse_element))),
+    ("chain", cmd_chain, "commuting chain between two support regions",
+     (("ya", parse_clopen), ("yb", parse_clopen))),
+    ("verify", cmd_verify, "re-check a certificate file",
+     (("certificate", None, {"help": "path to a JSON certificate ('-' for stdin)"}),)),
+    ("corpus", cmd_corpus, "run the seeded property suites",
+     (_ORBIT_WINDOW,
+      ("--seed", None, {"type": int, "default": 0, "help": "random seed"}),
+      ("--depth", None, {"type": int, "default": None,
+                         "help": "max tree depth for random generation (default: per suite)"}),
+      ("--quick", None, {"action": "store_true", "help": "scale case counts down 10x"}))),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
@@ -263,107 +283,15 @@ def build_parser() -> _Parser:
                         help=f"alphabet size, 2 to {len(ALPHABET)} (default 2)")
     common.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
-    window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--orbit-window", type=_non_negative, default=8,
-                        help="wandering disjointness check window")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", parents=[common], help="canonical reduced form")
-    p.add_argument("element")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("compose", parents=[common], help="compose elements left to right")
-    p.add_argument("elements", nargs="+")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("sigma", parents=[common], help="swap involution on a moved region")
-    p.add_argument("element")
-    p.add_argument("region")
-    p.set_defaults(func=cmd_sigma)
-
-    p = sub.add_parser("decompose2", parents=[common],
-                       help="split into two rigidly supported factors")
-    p.add_argument("element")
-    p.set_defaults(func=cmd_decompose2)
-
-    p = sub.add_parser("transporter", parents=[common],
-                       help="element carrying one clopen set inside another")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(func=cmd_transporter)
-
-    p = sub.add_parser("wandering", parents=[common, window],
-                       help="element with pairwise disjoint powers of a region")
-    p.add_argument("region")
-    p.set_defaults(func=cmd_wandering)
-
-    p = sub.add_parser("join-compress", parents=[common],
-                       help="map a disjoint union into its first part")
-    p.add_argument("part_a")
-    p.add_argument("part_b")
-    p.set_defaults(func=cmd_join_compress)
-
-    p = sub.add_parser("cover3", parents=[common],
-                       help="minimal 3-cover with private witness sets")
-    p.set_defaults(func=cmd_cover3)
-
-    p = sub.add_parser("derived-conj", parents=[common],
-                       help="commutator word matching g on a region")
-    p.add_argument("element")
-    p.add_argument("region")
-    p.set_defaults(func=cmd_derived_conj)
-
-    p = sub.add_parser("monolith-witness", parents=[common],
-                       help="normal word over n evaluating to [a,b]")
-    for name in ("a", "ya", "b", "yb", "n"):
-        p.add_argument(name)
-    p.set_defaults(func=cmd_monolith)
-
-    p = sub.add_parser("simple-witness", parents=[common],
-                       help="monolith witness with certified conjugators")
-    for name in ("a", "ya", "b", "yb", "n"):
-        p.add_argument(name)
-    p.add_argument("--n-cert", required=True,
-                   help="path to a commutator_word certificate for n ('-' for stdin)")
-    p.set_defaults(func=cmd_simple)
-
-    p = sub.add_parser("claim1", parents=[common],
-                       help="single commutator mapping IA to IB fixing IC")
-    p.add_argument("ia")
-    p.add_argument("ib")
-    p.add_argument("ic")
-    p.set_defaults(func=cmd_claim1)
-
-    p = sub.add_parser("claim2", parents=[common],
-                       help="three-factor factorization over the 3-cover")
-    p.add_argument("element")
-    p.add_argument("--cert", help="optional commutator_word certificate for g")
-    p.set_defaults(func=cmd_claim2)
-
-    p = sub.add_parser("claim3", parents=[common],
-                       help="simultaneous fixing witness and transporter table")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.set_defaults(func=cmd_claim3)
-
-    p = sub.add_parser("chain", parents=[common],
-                       help="commuting chain between two support regions")
-    p.add_argument("ya")
-    p.add_argument("yb")
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser("verify", parents=[common], help="re-check a certificate file")
-    p.add_argument("certificate", help="path to a JSON certificate ('-' for stdin)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("corpus", parents=[common, window],
-                       help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--depth", type=int, default=None,
-                   help="max tree depth for random generation (default: per suite)")
-    p.add_argument("--quick", action="store_true", help="scale case counts down 10x")
-    p.set_defaults(func=cmd_corpus)
-
+    for name, handler, help_text, arguments in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        literals = []
+        for arg, read, *options in arguments:
+            action = p.add_argument(arg, **dict(*options))
+            if read is not None:
+                literals.append((action.dest, read))
+        p.set_defaults(func=handler, literals=literals)
     return parser
 
 
@@ -371,6 +299,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # after parsing, so that an --arity given after a literal applies to it
+        for dest, read in args.literals:
+            value = getattr(args, dest)
+            if isinstance(value, list):
+                setattr(args, dest, [read(text, args.arity) for text in value])
+            elif value is not None:
+                setattr(args, dest, read(value, args.arity))
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -389,9 +324,5 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
 
-def main_entry():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -100,7 +100,10 @@ class ClopenSet:
 
     def disjoint(self, other: "ClopenSet") -> bool:
         self._check_same(other)
-        return not refine(dict(zip(self.code, self.code)), dict(zip(other.code, other.code)))
+        # both codes are antichains: if a word of one extends a word x of the
+        # other, the word right after x in lexicographic order does too
+        srt = sorted(self.code + other.code)
+        return not any(map(str.startswith, srt[1:], srt))
 
     def split_to_size(self, size: int) -> tuple[str, ...]:
         """Refine the canonical code into an antichain of exactly `size` words.

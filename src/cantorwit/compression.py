@@ -71,8 +71,8 @@ def wandering_witness(region: ClopenSet) -> tuple[PrefixMap, ClopenSet]:
         raise PreconditionError("wandering witness needs a proper non-empty region")
     g0, z0 = wandering_base(region.arity)
     f = transporter(region, z0)
-    g = compose(f.inverse(), g0, f)
-    return g, f.inverse().image(z0)
+    f_inv = f.inverse()
+    return compose(f_inv, g0, f), f_inv.image(z0)
 
 
 def orbit_disjoint(g: PrefixMap, region: ClopenSet, window: int) -> bool:

@@ -550,9 +550,11 @@ def _claim3_targets(g: PrefixMap, h: PrefixMap, k: int):
             ic = cylinder(wc, k)
             for wb in words:
                 ib = cylinder(wb, k)
-                if not ib.disjoint(ic) or not h.image(ib).disjoint(ic):
+                if not ib.disjoint(ic):
                     continue
                 hib = h.image(ib)
+                if not hib.disjoint(ic):
+                    continue
                 for wa in words:
                     ia = cylinder(wa, k)
                     if not ia.disjoint(ib) or not ia.disjoint(ic):

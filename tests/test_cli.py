@@ -109,6 +109,36 @@ class TestExitCodes:
         assert "_non_negative" not in err
 
 
+
+class TestLiteralArguments:
+    """Declared literals are read at the parsed --arity, left to right,
+    before the certificate files and before the subcommand runs."""
+
+    def test_read_at_arity_given_after_it(self, capsys):
+        code, out, err = run(capsys, "reduce", "{0->1,1->2,2->0}", "--arity", "3")
+        assert (code, out, err) == (cli.EXIT_OK, "{0->1,1->2,2->0}\n", "")
+
+    def test_malformed_third_compose_element(self, capsys):
+        code, out, err = run(capsys, "compose", "{0->1,1->0}", "{00->01,01->00,1->1}", "{0->1")
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err == "parse error: element literal must be braced like {0->1,1->0} (at position 0)\n"
+
+    def test_empty_literal_is_read(self, capsys):
+        code, out, err = run(capsys, "reduce", "")
+        assert code == cli.EXIT_PARSE and out == "" and err.startswith("parse error:")
+
+    def test_first_bad_literal_wins(self, capsys):
+        code, _, err = run(capsys, "sigma", "{0=>1}", "[2]")
+        assert code == cli.EXIT_PARSE and "missing '->'" in err
+
+    def test_literals_before_certificate_file(self, capsys):
+        code, out, err = run(capsys, "simple-witness", "{00->01,01->00,1->1}", "[0]",
+                             "{00->00,01->10,10->01,11->11}", "[01,1]", "{0->0",
+                             "--n-cert", "no-such-file.json")
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err.startswith("parse error: element literal")
+
+
 class TestSubcommands:
     def test_compose(self, capsys):
         code, out, _ = run(capsys, "compose", "{0->1,1->0}", "{0->1,1->0}")
@@ -281,6 +311,10 @@ class TestCertificateFlags:
                            "{00->01,01->10,10->00,11->11}", "--n-cert", str(path))
         assert code == cli.EXIT_PARSE
         assert err == "parse error: --n-cert must contain a commutator_word certificate\n"
+
+    def test_empty_cert_path_means_no_certificate(self, capsys):
+        code, out, _ = run(capsys, "claim2", "{00->01,01->00,10->11,11->10}", "--cert", "")
+        assert code == cli.EXIT_OK and "certs" not in out
 
 
 class TestSimpleWitnessCommand:

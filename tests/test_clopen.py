@@ -161,11 +161,18 @@ class TestComplement:
         alpha = "0123"[:arity]
         for _ in range(300):
             a = canonicalize(random_antichain(rng, alpha, 10), arity)
+            b = canonicalize(random_antichain(rng, alpha, 10), arity)
             comp = a.complement()
             assert canonicalize(comp.code, arity) == comp
-            depth = max([len(w) for w in a.code] + [1])
+            depth = max([len(w) for w in a.code + b.code] + [1])
+            meets = misses = False
             for w in all_words(arity, depth):
-                assert member(comp.code, w) != member(a.code, w), (a, w)
+                ina, inb = member(a.code, w), member(b.code, w)
+                assert member(comp.code, w) != ina, (a, w)
+                meets = meets or (ina and inb)
+                misses = misses or (ina and not inb)
+            assert a.disjoint(b) == (not meets), (a, b)
+            assert a.subset(b) == (not misses), (a, b)
 
 
 def antichain_pairs(rng, arity, count):
