@@ -88,8 +88,7 @@ class ClopenSet:
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check_same(other)
-        return canonicalize(refine(dict(zip(self.code, self.code)),
-                                   dict(zip(other.code, other.code))), self.arity)
+        return canonicalize(refine(code_view(self.code), code_view(other.code)), self.arity)
 
     def complement(self) -> "ClopenSet":
         return ClopenSet(tuple(lenlex_sorted(_complement_words(self.code, self.arity))),
@@ -173,16 +172,25 @@ def canonicalize(words: Iterable[str], arity: int = 2) -> ClopenSet:
     return ClopenSet(tuple(lenlex_sorted(merge_siblings({w: w for w in kept}, arity))), arity)
 
 
-def refine(xs: dict[str, str], ys: dict[str, str], seeds: list[str] | None = None,
-           outer_reduced: bool = True) -> dict[str, str]:
-    """The common refinement of two word tables: for each prefix-comparable
-    pair of keys x of `xs` and y of `ys`, with meet w = x·u = y·v, the
-    entry xs[x]·u -> ys[y]·v.  On two clopen codes (each the table mapping
-    its words to itself) the keys are the meets; the unreduced table of a
-    product g·h is the refinement of h's range-to-domain table and of g's
-    pair table (the outer table, reduced or not).
+def code_view(code: Iterable[str]) -> tuple[dict[str, str], list[str]]:
+    """The `refine` view of a clopen code: the table mapping each word to
+    itself, and the words in lexicographic order."""
+    table = dict(zip(code, code))
+    return table, sorted(table)
 
-    One merge walk over both key sets in lexicographic order, in which the
+
+def refine(xview: tuple[dict[str, str], list[str]], yview: tuple[dict[str, str], list[str]],
+           seeds: list[str] | None = None, outer_reduced: bool = True) -> dict[str, str]:
+    """The common refinement of two word tables, given as views (xs, xkeys)
+    and (ys, ykeys), each a table with its keys in lexicographic order: for
+    each prefix-comparable pair of keys x of `xs` and y of `ys`, with meet
+    w = x·u = y·v, the entry xs[x]·u -> ys[y]·v.  On two clopen codes
+    (`code_view`) the keys are the meets; the unreduced table of a product
+    g·h is the refinement of h's range-to-domain view and of g's domain
+    view (the outer table, reduced or not).  Neither view is sorted or
+    written here, so the callers pass views cached on the elements.
+
+    One merge walk over both key lists, in whose lexicographic order the
     words extending a word directly follow it.  Equal words give one entry
     and both advance.  Otherwise the shorter word gives one entry with each
     key of the other table that extends it: those keys are a run, the
@@ -209,7 +217,7 @@ def refine(xs: dict[str, str], ys: dict[str, str], seeds: list[str] | None = Non
     - x equal to y: seeds, as a full scan would.
 
     Merges cascade in `merge_siblings` as in a full scan."""
-    xkeys, ykeys = sorted(xs), sorted(ys)
+    (xs, xkeys), (ys, ykeys) = xview, yview
     nx, ny = len(xkeys), len(ykeys)
     record = seeds is not None
     seed_shorter = record and not outer_reduced

@@ -13,10 +13,11 @@ Composition is written like function application: (g * h)(x) = g(h(x)).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
-from .clopen import (ClopenSet, canonicalize, cylinder, check_word, merge_siblings, off_alphabet,
-                     refine, split_words)
+from .clopen import (ClopenSet, canonicalize, code_view, cylinder, check_word, merge_siblings,
+                     off_alphabet, refine, split_words)
 from .errors import ArityMismatchError, PreconditionError
 
 
@@ -26,6 +27,11 @@ class PrefixMap:
 
     Build instances through :meth:`from_pairs` (or the module helpers);
     the constructor trusts its arguments.
+
+    The views `refine` walks, and the inverse, are computed at most once
+    per instance and kept in its `__dict__`; equality, hashing and `repr`
+    stay on `pairs` and `arity`.  Nothing may write to a cached table or
+    key list.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -61,8 +67,31 @@ class PrefixMap:
         """Composition: (g * h)(x) = g(h(x))."""
         return compose(self, other)
 
+    @cached_property
+    def _domain(self) -> tuple[dict[str, str], list[str]]:
+        """The pair table and its keys (the domain words) in lexicographic
+        order: the outer side of a product in `refine`."""
+        table = dict(self.pairs)
+        return table, sorted(table)
+
+    @cached_property
+    def _range(self) -> tuple[dict[str, str], list[str]]:
+        """The range-to-domain table and its keys (the range words) in
+        lexicographic order: the inner side of a product in `refine`."""
+        table = {r: d for d, r in self.pairs}
+        return table, sorted(table)
+
     def inverse(self) -> "PrefixMap":
-        return PrefixMap(_sorted_pairs({r: d for d, r in self.pairs}), self.arity)
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PrefixMap":
+        """The inverse, linked both ways: its `_domain` is this element's
+        `_range`, and its inverse is this element."""
+        table, keys = view = self._range
+        inv = PrefixMap(_sorted_pairs(table, list(keys)), self.arity)
+        inv.__dict__.update(_domain=view, _inverse=self)
+        return inv
 
     def __pow__(self, n: int) -> "PrefixMap":
         """Repeated squaring: O(log |n|) compositions, none with the identity."""
@@ -87,7 +116,7 @@ class PrefixMap:
         """
         if self.arity != region.arity:
             raise ArityMismatchError("region arity differs from map arity")
-        return list(refine(dict(zip(region.code, region.code)), dict(self.pairs)).items())
+        return list(refine(code_view(region.code), self._domain).items())
 
     def image(self, region: ClopenSet) -> ClopenSet:
         return canonicalize([im for _, im in self.restrict(region)], self.arity)
@@ -169,31 +198,35 @@ def _fills_space(lengths, arity: int) -> bool:
 def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
     """first·rest[0]·rest[1]·…: the tables are composed unreduced left to
     right, each the common refinement (`refine`) of the inner factor's
-    range-to-domain table and the outer table, and the product is reduced
-    once, checking only the sibling families that the last composition can
-    have made (see `refine`)."""
+    cached range view and the outer view (`first`'s cached domain view,
+    then each intermediate table with its keys sorted), and the product is
+    reduced once, checking only the sibling families that the last
+    composition can have made (see `refine`).  The product keeps its
+    reduced table with the keys sorted as its domain view, so a product
+    that has it as its outer factor sorts nothing on that side."""
     if not rest:
         return first
-    table = dict(first.pairs)
+    view = first._domain
     for g in rest[:-1]:
         first._check_same(g)
-        table = refine({r: d for d, r in g.pairs}, table)
+        table = refine(g._range, view)
+        view = table, sorted(table)
     first._check_same(rest[-1])
     seeds: list[str] = []
-    table = refine({r: d for d, r in rest[-1].pairs}, table, seeds, outer_reduced=len(rest) == 1)
-    return PrefixMap(_reduce(table, first.arity, seeds), first.arity)
-
-
-def _reduce(table: dict[str, str], arity: int,
-            work: list[str] | None = None) -> tuple[tuple[str, str], ...]:
-    return _sorted_pairs(merge_siblings(table, arity, work))
+    table = refine(rest[-1]._range, view, seeds, outer_reduced=len(rest) == 1)
+    merge_siblings(table, first.arity, seeds)
+    lex = sorted(table)
+    product = PrefixMap(_sorted_pairs(table, lex.copy()), first.arity)
+    product.__dict__["_domain"] = table, lex
+    return product
 
 
 def _sorted_pairs(table: dict[str, str],
                   lex: list[str] | None = None) -> tuple[tuple[str, str], ...]:
     """The pairs in length-lexicographic order of domain word: a
     lexicographic sort, which `lex` (the domain words already in that
-    order) saves, then a stable sort by length."""
+    order) saves, then a stable sort by length, in place on `lex`: never
+    pass a cached key list."""
     words = sorted(table) if lex is None else lex
     words.sort(key=len)
     return tuple([(d, table[d]) for d in words])

@@ -265,7 +265,8 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified
     u = patch([(ya, transporter(ya, zsub)), (r1, t2.inverse())])
     d = lift(u, ya.union(r1))
     dinv = d.inverse()
-    h_cert = dinv * base.m * d
+    h_cert = Certified(compose(dinv.elem, base.m.elem, d.elem),    # reduced once
+                       dinv.word * base.m.word * d.word)
     h = h_cert.elem
     sh = dinv.elem.image(base.bound)
     a1 = compose(h, a, h.inverse())

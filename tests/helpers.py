@@ -13,17 +13,18 @@ versions that faster library paths are checked against:
 member; `commutator_three_reduce` and `normal_word_fold`, which reduce
 after every single composition; `split_words_resorting`, which sorts
 again after every split; `compose_full_scan`, the product through
-`refine_table` and a sibling merge that scans the whole table; and
+`refine_table` and a sibling merge that scans the whole table
+(`reduce_table`); and
 `parse_element_per_token`, the element parser that reads the literal
 token by token.
 """
 
 import itertools
 
-from cantorwit.clopen import letters
+from cantorwit.clopen import letters, merge_siblings
 from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError
 from cantorwit.literals import _parse_word, _strip
-from cantorwit.prefixmap import PrefixMap, _reduce, identity
+from cantorwit.prefixmap import PrefixMap, _sorted_pairs, identity
 from cantorwit.witnesses import commutator
 
 ALPHABET = "0123456789"
@@ -147,6 +148,11 @@ def split_words_resorting(words, size: int, arity: int) -> tuple:
     return tuple(out)
 
 
+def view(table: dict) -> tuple:
+    """A word table as `refine` takes it: with its keys sorted."""
+    return table, sorted(table)
+
+
 def refine_table(g_pairs, h_pairs) -> dict:
     """The unreduced table of g·h built from `refine_oracle` over h's range
     code and g's domain code."""
@@ -155,13 +161,19 @@ def refine_table(g_pairs, h_pairs) -> dict:
     return {h_inv[x] + w[len(x):]: g[y] + w[len(y):] for x, y, w in refine_oracle(h_inv, g)}
 
 
+def reduce_table(table, arity: int) -> tuple:
+    """The reduced pairs of a word table: the library's sibling merge
+    started from every piece, in place, then length-lexicographic order."""
+    return _sorted_pairs(merge_siblings(table, arity))
+
+
 def compose_full_scan(first, *rest):
     """first·rest[0]·…: `refine_table` left to right, then one sibling
     merge started from every piece of the whole table."""
     table = dict(first.pairs)
     for g in rest:
         table = refine_table(table, g.pairs)
-    return PrefixMap(_reduce(table, first.arity), first.arity)
+    return PrefixMap(reduce_table(table, first.arity), first.arity)
 
 
 def parse_element_per_token(text: str, arity: int = 2) -> PrefixMap:

@@ -29,3 +29,18 @@ def test_seed_entries_hold_both_runs_with_every_metric(path):
             run = entry[side]
             missing = [m for m in METRICS if not isinstance(run.get(m), (int, float))]
             assert not missing, (workload, key, side, missing)
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_digest_entries_state_equality_truly(path):
+    """Where a seed's digest entry holds both digests and an `equal` flag,
+    the flag says whether the two digests are the same.  Older records
+    state the digests in a sentence and hold no such entry."""
+    digests = json.loads(path.read_text()).get("digests_seeds_1_5")
+    if not isinstance(digests, dict):
+        return
+    entries = [entry for seeds in digests.values() if isinstance(seeds, dict)
+               for entry in seeds.values()
+               if isinstance(entry, dict) and {"parent", "change", "equal"} <= entry.keys()]
+    for entry in entries:
+        assert entry["equal"] == (entry["parent"] == entry["change"]), entry

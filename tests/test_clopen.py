@@ -9,7 +9,7 @@ from cantorwit.corpus import random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 
 from helpers import (all_words, apply_pairs, lenlex, member, refine_oracle,
-                     split_words_resorting)
+                     split_words_resorting, view)
 
 words2 = st.lists(st.text(alphabet="01", max_size=5), max_size=8)
 
@@ -205,7 +205,7 @@ class TestRefine:
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_codes_refine_to_their_meets(self, arity):
         for xs, ys in antichain_pairs(random.Random(80 + arity), arity, 400):
-            walked = refine(identity_table(xs), identity_table(ys))
+            walked = refine(view(identity_table(xs)), view(identity_table(ys)))
             assert walked == identity_table(w for _, _, w in refine_oracle(xs, ys)), (xs, ys)
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
@@ -213,7 +213,7 @@ class TestRefine:
         rng = random.Random(90 + arity)
         for xs, _ in antichain_pairs(rng, arity, 200):
             g = random_element(rng, arity, {2: 5, 3: 3, 4: 3}[arity])
-            walked = refine(identity_table(xs), dict(g.pairs))
+            walked = refine(view(identity_table(xs)), view(dict(g.pairs)))
             dom = [d for d, _ in g.pairs]
             assert walked == {w: apply_pairs(g.pairs, w)
                               for _, _, w in refine_oracle(xs, dom)}, (xs, g)

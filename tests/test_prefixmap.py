@@ -9,11 +9,12 @@ from cantorwit.clopen import canonicalize, cylinder, merge_siblings, refine, who
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _reduce, compose, identity,
-                                 patch, sigma_swap)
+from cantorwit.prefixmap import (PrefixMap, _check_complete_code, compose, identity, patch,
+                                 sigma_swap)
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
-                     maps_equal, member, merge_siblings_worklist, refine_table)
+                     maps_equal, member, merge_siblings_worklist, reduce_table, refine_table,
+                     view)
 
 E = parse_element
 C = parse_clopen
@@ -27,7 +28,7 @@ def seeded_elements(seed, count, **kw):
 def walk_table(g_pairs, h_pairs) -> dict:
     """The unreduced table of g·h through the library walk, as `compose`
     builds it: h's range-to-domain table refined with g's pair table."""
-    return refine({r: d for d, r in h_pairs}, dict(g_pairs))
+    return refine(view({r: d for d, r in h_pairs}), view(dict(g_pairs)))
 
 
 class TestReduce:
@@ -183,14 +184,14 @@ class TestMergeSiblings:
     def test_reduced_tables_are_reduced_elements(self, arity):
         tables = word_tables(70 + arity, arity, 200)
         for table in tables[0::4] + tables[1::4]:   # complete codes on both sides
-            pairs = _reduce(dict(table), arity)
+            pairs = reduce_table(dict(table), arity)
             assert PrefixMap.from_pairs(pairs, arity).pairs == pairs
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_orders_are_lenlex(self, arity):
         for table in word_tables(80 + arity, arity, 200):
             merged = merge_siblings_worklist(dict(table), arity)
-            assert _reduce(dict(table), arity) == tuple(
+            assert reduce_table(dict(table), arity) == tuple(
                 sorted(merged.items(), key=lambda pr: lenlex(pr[0])))
             assert canonicalize(table, arity).code == tuple(
                 sorted(merge_siblings_worklist({w: w for w in table}, arity), key=lenlex))
@@ -256,6 +257,93 @@ class TestSeededMerge:
                 walked = walk_table(table, g.pairs)
                 assert walked == refine_table(table, g.pairs)
                 table = walked
+
+
+def warmed(g):
+    """g with both cached views and its inverse computed."""
+    g._domain, g._range, g.inverse()
+    return g
+
+
+def assert_cache_matches_pairs(g):
+    """Every view cached on g equals one recomputed from its pairs, and a
+    cached inverse is the inverse of the pairs, linked back to g."""
+    fresh = PrefixMap(g.pairs, g.arity)
+    for name in ("_domain", "_range"):
+        if name in g.__dict__:
+            assert g.__dict__[name] == getattr(fresh, name), (name, g)
+    if "_inverse" in g.__dict__:
+        inv = g.__dict__["_inverse"]
+        assert inv == fresh.inverse() and inv.inverse() is g, g
+
+
+class TestCachedViews:
+    """The views and the inverse kept on each element change neither its
+    value nor its identity as a value, and no later operation writes to
+    them."""
+
+    DEPTH = {2: 5, 3: 3, 4: 3}
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_warmed_element_equals_fresh(self, arity):
+        els = seeded_elements(130 + arity, 40, arity=arity, max_depth=self.DEPTH[arity])
+        for g in els + [f * g for f, g in zip(els, els[1:])]:
+            fresh = PrefixMap(g.pairs, g.arity)
+            warmed(g)
+            assert g == fresh and fresh == g
+            assert hash(g) == hash(fresh)
+            assert repr(g) == repr(fresh) and str(g) == str(fresh)
+            assert g.inverse() == fresh.inverse() and hash(g.inverse()) == hash(fresh.inverse())
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_views_survive_a_chain_of_operations(self, arity):
+        rng = random.Random(140 + arity)
+        pool = seeded_elements(140 + arity, 12, arity=arity, max_depth=self.DEPTH[arity])
+        for _ in range(300):
+            op = rng.randrange(5)
+            g = rng.choice(pool)
+            if op == 0:
+                pool.append(g * rng.choice(pool))
+            elif op == 1:
+                pool.append(g.inverse())
+            elif op == 2:
+                pool.append(g ** rng.choice([-3, -2, -1, 2, 3]))
+            elif op == 3:
+                g.restrict(random_clopen(rng, arity, self.DEPTH[arity]))
+            else:
+                g.image(random_clopen(rng, arity, self.DEPTH[arity]))
+            if len(pool) > 40:
+                pool = rng.sample(pool, 20)
+        checked = set()
+        for g in pool:
+            for h in (g, g.inverse()):
+                assert_cache_matches_pairs(h)
+                checked.update(n for n in ("_domain", "_range") if n in h.__dict__)
+        assert checked == {"_domain", "_range"}
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_inverse_of_fresh_element_pointwise(self, arity):
+        depth = self.DEPTH[arity]
+        words = all_words(arity, depth + 1)
+        for g in seeded_elements(150 + arity, 40, arity=arity, max_depth=depth):
+            inv = PrefixMap(g.pairs, g.arity).inverse()
+            longest = max(len(w) for pair in g.pairs for w in pair)
+            for w in words:
+                w += "0" * longest
+                assert apply_pairs(inv.pairs, apply_pairs(g.pairs, w)) == w
+                assert apply_pairs(g.pairs, apply_pairs(inv.pairs, w)) == w
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_products_of_warmed_factors_match_full_scan(self, arity):
+        els = [warmed(g) for g in
+               seeded_elements(160 + arity, 40, arity=arity, max_depth=self.DEPTH[arity])]
+        acc = els[0]
+        for k, (f, g, h) in enumerate(zip(els, els[1:], els[2:]), 2):
+            assert f * g == compose_full_scan(f, g)
+            assert compose(f, g.inverse(), h) == compose_full_scan(f, g.inverse(), h)
+            acc = warmed(acc * g)
+            assert acc == compose_full_scan(*els[:k])
+            assert_cache_matches_pairs(acc)
 
 
 class TestComposeInvert:
