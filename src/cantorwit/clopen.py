@@ -104,20 +104,6 @@ class ClopenSet:
         srt = sorted(self.code + other.code)
         return not any(map(str.startswith, srt[1:], srt))
 
-    def split_to_size(self, size: int) -> tuple[str, ...]:
-        """Refine the canonical code into an antichain of exactly `size` words.
-
-        Each refinement step replaces one word by its arity-many children, so
-        reachable sizes are |code| + t*(arity-1); anything else is rejected.
-        """
-        n = len(self.code)
-        if n == 0:
-            raise PreconditionError("cannot split the empty set")
-        if size < n or (size - n) % (self.arity - 1) != 0:
-            raise PreconditionError(
-                f"infeasible size: {size} not reachable from {n} words with arity {self.arity}")
-        return split_words(self.code, size, self.arity)
-
 
 def _complement_words(code: tuple[str, ...], arity: int) -> list[str]:
     # code is a canonical antichain: its complement is every child p·c of a
@@ -134,14 +120,15 @@ def _complement_words(code: tuple[str, ...], arity: int) -> list[str]:
 
 def split_words(words: Iterable[str], size: int, arity: int) -> tuple[str, ...]:
     """Refine an antichain to exactly `size` words, splitting the
-    length-lexicographically last word at each step.
+    length-lexicographically last word at each step; an empty antichain
+    stays empty.
 
     The list stays sorted without re-sorting: the popped word is the
     longest, so its children are longer than every word left, and they
     are appended in alphabet order."""
     out = lenlex_sorted(words)
     alpha = letters(arity)
-    while len(out) < size:
+    while out and len(out) < size:
         w = out.pop()
         out.extend(w + c for c in alpha)
     if len(out) != size:

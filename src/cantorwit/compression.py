@@ -185,15 +185,3 @@ def two_disjoint_cylinders(region: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
         return cylinder(region.code[0], k), cylinder(region.code[1], k)
     w = region.code[0]
     return cylinder(w + "0", k), cylinder(w + "1", k)
-
-
-__all__ = [
-    "transporter",
-    "wandering_base",
-    "wandering_witness",
-    "orbit_disjoint",
-    "join_compression",
-    "TriCover",
-    "min_cover_3",
-    "two_disjoint_cylinders",
-]

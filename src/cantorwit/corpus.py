@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import witnesses as wit
-from .clopen import ClopenSet, canonicalize, letters, whole_space
+from .clopen import ClopenSet, canonicalize, letters, split_words, whole_space
 from .compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
                           wandering_witness)
 from .prefixmap import PrefixMap, identity
@@ -82,7 +82,7 @@ def random_rist_element(rng: random.Random, region: ClopenSet, max_depth: int = 
     """A random element supported inside `region` (fixing its complement)."""
     for _ in range(200):
         size = len(region.code) + rng.randint(1, 3) * (region.arity - 1)
-        dom = list(region.split_to_size(size))
+        dom = list(split_words(region.code, size, region.arity))
         ran = list(dom)
         rng.shuffle(ran)
         pairs = list(zip(dom, ran))

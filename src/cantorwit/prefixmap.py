@@ -51,7 +51,7 @@ class PrefixMap:
         dom = _check_complete_code([d for d, _ in plist], arity, "domain")
         _check_complete_code([r for _, r in plist], arity, "range")
         table = merge_siblings(dict(plist), arity)
-        return cls(_sorted_pairs(table, dom if len(table) == len(dom) else None), arity)
+        return _element(table, dom if len(table) == len(dom) else sorted(table), arity)
 
     def __str__(self) -> str:
         return "{" + ",".join(f"{d if d else 'e'}->{r if r else 'e'}" for d, r in self.pairs) + "}"
@@ -88,21 +88,19 @@ class PrefixMap:
     def _inverse(self) -> "PrefixMap":
         """The inverse, linked both ways: its `_domain` is this element's
         `_range`, and its inverse is this element."""
-        table, keys = view = self._range
-        inv = PrefixMap(_sorted_pairs(table, list(keys)), self.arity)
-        inv.__dict__.update(_domain=view, _inverse=self)
+        inv = _element(*self._range, self.arity)
+        inv.__dict__["_inverse"] = self
         return inv
 
     def __pow__(self, n: int) -> "PrefixMap":
-        """Repeated squaring: O(log |n|) compositions, none with the identity."""
-        if n == 0:
-            return identity(self.arity)
-        base = self if n > 0 else self.inverse()
+        """Repeated squaring: O(log |n|) compositions; the product starts
+        from the identity, which `compose` drops."""
+        base = self if n >= 0 else self.inverse()
         n = abs(n)
-        acc = None
+        acc = identity(self.arity)
         while n:
             if n & 1:
-                acc = base if acc is None else acc * base
+                acc = acc * base
             n >>= 1
             if n:
                 base = base * base
@@ -203,33 +201,34 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
     reduced once, checking only the sibling families that the last
     composition can have made (see `refine`).  The product keeps its
     reduced table with the keys sorted as its domain view, so a product
-    that has it as its outer factor sorts nothing on that side."""
-    if not rest:
-        return first
-    view = first._domain
-    for g in rest[:-1]:
+    that has it as its outer factor sorts nothing on that side.
+
+    The identity is the neutral factor: once every factor's arity is
+    checked, identity factors are dropped, so a lone remaining factor is
+    returned itself, and `first` when all of them are identities."""
+    for g in rest:
         first._check_same(g)
+    factors = [g for g in (first, *rest) if not g.is_identity()]
+    if len(factors) < 2:
+        return factors[0] if factors else first
+    view = factors[0]._domain
+    for g in factors[1:-1]:
         table = refine(g._range, view)
         view = table, sorted(table)
-    first._check_same(rest[-1])
     seeds: list[str] = []
-    table = refine(rest[-1]._range, view, seeds, outer_reduced=len(rest) == 1)
+    table = refine(factors[-1]._range, view, seeds, outer_reduced=len(factors) == 2)
     merge_siblings(table, first.arity, seeds)
-    lex = sorted(table)
-    product = PrefixMap(_sorted_pairs(table, lex.copy()), first.arity)
-    product.__dict__["_domain"] = table, lex
-    return product
+    return _element(table, sorted(table), first.arity)
 
 
-def _sorted_pairs(table: dict[str, str],
-                  lex: list[str] | None = None) -> tuple[tuple[str, str], ...]:
-    """The pairs in length-lexicographic order of domain word: a
-    lexicographic sort, which `lex` (the domain words already in that
-    order) saves, then a stable sort by length, in place on `lex`: never
-    pass a cached key list."""
-    words = sorted(table) if lex is None else lex
-    words.sort(key=len)
-    return tuple([(d, table[d]) for d in words])
+def _element(table: dict[str, str], lex: list[str], arity: int) -> PrefixMap:
+    """The element with the reduced pair table `table`, whose keys `lex`
+    holds in lexicographic order: its pairs in length-lexicographic order
+    of domain word (a stable sort of a copy of `lex` by length), and
+    `(table, lex)` as its cached `_domain`, which nothing may write to."""
+    element = PrefixMap(tuple([(d, table[d]) for d in sorted(lex, key=len)]), arity)
+    element.__dict__["_domain"] = table, lex
+    return element
 
 
 def matched_pairs(dom_words, ran_words, arity: int) -> list[tuple[str, str]]:

@@ -44,14 +44,13 @@ class NormalWord:
             raise PreconditionError("letter exponents must be the integers +1 or -1")
 
     def evaluate(self) -> PrefixMap:
-        """The product, reduced once per letter (see `compose`); the first
-        letter starts it."""
-        acc = None
+        """The product, reduced once per letter (see `compose`, which drops
+        the identity it starts from)."""
+        acc = identity(self.base.arity)
         power = {1: self.base, -1: self.base.inverse()}
         for conj, exp in self.letters:
-            factors = (conj, power[exp], conj.inverse())
-            acc = compose(*factors) if acc is None else compose(acc, *factors)
-        return identity(self.base.arity) if acc is None else acc
+            acc = compose(acc, conj, power[exp], conj.inverse())
+        return acc
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,12 @@ class CommutatorWord:
         """The product of the factors.  A memo shared by several words
         computes each distinct commutator [x, y] and each distinct step
         prefix·[x, y] once; its keys are the maps themselves (compared by
-        value), so equal but distinct objects share entries.  The first
-        commutator starts the product."""
+        value), so equal but distinct objects share entries.  The product
+        starts from the identity, which `compose` drops after checking
+        each factor's arity against the word's."""
         if memo is None:
             memo = {}
-        acc = None
+        acc = identity(self.arity)
         for x, y in self.factors:
             step = (acc, x, y)
             nxt = memo.get(step)
@@ -78,12 +78,8 @@ class CommutatorWord:
                 comm = memo.get((x, y))
                 if comm is None:
                     comm = memo[(x, y)] = commutator(x, y)
-                nxt = memo[step] = comm if acc is None else acc * comm
+                nxt = memo[step] = acc * comm
             acc = nxt
-        if acc is None:
-            return identity(self.arity)
-        if acc.arity != self.arity:
-            raise ArityMismatchError(f"mixed arities {self.arity} and {acc.arity}")
         return acc
 
     def __mul__(self, other: "CommutatorWord") -> "CommutatorWord":
@@ -169,8 +165,6 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet) -> Certified:
     current = region
     built: list[tuple[PrefixMap, PrefixMap]] = []
     for s, bound in ((dec.s2, dec.support2), (dec.s1, dec.support1)):
-        if s.is_identity():
-            continue
         h = transporter(bound, current.complement())
         built.append((s, h))
         current = s.image(current)

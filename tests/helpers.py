@@ -21,10 +21,10 @@ token by token.
 
 import itertools
 
-from cantorwit.clopen import letters, merge_siblings
+from cantorwit.clopen import lenlex_sorted, letters, merge_siblings
 from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError
 from cantorwit.literals import _parse_word, _strip
-from cantorwit.prefixmap import PrefixMap, _sorted_pairs, identity
+from cantorwit.prefixmap import PrefixMap, identity
 from cantorwit.witnesses import commutator
 
 ALPHABET = "0123456789"
@@ -164,7 +164,8 @@ def refine_table(g_pairs, h_pairs) -> dict:
 def reduce_table(table, arity: int) -> tuple:
     """The reduced pairs of a word table: the library's sibling merge
     started from every piece, in place, then length-lexicographic order."""
-    return _sorted_pairs(merge_siblings(table, arity))
+    table = merge_siblings(table, arity)
+    return tuple([(d, table[d]) for d in lenlex_sorted(table)])
 
 
 def compose_full_scan(first, *rest):

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from pathlib import Path
@@ -101,6 +102,22 @@ class TestExitCodes:
     ])
     def test_rejected_options(self, capsys, argv):
         assert run(capsys, *argv)[0] == cli.EXIT_USAGE
+
+    def test_claim1_infeasible_completion(self, capsys):
+        code, out, err = run(capsys, "claim1", "--arity", "3", "[0]", "[10,11]", "[2]")
+        assert code == cli.EXIT_PRECONDITION and out == ""
+        assert "infeasible completion: 1 vs 2 words, arity 3" in err
+
+    def test_claim1_equal_sets_meeting_the_fixed_set(self, capsys):
+        code, out, err = run(capsys, "claim1", "[0]", "[0]", "[01]")
+        assert code == cli.EXIT_PRECONDITION and out == ""
+        assert "pairwise disjoint" in err
+
+    def test_monolith_witness_whole_space_support(self, capsys):
+        code, out, err = run(capsys, "monolith-witness", "{0->1,1->0}", "[e]",
+                             "{0->1,1->0}", "[1]", "{0->1,1->0}")
+        assert code == cli.EXIT_PRECONDITION and out == ""
+        assert "support region of a must be proper and non-empty" in err
 
     def test_orbit_window_message_names_no_private_function(self, capsys):
         code, _, err = run(capsys, "wandering", "[01]", "--orbit-window", "x")
@@ -447,6 +464,11 @@ class TestFuzzing:
         path = tmp_path / "fz.json"
         path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         assert run(capsys, "verify", str(path))[0] == cli.EXIT_PARSE
+
+    def test_certificate_read_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"kind":"commutator_word","factors":[],"target":"{e->e}"}'))
+        assert run(capsys, "verify", "-")[0] == cli.EXIT_OK
 
     def test_trivial_certificate_verifies(self, capsys, tmp_path):
         path = tmp_path / "triv.json"

@@ -221,18 +221,23 @@ class TestRefine:
 
 class TestSplitToSize:
     def test_identity_split(self):
-        assert codes("0").split_to_size(1) == ("0",)
+        assert split_words(["0"], 1, 2) == ("0",)
 
     def test_three_way(self):
-        assert codes("0").split_to_size(3) == ("00", "010", "011")
+        assert split_words(["0"], 3, 2) == ("00", "010", "011")
 
     def test_infeasible_arity3(self):
         with pytest.raises(PreconditionError):
-            canonicalize({"0"}, arity=3).split_to_size(2)
+            split_words(["0"], 2, 3)
 
     def test_too_small(self):
         with pytest.raises(PreconditionError):
-            codes("0", "10").split_to_size(1)
+            split_words(["0", "10"], 1, 2)
+
+    def test_empty_antichain(self):
+        with pytest.raises(PreconditionError):
+            split_words([], 1, 2)
+        assert split_words([], 0, 2) == ()
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_result_stays_lenlex_sorted(self, arity):
@@ -251,6 +256,6 @@ class TestSplitToSize:
         c = canonicalize(ws)
         if c.is_empty():
             return
-        refined = c.split_to_size(len(c.code) + extra)
+        refined = split_words(c.code, len(c.code) + extra, 2)
         assert canonicalize(refined) == c
         assert len(refined) == len(c.code) + extra

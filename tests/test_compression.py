@@ -3,8 +3,8 @@ import random
 import pytest
 
 from cantorwit.clopen import canonicalize, whole_space
-from cantorwit.compression import (join_compression, min_cover_3, transporter,
-                                   wandering_base, wandering_witness)
+from cantorwit.compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
+                                   two_disjoint_cylinders, wandering_base, wandering_witness)
 from cantorwit.corpus import random_clopen
 from cantorwit.errors import PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
@@ -83,6 +83,10 @@ class TestWandering:
         with pytest.raises(PreconditionError):
             wandering_witness(whole_space())
 
+    def test_swap_orbit_is_not_disjoint(self):
+        # the swap's powers g^-2, ..., g^2 send [0] to [0] and [1] in turn
+        assert orbit_disjoint(E("{0->1,1->0}"), C("[0]"), 2) is False
+
     def test_random_disjointness(self):
         rng = random.Random(22)
         for _ in range(50):
@@ -132,6 +136,15 @@ class TestJoinCompression:
     def test_overlap_rejected(self):
         with pytest.raises(PreconditionError):
             join_compression(C("[0]"), C("[01]"))
+
+    def test_empty_part_rejected(self):
+        for parts in ((C("[]"), C("[01]")), (C("[00]"), C("[]"))):
+            with pytest.raises(PreconditionError, match="non-empty parts"):
+                join_compression(*parts)
+
+    def test_no_spare_cylinders_in_the_empty_set(self):
+        with pytest.raises(PreconditionError):
+            two_disjoint_cylinders(C("[]"))
 
     def test_random_postcondition(self):
         rng = random.Random(23)

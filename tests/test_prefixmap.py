@@ -9,8 +9,9 @@ from cantorwit.clopen import canonicalize, cylinder, merge_siblings, refine, who
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import (PrefixMap, _check_complete_code, compose, identity, patch,
-                                 sigma_swap)
+from cantorwit.prefixmap import (PrefixMap, _check_complete_code, compose, identity,
+                                 onto_transporter, patch, sigma_swap)
+from cantorwit.witnesses import CommutatorWord, NormalWord
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
                      maps_equal, member, merge_siblings_worklist, reduce_table, refine_table,
@@ -32,6 +33,10 @@ def walk_table(g_pairs, h_pairs) -> dict:
 
 
 class TestReduce:
+    def test_empty_pair_list(self):
+        with pytest.raises(PreconditionError, match="at least one pair"):
+            PrefixMap.from_pairs([])
+
     def test_identity_reduction(self):
         assert E("{00->00,01->01,1->1}") == identity()
 
@@ -345,6 +350,58 @@ class TestCachedViews:
             assert acc == compose_full_scan(*els[:k])
             assert_cache_matches_pairs(acc)
 
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_fresh_elements_carry_their_domain(self, arity):
+        # parsed literals, pairs whose sibling families merge, and inverses
+        letters = "0123"[:arity]
+        for g in seeded_elements(170 + arity, 40, arity=arity, max_depth=self.DEPTH[arity]):
+            split = [(d + c, r + c) for d, r in g.pairs for c in letters]
+            for fresh in (parse_element(str(g), arity), PrefixMap.from_pairs(split, arity),
+                          PrefixMap(g.pairs, arity).inverse()):
+                assert "_domain" in fresh.__dict__
+                assert_cache_matches_pairs(fresh)
+                assert fresh in (g, g.inverse())
+
+
+class TestIdentityFactors:
+    """`compose` checks every factor's arity, then drops identity factors."""
+
+    @staticmethod
+    def moving(arity, seed):
+        return [g for g in seeded_elements(seed, 8, arity=arity, max_depth=3)
+                if not g.is_identity()]
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_identity_factors_drop_out(self, arity):
+        e = identity(arity)
+        for g in self.moving(arity, 190 + arity):
+            for factors in ((e, g), (g, e), (e, g, e), (e, e, g), (g, e, e), (g,)):
+                assert compose(*factors) is g
+            assert e * g is g and g * e is g
+            assert compose(e, identity(arity)) is e and compose(e) is e
+        for f, g in zip(self.moving(arity, 200 + arity), self.moving(arity, 210 + arity)):
+            assert compose(e, f, e, g, e) == compose(f, g) == compose_full_scan(f, g)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_mixed_arities_raise_with_an_identity_anywhere(self, arity):
+        other = 2 if arity > 2 else 3
+        e, x = identity(arity), identity(other)
+        g = self.moving(arity, 220 + arity)[0]
+        for factors in ((g, x), (x, g), (e, x), (x, e), (g, e, x), (x, e, g), (e, x, e)):
+            with pytest.raises(ArityMismatchError,
+                               match=f"mixed arities {factors[0].arity} and"):
+                compose(*factors)
+        with pytest.raises(ArityMismatchError):
+            NormalWord(g, ((x, 1),)).evaluate()
+        with pytest.raises(ArityMismatchError, match=f"mixed arities {arity} and {other}"):
+            CommutatorWord(((x, x),), arity).evaluate()
+
+    def test_empty_words_evaluate_to_the_identity(self):
+        base = parse_element("{0->1,1->2,2->0}", 3)
+        for word in (CommutatorWord((), 3), NormalWord(base)):
+            value = word.evaluate()
+            assert value == identity(3) and value.arity == 3
+
 
 class TestComposeInvert:
     def test_identity_neutral(self):
@@ -394,16 +451,21 @@ class TestComposeInvert:
         g = random_element(random.Random(seed))
         assert g ** 3 == g * g * g
         assert g ** -2 == (g * g).inverse()
-        for arity in (2, 3):
+        for arity in (2, 3, 4):
             g = random_element(random.Random(seed), arity=arity)
             forward = backward = identity(arity)
             for n in range(10):
                 # forward and backward are the n-fold products of g and g^-1
                 assert g ** n == forward and g ** -n == backward
+                assert identity(arity) ** n == identity(arity) == identity(arity) ** -n
                 forward, backward = forward * g, backward * g.inverse()
 
 
 class TestImage:
+    def test_region_of_another_arity_rejected(self):
+        with pytest.raises(ArityMismatchError):
+            E("{0->1,1->0}").restrict(parse_clopen("[0]", 3))
+
     def test_identity_image(self):
         assert identity().image(C("[01]")) == C("[01]")
 
@@ -524,6 +586,16 @@ class TestSigmaSwap:
 
 
 class TestPatch:
+    def test_no_constraint_rejected(self):
+        with pytest.raises(PreconditionError):
+            patch([])
+
+    def test_mixed_arities_rejected(self):
+        with pytest.raises(ArityMismatchError):
+            patch([(C("[0]"), identity()), (C("[1]"), identity(3))])
+        with pytest.raises(ArityMismatchError):
+            patch([(parse_clopen("[0]", 3), identity())])
+
     def test_single_identity_constraint(self):
         b = patch([(C("[0]"), identity())])
         assert (identity().inverse() * b).fixes_pointwise(C("[0]"))
@@ -557,6 +629,18 @@ class TestPatch:
             region = random_clopen(rng)
             b = patch([(region, g)])
             assert (g.inverse() * b).fixes_pointwise(region)
+
+
+class TestOntoTransporter:
+    def test_mixed_arities_rejected(self):
+        with pytest.raises(ArityMismatchError):
+            onto_transporter(C("[0]"), parse_clopen("[0]", 3))
+
+    def test_empty_onto_non_empty_rejected(self):
+        with pytest.raises(PreconditionError):
+            onto_transporter(C("[]"), C("[0]"))
+        with pytest.raises(PreconditionError):
+            onto_transporter(C("[0]"), C("[]"))
 
 
 class TestLiteralRoundTrip:

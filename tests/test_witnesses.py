@@ -247,6 +247,7 @@ class TestDecompose2:
             assert dec.support1.is_proper() and dec.support2.is_proper()
             assert dec.s1.in_rist(dec.support1)
             assert dec.s2.in_rist(dec.support2)
+            assert not dec.s1.is_identity() and not dec.s2.is_identity()
 
 
 class TestDerivedConjugator:
@@ -321,6 +322,11 @@ class TestShiftIdentity:
     def test_unsupported_rejected(self):
         with pytest.raises(PreconditionError):
             shift_identity_check(E(SWAP), identity(), C("[0]"))
+
+    @pytest.mark.parametrize("region", ["[]", "[e]"])
+    def test_improper_region_rejected(self, region):
+        with pytest.raises(PreconditionError, match="proper"):
+            shift_identity_check(identity(), identity(), C(region))
 
     def test_random_cases(self):
         rng = random.Random(36)
