@@ -167,15 +167,15 @@ def code_view(code: Iterable[str]) -> tuple[dict[str, str], list[str]]:
 
 
 def refine(xview: tuple[dict[str, str], list[str]], yview: tuple[dict[str, str], list[str]],
-           seeds: list[str] | None = None, outer_reduced: bool = True) -> dict[str, str]:
+           seeds: list[str] | None = None) -> dict[str, str]:
     """The common refinement of two word tables, given as views (xs, xkeys)
     and (ys, ykeys), each a table with its keys in lexicographic order: for
     each prefix-comparable pair of keys x of `xs` and y of `ys`, with meet
     w = x·u = y·v, the entry xs[x]·u -> ys[y]·v.  On two clopen codes
     (`code_view`) the keys are the meets; the unreduced table of a product
-    g·h is the refinement of h's range-to-domain view and of g's domain
-    view (the outer table, reduced or not).  Neither view is sorted or
-    written here, so the callers pass views cached on the elements.
+    g·h of two reduced elements is the refinement of h's range-to-domain
+    view and of g's domain view.  Neither view is sorted or written here,
+    so the callers pass views cached on the elements.
 
     One merge walk over both key lists, in whose lexicographic order the
     words extending a word directly follow it.  Equal words give one entry
@@ -189,25 +189,24 @@ def refine(xview: tuple[dict[str, str], list[str]], yview: tuple[dict[str, str],
     With a `seeds` list, the parents p of the product's pieces that may
     start a full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) are appended
     to it, for `merge_siblings`.  The family is checked from its piece
-    p0 -> q0, so only pieces whose words both end in 0 seed.  By kind of
-    the piece p0 -> q0, with x a range word of h and y a domain word of g:
+    p0 -> q0, so only pieces whose words both end in 0 seed, and of those
+    only the pieces on equal words x = y, with x a range word of h and y a
+    domain word of g, as a full scan would: a family on unequal words would
+    be a family of one reduced factor.  The two cases are symmetric:
 
-    - x longer than y (x = y·u): never seeds.  q0 extends g's range word
-      g[y] by u, so [q] lies in g's cylinder [g[y]], and every sibling
-      p·c is a domain word of h (a shorter one would be a prefix of p0).
-      Pulling [q·c] back through that one pair of g shows that h maps
-      p·c -> x'·c for one word x': a full family of h, which is reduced.
-    - x shorter than y (y = x·u): seeds only when g is an unreduced
-      intermediate (`outer_reduced` false).  Every sibling then comes
-      through the one pair of h at x, and every q·c is a range word of g,
-      so g maps y'·c -> q·c for one word y': a full family of g.
-    - x equal to y: seeds, as a full scan would.
+    - x longer than y (x = y·u): q0 extends g's range word g[y] by u, so
+      [q] lies in g's cylinder [g[y]], and every sibling p·c is a domain
+      word of h (a shorter one would be a prefix of p0).  Pulling [q·c]
+      back through that one pair of g shows that h maps p·c -> x'·c for
+      one word x': a full family of h.
+    - x shorter than y (y = x·u): every sibling comes through the one pair
+      of h at x, and every q·c is a range word of g, so g maps y'·c -> q·c
+      for one word y': a full family of g.
 
     Merges cascade in `merge_siblings` as in a full scan."""
     (xs, xkeys), (ys, ykeys) = xview, yview
     nx, ny = len(xkeys), len(ykeys)
     record = seeds is not None
-    seed_shorter = record and not outer_reduced
     table = {}
     i = j = 0
     while i < nx and j < ny:
@@ -230,9 +229,7 @@ def refine(xview: tuple[dict[str, str], list[str]], yview: tuple[dict[str, str],
             end = bisect_left(ykeys, x + _AFTER, j)
             d, n = xs[x], len(x)
             for y in ykeys[j:end]:
-                r = table[d + y[n:]] = ys[y]
-                if seed_shorter and y[-1] == "0" and r[-1:] == "0":
-                    seeds.append(d + y[n:-1])
+                table[d + y[n:]] = ys[y]
             j = end
             i += 1
         elif x < y:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .clopen import ClopenSet, canonicalize, cylinder, letters, split_words
 from .errors import ArityMismatchError, PreconditionError
-from .prefixmap import PrefixMap, compose, identity, matched_pairs, sigma_swap
+from .prefixmap import PrefixMap, compose, identity, onto_transporter, sigma_swap
 
 
 def transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
@@ -20,8 +20,9 @@ def transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
 
     The target is carved out of dst's code: split it until at least
     |code(src)| words are available (one more than that if dst is the whole
-    space, so the image never exhausts it), map src's code onto the first
-    words order-wise and complete length-lexicographically.
+    space, so the image never exhausts it) and map src onto the first
+    |code(src)| words with `onto_transporter`, which pairs src's code with
+    those words order-wise and completes length-lexicographically.
     """
     if src.arity != dst.arity:
         raise ArityMismatchError(f"mixed arities {src.arity} and {dst.arity}")
@@ -37,11 +38,7 @@ def transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
     m = len(dst.code)
     if m < need:
         m += -(-(need - m) // (k - 1)) * (k - 1)
-    target_words = split_words(dst.code, m, k)[:n_src]
-    target = canonicalize(target_words, k)
-    pairs = list(zip(src.code, target_words))
-    pairs += matched_pairs(src.complement().code, target.complement().code, k)
-    return PrefixMap.from_pairs(pairs, k)
+    return onto_transporter(src, canonicalize(split_words(dst.code, m, k)[:n_src], k))
 
 
 def wandering_base(arity: int = 2) -> tuple[PrefixMap, ClopenSet]:

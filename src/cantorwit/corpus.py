@@ -77,9 +77,9 @@ def random_clopen(rng: random.Random, arity: int = 2, max_depth: int = 5,
     raise RuntimeError("failed to generate a clopen set")
 
 
-def random_rist_element(rng: random.Random, region: ClopenSet, max_depth: int = 8,
-                        nontrivial: bool = True) -> PrefixMap:
-    """A random element supported inside `region` (fixing its complement)."""
+def random_rist_element(rng: random.Random, region: ClopenSet) -> PrefixMap:
+    """A random non-identity element supported inside `region` (fixing its
+    complement)."""
     for _ in range(200):
         size = len(region.code) + rng.randint(1, 3) * (region.arity - 1)
         dom = list(split_words(region.code, size, region.arity))
@@ -88,16 +88,15 @@ def random_rist_element(rng: random.Random, region: ClopenSet, max_depth: int = 
         pairs = list(zip(dom, ran))
         pairs += [(w, w) for w in region.complement().code]
         g = PrefixMap.from_pairs(pairs, region.arity)
-        if not nontrivial or not g.is_identity():
+        if not g.is_identity():
             return g
     raise RuntimeError("failed to generate a supported element")
 
 
-def random_witness_input(rng: random.Random, arity: int = 2, full_union: bool = False,
-                         nontrivial_commutator: bool = True):
+def random_witness_input(rng: random.Random, arity: int = 2, full_union: bool = False):
     """(a, ya, b, yb) with each element supported in its proper region;
-    when full_union is set the regions cover the whole space.  By default
-    regeneration continues until [a, b] is non-trivial, so witness
+    when full_union is set the regions cover the whole space.
+    Regeneration continues until [a, b] is non-trivial, so witness
     constructions exercise their interesting branches."""
     while True:
         ya = random_clopen(rng, arity)
@@ -112,12 +111,11 @@ def random_witness_input(rng: random.Random, arity: int = 2, full_union: bool = 
             yb = random_clopen(rng, arity)
             if ya.union(yb).is_full():
                 continue
-        overlap = ya.intersect(yb)
-        if nontrivial_commutator and overlap.is_empty():
+        if ya.intersect(yb).is_empty():
             continue
         a = random_rist_element(rng, ya)
         b = random_rist_element(rng, yb)
-        if nontrivial_commutator and commutator(a, b).is_identity():
+        if commutator(a, b).is_identity():
             continue
         return a, ya, b, yb
 

@@ -194,14 +194,15 @@ def _fills_space(lengths, arity: int) -> bool:
 
 
 def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
-    """first·rest[0]·rest[1]·…: the tables are composed unreduced left to
-    right, each the common refinement (`refine`) of the inner factor's
-    cached range view and the outer view (`first`'s cached domain view,
-    then each intermediate table with its keys sorted), and the product is
-    reduced once, checking only the sibling families that the last
-    composition can have made (see `refine`).  The product keeps its
-    reduced table with the keys sorted as its domain view, so a product
-    that has it as its outer factor sorts nothing on that side.
+    """first·rest[0]·rest[1]·…, reduced step by step from the left: each
+    step is the common refinement (`refine`) of the next factor's cached
+    range view and the reduced product so far (`first`'s cached domain
+    view, then each step's table with its keys sorted), and its sibling
+    families are merged from the seeds that `refine` recorded.  Both
+    tables of every step are reduced, so only pieces on equal words can
+    start a family (see `refine`).  The product keeps its reduced table
+    with the keys sorted as its domain view, so a product that has it as
+    its outer factor sorts nothing on that side.
 
     The identity is the neutral factor: once every factor's arity is
     checked, identity factors are dropped, so a lone remaining factor is
@@ -212,13 +213,11 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
     if len(factors) < 2:
         return factors[0] if factors else first
     view = factors[0]._domain
-    for g in factors[1:-1]:
-        table = refine(g._range, view)
+    for g in factors[1:]:
+        seeds: list[str] = []
+        table = merge_siblings(refine(g._range, view, seeds), first.arity, seeds)
         view = table, sorted(table)
-    seeds: list[str] = []
-    table = refine(factors[-1]._range, view, seeds, outer_reduced=len(factors) == 2)
-    merge_siblings(table, first.arity, seeds)
-    return _element(table, sorted(table), first.arity)
+    return _element(*view, first.arity)
 
 
 def _element(table: dict[str, str], lex: list[str], arity: int) -> PrefixMap:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .clopen import ClopenSet, canonicalize, cylinder, letters, whole_space
+from .clopen import ClopenSet, canonicalize, cylinder, empty_set, letters, whole_space
 from .compression import transporter, two_disjoint_cylinders, wandering_witness
 from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
 from .literals import parse_element
@@ -44,7 +44,7 @@ class NormalWord:
             raise PreconditionError("letter exponents must be the integers +1 or -1")
 
     def evaluate(self) -> PrefixMap:
-        """The product, reduced once per letter (see `compose`, which drops
+        """The product, one `compose` per letter (see `compose`, which drops
         the identity it starts from)."""
         acc = identity(self.base.arity)
         power = {1: self.base, -1: self.base.inverse()}
@@ -93,7 +93,7 @@ class CommutatorWord:
 
 
 def commutator(x: PrefixMap, y: PrefixMap) -> PrefixMap:
-    """[x, y] = x·y·x^-1·y^-1, reduced once (see `compose`)."""
+    """[x, y] = x·y·x^-1·y^-1, as one `compose`."""
     return compose(x, y, x.inverse(), y.inverse())
 
 
@@ -259,7 +259,7 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified
     u = patch([(ya, transporter(ya, zsub)), (r1, t2.inverse())])
     d = lift(u, ya.union(r1))
     dinv = d.inverse()
-    h_cert = Certified(compose(dinv.elem, base.m.elem, d.elem),    # reduced once
+    h_cert = Certified(compose(dinv.elem, base.m.elem, d.elem),    # one compose
                        dinv.word * base.m.word * d.word)
     h = h_cert.elem
     sh = dinv.elem.image(base.bound)
@@ -404,8 +404,9 @@ def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
 def claim1_transporter(ia: ClopenSet, ib: ClopenSet, ic: ClopenSet
                        ) -> Certified:
     """A single commutator e = [c, d] with e(ia) = ib and e fixing ic
-    pointwise; c swaps ia and ib (so it fixes ic pointwise too) and d is a
-    certified transporter moving ia ∪ ib into the free region."""
+    pointwise: the certified patch of `onto_transporter(ia, ib)` on ia with
+    no spare room, so c swaps ia and ib (and fixes ic pointwise too) and d
+    is a certified transporter moving ia ∪ ib into the free region."""
     if ia.is_empty() or ib.is_empty() or ic.is_empty():
         raise PreconditionError("regions must be non-empty")
     free = ia.union(ib).union(ic).complement()
@@ -419,11 +420,7 @@ def claim1_transporter(ia: ClopenSet, ib: ClopenSet, ic: ClopenSet
     for x, y in ((ia, ib), (ia, ic), (ib, ic)):
         if not x.disjoint(y):
             raise PreconditionError("regions must be pairwise disjoint")
-    phi = onto_transporter(ia, ib)
-    c = patch([(ia, phi), (ib, phi.inverse())])
-    u = transporter(ia.union(ib), free)
-    d = derived_conjugator(u, ia.union(ib)).elem
-    return Certified.from_word(CommutatorWord(((c, d),), ia.arity))
+    return _certified_patch(ia, onto_transporter(ia, ib), empty_set(ia.arity), free)
 
 
 def _certified_patch(region: ClopenSet, action: PrefixMap, spare: ClopenSet,

@@ -14,18 +14,22 @@ member; `commutator_three_reduce` and `normal_word_fold`, which reduce
 after every single composition; `split_words_resorting`, which sorts
 again after every split; `compose_full_scan`, the product through
 `refine_table` and a sibling merge that scans the whole table
-(`reduce_table`); and
+(`reduce_table`);
 `parse_element_per_token`, the element parser that reads the literal
-token by token.
+token by token; and two constructions built directly where the library
+goes through shared code: `transporter_zip`, whose pairing zips the
+source code with the split target words, and `claim1_swap_patch`, which
+patches the swap of the two regions without `_certified_patch`.
 """
 
 import itertools
 
-from cantorwit.clopen import lenlex_sorted, letters, merge_siblings
+from cantorwit.clopen import canonicalize, lenlex_sorted, letters, merge_siblings, split_words
+from cantorwit.compression import transporter
 from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError
 from cantorwit.literals import _parse_word, _strip
-from cantorwit.prefixmap import PrefixMap, identity
-from cantorwit.witnesses import commutator
+from cantorwit.prefixmap import PrefixMap, identity, matched_pairs, onto_transporter, patch
+from cantorwit.witnesses import Certified, CommutatorWord, commutator, derived_conjugator
 
 ALPHABET = "0123456789"
 
@@ -198,3 +202,44 @@ def parse_element_per_token(text: str, arity: int = 2) -> PrefixMap:
         return PrefixMap.from_pairs(pairs, arity)
     except (PreconditionError, ArityMismatchError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def transporter_zip(src, dst):
+    """`compression.transporter` for a proper `src` and a non-empty `dst`,
+    with its own pairing: src's code zipped with the first words of dst's
+    split code, then `matched_pairs` over the two complements."""
+    k = src.arity
+    n_src = len(src.code)
+    need = n_src + 1 if dst.is_full() else n_src
+    m = len(dst.code)
+    if m < need:
+        m += -(-(need - m) // (k - 1)) * (k - 1)
+    target_words = split_words(dst.code, m, k)[:n_src]
+    target = canonicalize(target_words, k)
+    pairs = list(zip(src.code, target_words))
+    pairs += matched_pairs(src.complement().code, target.complement().code, k)
+    return PrefixMap.from_pairs(pairs, k)
+
+
+def claim1_swap_patch(ia, ib, ic):
+    """`witnesses.claim1_transporter` with its preconditions, built
+    directly: c patches phi = onto_transporter(ia, ib) on ia and phi^-1 on
+    ib, d is the certified transporter moving ia ∪ ib into the free
+    region, and the certificate is the one commutator [c, d]."""
+    if ia.is_empty() or ib.is_empty() or ic.is_empty():
+        raise PreconditionError("regions must be non-empty")
+    free = ia.union(ib).union(ic).complement()
+    if free.is_empty():
+        raise PreconditionError("the three regions must not cover the space")
+    if ia == ib:
+        if not ia.disjoint(ic):
+            raise PreconditionError("regions must be pairwise disjoint")
+        return Certified.from_word(CommutatorWord((), ia.arity))
+    for x, y in ((ia, ib), (ia, ic), (ib, ic)):
+        if not x.disjoint(y):
+            raise PreconditionError("regions must be pairwise disjoint")
+    phi = onto_transporter(ia, ib)
+    c = patch([(ia, phi), (ib, phi.inverse())])
+    u = transporter(ia.union(ib), free)
+    d = derived_conjugator(u, ia.union(ib)).elem
+    return Certified.from_word(CommutatorWord(((c, d),), ia.arity))

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import canonicalize, cylinder, empty_set, refine, split_words, whole_space
+from cantorwit.clopen import (canonicalize, cylinder, empty_set, merge_siblings, refine,
+                              split_words, whole_space)
 from cantorwit.corpus import random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 
-from helpers import (all_words, apply_pairs, lenlex, member, refine_oracle,
-                     split_words_resorting, view)
+from helpers import (all_words, apply_pairs, lenlex, member, merge_siblings_worklist,
+                     refine_oracle, split_words_resorting, view)
 
 words2 = st.lists(st.text(alphabet="01", max_size=5), max_size=8)
 
@@ -217,6 +218,24 @@ class TestRefine:
             dom = [d for d, _ in g.pairs]
             assert walked == {w: apply_pairs(g.pairs, w)
                               for _, _, w in refine_oracle(xs, dom)}, (xs, g)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_seeded_merge_of_reduced_views(self, arity):
+        """On the views of two reduced elements g and h the merge from the
+        seeds of equal-word pieces reduces the table of g·h as a merge
+        started from every piece does."""
+        rng = random.Random(240 + arity)
+        depth = {2: 5, 3: 3, 4: 3, 5: 2}[arity]
+        merged = 0
+        for _ in range(300):
+            g, h = (random_element(rng, arity, depth) for _ in range(2))
+            h = rng.choice([h, g.inverse(), g.inverse() * h])
+            seeds = []
+            table = refine(view({r: d for d, r in h.pairs}), view(dict(g.pairs)), seeds)
+            full = merge_siblings_worklist(dict(table), arity)
+            merged += len(full) < len(table)
+            assert merge_siblings(table, arity, seeds) == full, (g, h)
+        assert merged >= 50
 
 
 class TestSplitToSize:

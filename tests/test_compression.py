@@ -9,6 +9,8 @@ from cantorwit.corpus import random_clopen
 from cantorwit.errors import PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
 
+from helpers import transporter_zip
+
 C = parse_clopen
 E = parse_element
 
@@ -51,6 +53,22 @@ class TestTransporter:
         y = canonicalize({"0", "1"}, 3)
         o = canonicalize({"22"}, 3)
         assert transporter(y, o).image(y).subset(o)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_matches_zip_oracle(self, arity):
+        """The completion through `onto_transporter` against the zipped
+        pairing, also when the target words are the whole split code of
+        dst and so merge back to it."""
+        rng = random.Random(220 + arity)
+        depth = {2: 5, 3: 3, 4: 3}[arity]
+        merged = 0
+        for _ in range(400):
+            src = random_clopen(rng, arity, depth)
+            dst = rng.choice([random_clopen(rng, arity, depth), whole_space(arity)])
+            h = transporter(src, dst)
+            assert h == transporter_zip(src, dst), (src, dst)
+            merged += len(src.code) > len(dst.code) and h.image(src) == dst
+        assert merged
 
 
 class TestWandering:

@@ -172,7 +172,7 @@ def word_tables(seed, arity, count):
 
 
 class TestMergeSiblings:
-    """The once-per-family sibling merge, the single-reduce product and
+    """The once-per-family sibling merge, the step-reduced product and
     the two-sort orders against the plain versions they replace."""
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
@@ -224,7 +224,8 @@ class TestSeededMerge:
     def chains(cls, seed, arity, count):
         """Random chains of 2-5 factors, chains g·g^-1 that collapse to the
         identity, and chains whose unreduced intermediates hold full
-        sibling families (a prefix that cancels, then more factors)."""
+        sibling families (a prefix that cancels, then more factors), which
+        the merge of an intermediate step reduces."""
         rng = random.Random(seed)
         pool = seeded_elements(seed, 40, arity=arity, max_depth=cls.DEPTH[arity])
         for i in range(count):

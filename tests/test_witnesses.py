@@ -1,12 +1,14 @@
 import json
 import random
+import re
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from cantorwit.clopen import canonicalize
 from cantorwit.compression import join_compression, min_cover_3, transporter
-from cantorwit.corpus import (random_clopen, random_element, random_rist_element,
+from cantorwit.corpus import (random_clopen, random_code, random_element, random_rist_element,
                               random_witness_input)
 from cantorwit.errors import ArityMismatchError, PreconditionError, VerificationError
 from cantorwit.literals import parse_clopen, parse_element
@@ -18,7 +20,8 @@ from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWi
                                  derived_conjugator, monolith_witness,
                                  shift_identity_check, simple_witness,
                                  simple_witness_to_obj)
-from helpers import commutator_fold, commutator_three_reduce, normal_word_fold
+from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
+                     normal_word_fold)
 
 C = parse_clopen
 E = parse_element
@@ -484,6 +487,36 @@ class TestClaim1:
             assert e.image(ia) == ib
             assert e.in_rist(ic.complement())
             done += 1
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_matches_swap_patch_oracle(self, arity):
+        """The certified patch against the swap patched directly: on
+        disjoint triples cut from a random code with room left over, and,
+        with one region replaced by a random set, on the precondition
+        failures (above arity 2 also on word counts no completion can
+        match)."""
+        rng = random.Random(230 + arity)
+        depth = {2: 4, 3: 2, 4: 2}[arity]
+        built = refused = 0
+        while built + refused < 40:
+            code = random_code(rng, arity, depth)
+            if len(code) < 4:
+                continue
+            rng.shuffle(code)
+            cuts = [0] + sorted(rng.sample(range(1, len(code)), 3))
+            regions = [canonicalize(code[a:b], arity) for a, b in zip(cuts, cuts[1:])]
+            if rng.random() < 0.25:
+                regions[rng.randrange(3)] = random_clopen(rng, arity, depth)
+            try:
+                want = claim1_swap_patch(*regions)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                    claim1_transporter(*regions)
+                refused += 1
+                continue
+            assert claim1_transporter(*regions) == want, regions
+            built += 1
+        assert built >= 10 and refused >= 5
 
 
 class TestClaim2:
