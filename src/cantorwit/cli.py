@@ -14,8 +14,8 @@ import sys
 from . import corpus as corpus_mod
 from . import witnesses as wit
 from .clopen import ALPHABET
-from .compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
-                          wandering_witness)
+from .compression import (ORBIT_WINDOW, join_compression, min_cover_3, orbit_disjoint,
+                          transporter, wandering_witness)
 from .errors import (ArityMismatchError, ParseError, PreconditionError,
                      ToolkitError, VerificationError)
 from .literals import parse_clopen, parse_element
@@ -197,13 +197,14 @@ def cmd_verify(args):
 
 
 def cmd_corpus(args):
-    results = corpus_mod.run_all(seed=args.seed, arity=args.arity,
-                                 window=args.orbit_window,
-                                 scale=10 if args.quick else 1, depth=args.depth)
-    for res in results:
+    ok = True
+    for index in range(len(corpus_mod.SUITES)):
+        res = corpus_mod.run_suite(index, args.seed + index, args.arity,
+                                   10 if args.quick else 1)
         print(res.line())
         print(f"  ({res.name}: {res.seconds:.2f}s)", file=sys.stderr)
-    return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
+        ok = ok and res.ok
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _non_negative(text: str) -> int:
@@ -218,8 +219,7 @@ def _non_negative(text: str) -> int:
 
 # An argument is (name, reader, [add_argument options]).  The reader turns the
 # text into a value at the parsed --arity, or is None for a plain argument.
-_ORBIT_WINDOW = ("--orbit-window", None, {"type": _non_negative, "default": 8,
-                                          "help": "wandering disjointness check window"})
+_JSON = ("--json", None, {"action": "store_true", "help": "emit JSON instead of text"})
 _WITNESS_ARGS = (("a", parse_element), ("ya", parse_clopen), ("b", parse_element),
                  ("yb", parse_clopen), ("n", parse_element))
 
@@ -231,42 +231,41 @@ _COMMANDS = (
     ("sigma", cmd_sigma, "swap involution on a moved region",
      (("element", parse_element), ("region", parse_clopen))),
     ("decompose2", cmd_decompose2, "split into two rigidly supported factors",
-     (("element", parse_element),)),
+     (("element", parse_element), _JSON)),
     ("transporter", cmd_transporter, "element carrying one clopen set inside another",
      (("source", parse_clopen), ("target", parse_clopen))),
     ("wandering", cmd_wandering, "element with pairwise disjoint powers of a region",
-     (("region", parse_clopen), _ORBIT_WINDOW)),
+     (("region", parse_clopen), _JSON,
+      ("--orbit-window", None, {"type": _non_negative, "default": ORBIT_WINDOW,
+                                "help": "wandering disjointness check window"}))),
     ("join-compress", cmd_join_compress, "map a disjoint union into its first part",
      (("part_a", parse_clopen), ("part_b", parse_clopen))),
-    ("cover3", cmd_cover3, "minimal 3-cover with private witness sets", ()),
+    ("cover3", cmd_cover3, "minimal 3-cover with private witness sets", (_JSON,)),
     ("derived-conj", cmd_derived_conj, "commutator word matching g on a region",
-     (("element", parse_element), ("region", parse_clopen))),
+     (("element", parse_element), ("region", parse_clopen), _JSON)),
     ("monolith-witness", cmd_monolith, "normal word over n evaluating to [a,b]",
-     _WITNESS_ARGS),
+     (*_WITNESS_ARGS, _JSON)),
     ("simple-witness", cmd_simple, "monolith witness with certified conjugators",
-     (*_WITNESS_ARGS,
+     (*_WITNESS_ARGS, _JSON,
       ("--n-cert", functools.partial(_read_commutator_word, flag="--n-cert"),
        {"required": True,
         "help": "path to a commutator_word certificate for n ('-' for stdin)"}))),
     ("claim1", cmd_claim1, "single commutator mapping IA to IB fixing IC",
-     (("ia", parse_clopen), ("ib", parse_clopen), ("ic", parse_clopen))),
+     (("ia", parse_clopen), ("ib", parse_clopen), ("ic", parse_clopen), _JSON)),
     ("claim2", cmd_claim2, "three-factor factorization over the 3-cover",
-     (("element", parse_element),
+     (("element", parse_element), _JSON,
       # an empty path means no certificate
       ("--cert", functools.partial(_read_commutator_word, flag="--cert"),
        {"type": lambda path: path or None,
         "help": "optional commutator_word certificate for g"}))),
     ("claim3", cmd_claim3, "simultaneous fixing witness and transporter table",
-     (("g", parse_element), ("h", parse_element))),
+     (("g", parse_element), ("h", parse_element), _JSON)),
     ("chain", cmd_chain, "commuting chain between two support regions",
-     (("ya", parse_clopen), ("yb", parse_clopen))),
+     (("ya", parse_clopen), ("yb", parse_clopen), _JSON)),
     ("verify", cmd_verify, "re-check a certificate file",
      (("certificate", None, {"help": "path to a JSON certificate ('-' for stdin)"}),)),
     ("corpus", cmd_corpus, "run the seeded property suites",
-     (_ORBIT_WINDOW,
-      ("--seed", None, {"type": int, "default": 0, "help": "random seed"}),
-      ("--depth", None, {"type": int, "default": None,
-                         "help": "max tree depth for random generation (default: per suite)"}),
+     (("--seed", None, {"type": int, "default": 0, "help": "random seed"}),
       ("--quick", None, {"action": "store_true", "help": "scale case counts down 10x"}))),
 )
 
@@ -281,8 +280,6 @@ def build_parser() -> _Parser:
     common.add_argument("--arity", type=int, default=2, metavar="K",
                         choices=range(2, len(ALPHABET) + 1),
                         help=f"alphabet size, 2 to {len(ALPHABET)} (default 2)")
-    common.add_argument("--json", action="store_true",
-                        help="emit JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, arguments in _COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)

@@ -72,6 +72,10 @@ def wandering_witness(region: ClopenSet) -> tuple[PrefixMap, ClopenSet]:
     return compose(f_inv, g0, f), f_inv.image(z0)
 
 
+# The window that `wandering` checks by default and the corpus always checks.
+ORBIT_WINDOW = 8
+
+
 def orbit_disjoint(g: PrefixMap, region: ClopenSet, window: int) -> bool:
     """True iff the images g^m(region), |m| <= window, are pairwise
     disjoint; the orbit is stepped one multiplication per power."""

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import witnesses as wit
 from .clopen import ClopenSet, canonicalize, letters, split_words, whole_space
-from .compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
-                          wandering_witness)
+from .compression import (ORBIT_WINDOW, join_compression, min_cover_3, orbit_disjoint,
+                          transporter, wandering_witness)
 from .prefixmap import PrefixMap, identity
 from .witnesses import CommutatorWord, commutator
 
@@ -142,20 +142,13 @@ class SuiteResult:
         return f"{status} {self.name}: {self.cases - self.failures}/{self.cases} cases"
 
 
-def _run(name, *batches) -> SuiteResult:
-    """Run each batch (cases, check) in turn; check(i) gets the index of the
-    case within its batch and returns whether the case passed."""
-    start = time.monotonic()
-    cases = failures = 0
-    for count, check in batches:
-        cases += count
-        failures += sum(1 for i in range(count) if not check(i))
-    return SuiteResult(name, cases, failures, time.monotonic() - start)
+# A check builder takes (rng, arity, *counts) and returns its batches
+# (count, check) in run order; check(i) gets the index of the case within
+# its batch and returns whether the case passed.
 
 
-def suite_group_laws(seed: int = 0, cases: int = 500, arity: int = 2,
-                     depth: int = 6) -> SuiteResult:
-    rng = random.Random(seed)
+def _group_laws(rng, arity, cases):
+    depth = 6
     pool = [random_element(rng, arity, depth) for _ in range(max(cases, 3))]
     ident = identity(arity)
 
@@ -173,12 +166,11 @@ def suite_group_laws(seed: int = 0, cases: int = 500, arity: int = 2,
                 refined.append((d, r))
         return PrefixMap.from_pairs(refined, arity) == g
 
-    return _run("group laws", (cases, check))
+    return ((cases, check),)
 
 
-def suite_sigma_decompose(seed: int = 1, cases: int = 500, arity: int = 2,
-                          depth: int = 6) -> SuiteResult:
-    rng = random.Random(seed)
+def _sigma_decompose(rng, arity, cases):
+    depth = 6
     ident = identity(arity)
 
     def check(_i):
@@ -193,13 +185,11 @@ def suite_sigma_decompose(seed: int = 1, cases: int = 500, arity: int = 2,
             return False
         return dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2)
 
-    return _run("sigma/decompose2", (cases, check))
+    return ((cases, check),)
 
 
-def suite_compression(seed: int = 2, transporter_cases: int = 1000,
-                      wandering_cases: int = 200, join_cases: int = 200,
-                      arity: int = 2, depth: int = 5, window: int = 8) -> SuiteResult:
-    rng = random.Random(seed)
+def _compression(rng, arity, transporter_cases, wandering_cases, join_cases):
+    depth = 5
 
     def check_transporter(_i):
         y = random_clopen(rng, arity, depth, proper=rng.random() < 0.9)
@@ -212,7 +202,7 @@ def suite_compression(seed: int = 2, transporter_cases: int = 1000,
     def check_wandering(_i):
         y = random_clopen(rng, arity, depth)
         g, z = wandering_witness(y)
-        return y.subset(z) and orbit_disjoint(g, y, window)
+        return y.subset(z) and orbit_disjoint(g, y, ORBIT_WINDOW)
 
     def check_join(_i):
         while True:
@@ -225,13 +215,12 @@ def suite_compression(seed: int = 2, transporter_cases: int = 1000,
         g = join_compression(y, z)
         return g.image(y.union(z)).subset(y)
 
-    return _run("compression", (transporter_cases, check_transporter),
-                (wandering_cases, check_wandering), (join_cases, check_join))
+    return ((transporter_cases, check_transporter), (wandering_cases, check_wandering),
+            (join_cases, check_join))
 
 
-def suite_commutator_identity(seed: int = 3, cases: int = 200, arity: int = 2,
-                              depth: int = 5) -> SuiteResult:
-    rng = random.Random(seed)
+def _commutator_identity(rng, arity, cases):
+    depth = 5
 
     def check(_i):
         y = random_clopen(rng, arity, depth)
@@ -240,12 +229,11 @@ def suite_commutator_identity(seed: int = 3, cases: int = 200, arity: int = 2,
         _g, ok = wit.shift_identity_check(a, b, y)
         return ok
 
-    return _run("commutator identity", (cases, check))
+    return ((cases, check),)
 
 
-def suite_monolith(seed: int = 4, cases: int = 200, arity: int = 2,
-                   depth: int = 4) -> SuiteResult:
-    rng = random.Random(seed)
+def _monolith(rng, arity, cases):
+    depth = 4
 
     def check(i):
         a, ya, b, yb = random_witness_input(rng, arity, full_union=i % 2 == 1)
@@ -255,12 +243,11 @@ def suite_monolith(seed: int = 4, cases: int = 200, arity: int = 2,
             return False
         return word.evaluate() == commutator(a, b)
 
-    return _run("monolith witness", (cases, check))
+    return ((cases, check),)
 
 
-def suite_derived_conjugator(seed: int = 5, cases: int = 300, arity: int = 2,
-                             depth: int = 5) -> SuiteResult:
-    rng = random.Random(seed)
+def _derived_conjugator(rng, arity, cases):
+    depth = 5
 
     def check(_i):
         g = random_element(rng, arity, depth)
@@ -272,12 +259,11 @@ def suite_derived_conjugator(seed: int = 5, cases: int = 300, arity: int = 2,
             return False
         return d.image(w) == g.image(w)
 
-    return _run("derived conjugator", (cases, check))
+    return ((cases, check),)
 
 
-def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200,
-                 claim3_cases: int = 100, arity: int = 2, depth: int = 4) -> SuiteResult:
-    rng = random.Random(seed)
+def _claims(rng, arity, cover_cases, claim1_cases, claim2_cases, claim3_cases):
+    depth = 4
     cover = min_cover_3(arity)
 
     def check_cover(_i):
@@ -346,24 +332,30 @@ def suite_claims(seed: int = 6, claim1_cases: int = 100, claim2_cases: int = 200
             ok = ok and f.image(member.complement()).disjoint(blocked)
         return ok
 
-    return _run("cover and claims", (1, check_cover), (claim1_cases, check_claim1),
-                (claim2_cases, check_claim2), (claim3_cases, check_claim3))
+    return ((cover_cases, check_cover), (claim1_cases, check_claim1),
+            (claim2_cases, check_claim2), (claim3_cases, check_claim3))
 
 
-def run_all(seed: int = 0, arity: int = 2, window: int = 8, scale: int = 1,
-            depth: int | None = None) -> list[SuiteResult]:
-    s = max(1, scale)
+# Each suite once: name, check builder, case counts at full scale.
+SUITES = (
+    ("group laws", _group_laws, (500,)),
+    ("sigma/decompose2", _sigma_decompose, (500,)),
+    ("compression", _compression, (1000, 200, 200)),
+    ("commutator identity", _commutator_identity, (200,)),
+    ("monolith witness", _monolith, (200,)),
+    ("derived conjugator", _derived_conjugator, (300,)),
+    ("cover and claims", _claims, (1, 100, 200, 100)),
+)
 
-    def d(default):
-        return default if depth is None else depth
 
-    return [
-        suite_group_laws(seed, 500 // s, arity, d(6)),
-        suite_sigma_decompose(seed + 1, 500 // s, arity, d(6)),
-        suite_compression(seed + 2, 1000 // s, 200 // s, 200 // s, arity,
-                          depth=d(5), window=window),
-        suite_commutator_identity(seed + 3, 200 // s, arity, d(5)),
-        suite_monolith(seed + 4, 200 // s, arity, d(4)),
-        suite_derived_conjugator(seed + 5, 300 // s, arity, d(5)),
-        suite_claims(seed + 6, 100 // s, 200 // s, 100 // s, arity, d(4)),
-    ]
+def run_suite(index: int, seed: int, arity: int = 2, scale: int = 1) -> SuiteResult:
+    """Run SUITES[index] on random.Random(seed) with each case count divided
+    by scale, keeping at least one case per batch."""
+    name, build, counts = SUITES[index]
+    start = time.monotonic()
+    batches = build(random.Random(seed), arity, *(max(1, n // scale) for n in counts))
+    cases = failures = 0
+    for count, check in batches:
+        cases += count
+        failures += sum(1 for i in range(count) if not check(i))
+    return SuiteResult(name, cases, failures, time.monotonic() - start)

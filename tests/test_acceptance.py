@@ -5,6 +5,8 @@ its runtime (run with -s to see them)."""
 import json
 import time
 
+import pytest
+
 from cantorwit import cli
 from cantorwit import corpus
 from cantorwit.literals import parse_element
@@ -18,55 +20,26 @@ def _report(name, ok, seconds, budget):
     assert seconds < budget, f"{name} exceeded its {budget}s budget ({seconds:.2f}s)"
 
 
-def test_criterion_1_group_laws():
+# PASS-line label and budget in seconds of criteria 1-7, one per corpus suite,
+# each run at full scale on seed 101 + its index.
+SUITE_CRITERIA = (
+    ("group laws (500 elements)", 5),
+    ("sigma/decompose2 (500 elements)", 5),
+    ("compression (1000+200+200 cases)", 10),
+    ("commutator identity (200 cases)", 5),
+    ("monolith witness (200 cases, both branches)", 20),
+    ("derived conjugator (300 cases)", 10),
+    ("cover-3 and claims 1-3 (1+100+200+100 cases)", 20),
+)
+
+
+@pytest.mark.parametrize("index", range(len(corpus.SUITES)),
+                         ids=lambda i: f"criterion_{i + 1}")
+def test_corpus_suite_criteria(index):
+    label, budget = SUITE_CRITERIA[index]
     start = time.monotonic()
-    res = corpus.suite_group_laws(seed=101, cases=500, depth=6)
-    _report("criterion 1: group laws (500 elements)", res.ok,
-            time.monotonic() - start, 5)
-
-
-def test_criterion_2_sigma_decompose():
-    start = time.monotonic()
-    res = corpus.suite_sigma_decompose(seed=102, cases=500, depth=6)
-    _report("criterion 2: sigma/decompose2 (500 elements)", res.ok,
-            time.monotonic() - start, 5)
-
-
-def test_criterion_3_compression():
-    start = time.monotonic()
-    res = corpus.suite_compression(seed=103, transporter_cases=1000,
-                                   wandering_cases=200, join_cases=200, window=8)
-    _report("criterion 3: compression (1000+200+200 cases)", res.ok,
-            time.monotonic() - start, 10)
-
-
-def test_criterion_4_commutator_identity():
-    start = time.monotonic()
-    res = corpus.suite_commutator_identity(seed=104, cases=200)
-    _report("criterion 4: commutator identity (200 cases)", res.ok,
-            time.monotonic() - start, 5)
-
-
-def test_criterion_5_monolith_witness():
-    start = time.monotonic()
-    res = corpus.suite_monolith(seed=105, cases=200)
-    _report("criterion 5: monolith witness (200 cases, both branches)", res.ok,
-            time.monotonic() - start, 20)
-
-
-def test_criterion_6_derived_conjugator():
-    start = time.monotonic()
-    res = corpus.suite_derived_conjugator(seed=106, cases=300)
-    _report("criterion 6: derived conjugator (300 cases)", res.ok,
-            time.monotonic() - start, 10)
-
-
-def test_criterion_7_claims():
-    start = time.monotonic()
-    res = corpus.suite_claims(seed=107, claim1_cases=100, claim2_cases=200,
-                              claim3_cases=100)
-    _report("criterion 7: cover-3 and claims 1-3 (1+100+200+100 cases)", res.ok,
-            time.monotonic() - start, 20)
+    res = corpus.run_suite(index, seed=101 + index)
+    _report(f"criterion {index + 1}: {label}", res.ok, time.monotonic() - start, budget)
 
 
 def test_criterion_8_certificate_roundtrip(capsys, tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorwit import cli
+from cantorwit import cli, corpus
 from cantorwit.corpus import random_element, random_witness_input
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.errors import ParseError
@@ -92,6 +92,10 @@ class TestExitCodes:
         ("wandering", "[01]", "--orbit-window", "-1"),
         ("wandering", "[01]", "--orbit-window", "x"),
         ("corpus", "--quick", "--orbit-window", "-1"),
+        ("corpus", "--depth", "5"),
+        ("corpus", "--quick", "--orbit-window", "8"),
+        ("reduce", "{e->e}", "--json"),
+        ("verify", str(GOLDEN / "gcert.json"), "--json"),
         ("reduce", "{e->e}", "--arity", "1"),
         ("derived-conj", "{0->1,1->0}", "[00]", "--arity", "11"),
         ("cover3", "--arity", "1"),
@@ -391,15 +395,7 @@ class TestCorpusCommand:
     def test_quick_corpus(self, capsys):
         code, out, _ = run(capsys, "corpus", "--seed", "9", "--quick")
         assert code == 0
-        assert out.count("PASS") == 7
-
-    def test_depth_is_passed_through(self, capsys, monkeypatch):
-        depths = []
-        monkeypatch.setattr(cli.corpus_mod, "run_all",
-                            lambda **kw: depths.append(kw["depth"]) or [])
-        assert run(capsys, "corpus", "--depth", "5")[0] == cli.EXIT_OK
-        assert run(capsys, "corpus")[0] == cli.EXIT_OK
-        assert depths == [5, None]
+        assert out.count("PASS") == len(corpus.SUITES)
 
 
 class TestFuzzing:

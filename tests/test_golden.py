@@ -46,6 +46,7 @@ CASES = {
     "simple_full": (["simple-witness", A_FULL, "[0]", B_FULL, "[01,1]",
                      N_SIMPLE, "--n-cert", NCERT, "--json"], 0),
     "corpus_quick": (["corpus", "--seed", "42", "--quick"], 0),
+    "corpus_quick_arity3": (["corpus", "--arity", "3", "--seed", "42", "--quick"], 0),
     "reduce": (["reduce", "{000->100,001->101,01->11,10->00,11->01}"], 0),
     "reduce_arity3": (["reduce", "--arity", "3", "{00->10,01->11,02->12,1->0,2->2}"], 0),
     "compose": (["compose", "{0->1,1->0}", "{00->01,01->00,1->1}", "{0->10,10->0,11->11}"], 0),
