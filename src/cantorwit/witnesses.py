@@ -15,6 +15,7 @@ witness builders below compose them into full certificates.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -22,7 +23,7 @@ from typing import NamedTuple
 from .clopen import ClopenSet, canonicalize, cylinder, empty_set, letters, whole_space
 from .compression import transporter, two_disjoint_cylinders, wandering_witness
 from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
-from .literals import parse_element
+from .literals import _strip, parse_element
 from .prefixmap import PrefixMap, compose, identity, onto_transporter, patch, sigma_swap
 
 
@@ -623,28 +624,47 @@ def certificate_from_obj(obj: dict, arity: int = 2):
     NormalWord, a CommutatorWord, or a SimpleWitness with its witness's
     target, whose parts default to its arity and share one table of parsed
     literals.  Any structural defect (missing or mistyped fields, bad
-    literals, an identity base) is reported as a ParseError."""
+    literals, an identity base) is reported as a ParseError; the target is
+    parsed here too, so a malformed one is refused at once."""
+    cert, _text, read_target = _read_certificate(obj, arity)
+    return cert, read_target() if read_target else None
+
+
+def _read_certificate(obj: dict, arity: int):
+    """The reader certificate_from_obj and verify_certificate share: the
+    certificate with every literal but its target parsed, the raw target,
+    and a function that parses the target through the same table (None
+    when the certificate carries no target).  A defect found after the
+    target's place is reported only once the target has parsed, so the
+    error is the one a reader parsing the target first would raise."""
     table: dict = {}
     if not (isinstance(obj, dict) and obj.get("kind") == "simple_witness"):
         return _word_from_obj(obj, arity, table)
     if not isinstance(obj.get("witness"), dict):
         raise ParseError("simple_witness certificate needs a 'witness' object")
     k = _arity(obj, arity)
-    word, target = _word_from_obj(obj["witness"], k, table)
-    if not isinstance(word, NormalWord):
-        raise ParseError("a simple_witness 'witness' must be a normal_word")
-    if not isinstance(obj.get("conjugators"), list):
-        raise ParseError("a simple_witness 'conjugators' must be a list")
-    parsed = [_word_from_obj(c, k, table) for c in obj["conjugators"]]
-    certs = tuple(c for c, _ in parsed)
-    if not all(isinstance(c, CommutatorWord) for c in certs):
-        raise ParseError("conjugator certificates must be commutator words")
-    # with one certificate per letter, a target a conjugator object carries
-    # must be its letter's conjugator (a count mismatch fails in evaluate)
-    if len(parsed) == len(word.letters) and any(
-            t is not None and t != conj for (_, t), (conj, _) in zip(parsed, word.letters)):
-        raise ParseError("a conjugator certificate's target is not its letter's conjugator")
-    return SimpleWitness(word, certs), target
+    word, text, read_target = _word_from_obj(obj["witness"], k, table)
+    try:
+        if not isinstance(word, NormalWord):
+            raise ParseError("a simple_witness 'witness' must be a normal_word")
+        if not isinstance(obj.get("conjugators"), list):
+            raise ParseError("a simple_witness 'conjugators' must be a list")
+        # each conjugator's target is parsed right after its word
+        parsed = [(c, read() if read else None)
+                  for c, _, read in (_word_from_obj(o, k, table) for o in obj["conjugators"])]
+        certs = tuple(c for c, _ in parsed)
+        if not all(isinstance(c, CommutatorWord) for c in certs):
+            raise ParseError("conjugator certificates must be commutator words")
+        # with one certificate per letter, a target a conjugator object carries
+        # must be its letter's conjugator (a count mismatch fails in evaluate)
+        if len(parsed) == len(word.letters) and any(
+                t is not None and t != conj for (_, t), (conj, _) in zip(parsed, word.letters)):
+            raise ParseError("a conjugator certificate's target is not its letter's conjugator")
+    except ParseError:
+        if read_target:
+            read_target()
+        raise
+    return SimpleWitness(word, certs), text, read_target
 
 
 def _arity(obj: dict, default: int) -> int:
@@ -654,45 +674,76 @@ def _arity(obj: dict, default: int) -> int:
     return k
 
 
-def _word_from_obj(obj, arity: int, table: dict):
-    """Parse a normal_word or commutator_word object through the literal
-    table keyed by (literal, arity)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError("certificate object must carry a 'kind'")
+@contextmanager
+def _malformed():
+    """Report a structural defect of a certificate object (a missing or
+    mistyped field, an identity base) as a ParseError."""
     try:
-        k = _arity(obj, arity)
-
-        def elem(text) -> PrefixMap:
-            g = table.get((text, k))
-            if g is None:
-                g = table[(text, k)] = parse_element(text, k)
-            return g
-
-        target = elem(obj["target"]) if "target" in obj else None
-        if obj["kind"] == "normal_word":
-            base = elem(obj["base"])
-            letters = tuple((elem(l["conj"]), l["exp"]) for l in _listed(obj, "letters"))
-            return NormalWord(base, letters), target
-        if obj["kind"] == "commutator_word":
-            factors = tuple((elem(f["x"]), elem(f["y"])) for f in _listed(obj, "factors"))
-            return CommutatorWord(factors, k), target
+        yield
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, PreconditionError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
-    raise ParseError(f"unknown certificate kind {obj['kind']!r}")
+
+
+def _word_from_obj(obj, arity: int, table: dict):
+    """Read a normal_word or commutator_word object as _read_certificate
+    does, parsing its literals through the table keyed by (literal,
+    arity)."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ParseError("certificate object must carry a 'kind'")
+    k = _arity(obj, arity)
+
+    def elem(text) -> PrefixMap:
+        g = table.get((text, k))
+        if g is None:
+            g = table[(text, k)] = parse_element(text, k)
+        return g
+
+    def read_target() -> PrefixMap:
+        with _malformed():
+            return elem(obj["target"])
+
+    read = read_target if "target" in obj else None
+    try:
+        with _malformed():
+            if obj["kind"] == "normal_word":
+                base = elem(obj["base"])
+                letters = tuple((elem(l["conj"]), l["exp"]) for l in _listed(obj, "letters"))
+                return NormalWord(base, letters), obj.get("target"), read
+            if obj["kind"] == "commutator_word":
+                factors = tuple((elem(f["x"]), elem(f["y"])) for f in _listed(obj, "factors"))
+                return CommutatorWord(factors, k), obj.get("target"), read
+        raise ParseError(f"unknown certificate kind {obj['kind']!r}")
+    except ParseError:
+        if read:
+            read()
+        raise
 
 
 def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
     """Re-evaluate a certificate object of any kind against its target.
 
+    Every literal but the target is parsed and the certificate evaluated;
+    a target whose text, whitespace removed, is the value's canonical
+    literal is accepted without being parsed (parse(format(v)) == v, so
+    equal texts denote equal reduced forms).  Any other target is parsed
+    through the same literal table and compared as an element.  Errors are
+    those of parsing the target first: a certificate without a target is
+    refused before evaluation, and a malformed target is a ParseError even
+    when evaluation fails.
+
     Raises VerificationError on mismatch; returns the evaluated element.
     """
-    cert, target = certificate_from_obj(obj, arity)
-    if target is None:
+    cert, text, read_target = _read_certificate(obj, arity)
+    if read_target is None:
         raise ParseError("certificate carries no target to verify against")
-    value = cert.evaluate()
-    if value != target:
+    try:
+        value = cert.evaluate()
+    except VerificationError:
+        read_target()
+        raise
+    if not (isinstance(text, str) and _strip(text) == str(value)) and read_target() != value:
         raise VerificationError("certificate does not evaluate to its target")
     return value
 

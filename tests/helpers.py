@@ -16,20 +16,23 @@ again after every split; `compose_full_scan`, the product through
 `refine_table` and a sibling merge that scans the whole table
 (`reduce_table`);
 `parse_element_per_token`, the element parser that reads the literal
-token by token; and two constructions built directly where the library
-goes through shared code: `transporter_zip`, whose pairing zips the
-source code with the split target words, and `claim1_swap_patch`, which
-patches the swap of the two regions without `_certified_patch`.
+token by token; `verify_parse_target`, the checker that parses every
+literal, the target first, before it evaluates; and two constructions
+built directly where the library goes through shared code:
+`transporter_zip`, whose pairing zips the source code with the split
+target words, and `claim1_swap_patch`, which patches the swap of the two
+regions without `_certified_patch`.
 """
 
 import itertools
 
 from cantorwit.clopen import canonicalize, lenlex_sorted, letters, merge_siblings, split_words
 from cantorwit.compression import transporter
-from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError
-from cantorwit.literals import _parse_word, _strip
+from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
+from cantorwit.literals import _parse_word, _strip, parse_element
 from cantorwit.prefixmap import PrefixMap, identity, matched_pairs, onto_transporter, patch
-from cantorwit.witnesses import Certified, CommutatorWord, commutator, derived_conjugator
+from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
+                                 commutator, derived_conjugator)
 
 ALPHABET = "0123456789"
 
@@ -202,6 +205,75 @@ def parse_element_per_token(text: str, arity: int = 2) -> PrefixMap:
         return PrefixMap.from_pairs(pairs, arity)
     except (PreconditionError, ArityMismatchError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
+    """A certificate checked in reading order: each object's target, then
+    its other literals, all parsed through one table before anything is
+    evaluated; then the value is compared with the target as elements.
+    Same errors and messages as the library checker."""
+    table: dict = {}
+
+    def arity_of(o, default):
+        k = o.get("arity", default)
+        if type(k) is not int:
+            raise ParseError("malformed certificate: arity must be an integer, "
+                             f"got {type(k).__name__}")
+        return k
+
+    def word_of(o, k):
+        if not isinstance(o, dict) or "kind" not in o:
+            raise ParseError("certificate object must carry a 'kind'")
+        k = arity_of(o, k)
+
+        def elem(text):
+            if (text, k) not in table:
+                table[(text, k)] = parse_element(text, k)
+            return table[(text, k)]
+
+        try:
+            target = elem(o["target"]) if "target" in o else None
+            if o["kind"] == "normal_word":
+                base = elem(o["base"])
+                letters = o["letters"]
+                if not isinstance(letters, list):
+                    raise ParseError("malformed certificate: 'letters' must be a list")
+                return NormalWord(base, tuple((elem(l["conj"]), l["exp"]) for l in letters)), target
+            if o["kind"] == "commutator_word":
+                factors = o["factors"]
+                if not isinstance(factors, list):
+                    raise ParseError("malformed certificate: 'factors' must be a list")
+                return CommutatorWord(tuple((elem(f["x"]), elem(f["y"])) for f in factors), k), target
+        except ParseError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError, PreconditionError) as exc:
+            raise ParseError(f"malformed certificate: {exc}") from exc
+        raise ParseError(f"unknown certificate kind {o['kind']!r}")
+
+    if isinstance(obj, dict) and obj.get("kind") == "simple_witness":
+        if not isinstance(obj.get("witness"), dict):
+            raise ParseError("simple_witness certificate needs a 'witness' object")
+        k = arity_of(obj, arity)
+        word, target = word_of(obj["witness"], k)
+        if not isinstance(word, NormalWord):
+            raise ParseError("a simple_witness 'witness' must be a normal_word")
+        if not isinstance(obj.get("conjugators"), list):
+            raise ParseError("a simple_witness 'conjugators' must be a list")
+        parsed = [word_of(c, k) for c in obj["conjugators"]]
+        if not all(isinstance(c, CommutatorWord) for c, _ in parsed):
+            raise ParseError("conjugator certificates must be commutator words")
+        if len(parsed) == len(word.letters) and any(
+                t is not None and t != conj for (_, t), (conj, _) in zip(parsed, word.letters)):
+            raise ParseError("a conjugator certificate's target is not its letter's conjugator")
+        cert = SimpleWitness(word, tuple(c for c, _ in parsed))
+    else:
+        cert, target = word_of(obj, arity)
+    if target is None:
+        raise ParseError("certificate carries no target to verify against")
+    value = cert.evaluate()
+    if value != target:
+        raise VerificationError("certificate does not evaluate to its target")
+    return value
 
 
 def transporter_zip(src, dst):

@@ -314,6 +314,20 @@ class TestVerify:
         path.write_text(simple_proper_with_conjugator_target(None))
         assert run(capsys, "verify", str(path))[0] == cli.EXIT_OK
 
+    def test_malformed_target_outranks_a_failing_conjugator(self, capsys, tmp_path):
+        """A certificate that fails to evaluate and has a malformed target
+        is a parse error: the target is read before anything is evaluated."""
+        obj = json.loads((GOLDEN / "simple_proper.txt").read_text())
+        obj["conjugators"][0]["factors"] = []
+        path = tmp_path / "sw.json"
+        path.write_text(json.dumps(obj))
+        assert run(capsys, "verify", str(path))[0] == cli.EXIT_VERIFY
+        obj["witness"]["target"] = "{0->1,1-0}"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == cli.EXIT_PARSE
+        assert err == "parse error: pair '1-0' is missing '->' (at position 6)\n"
+
 
 class TestCertificateFlags:
     """--cert and --n-cert both take a commutator_word file and nothing else."""
@@ -336,6 +350,23 @@ class TestCertificateFlags:
     def test_empty_cert_path_means_no_certificate(self, capsys):
         code, out, _ = run(capsys, "claim2", "{00->01,01->00,10->11,11->10}", "--cert", "")
         assert code == cli.EXIT_OK and "certs" not in out
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--cert", ["claim2", "{00->01,01->00,10->11,11->10}"]),
+        ("--n-cert", ["simple-witness", "{00->01,01->00,1->1}", "[0]",
+                      "{00->00,01->10,10->01,11->11}", "[01,1]",
+                      "{00->10,01->00,10->01,11->11}"]),
+    ])
+    def test_malformed_target_is_refused(self, capsys, tmp_path, flag, argv):
+        """A certificate flag reads the file's target too, and refuses it
+        when it does not parse, even though the command does not use it."""
+        obj = json.loads((GOLDEN / ("gcert.json" if flag == "--cert" else "ncert.json")).read_text())
+        obj["target"] = "{0->1,1-0}"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == "parse error: pair '1-0' is missing '->' (at position 6)\n"
 
 
 class TestSimpleWitnessCommand:

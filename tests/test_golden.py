@@ -59,6 +59,9 @@ CASES = {
     "verify_derived_conj": (["verify", str(GOLDEN / "derived_conj.txt")], 0),
     "verify_monolith_full": (["verify", str(GOLDEN / "monolith_full.txt")], 0),
     "verify_simple_full": (["verify", str(GOLDEN / "simple_full.txt")], 0),
+    # derived_conj.txt with its target spaced, reordered and one pair split:
+    # the same stdout as verify_derived_conj
+    "verify_noncanonical_target": (["verify", str(GOLDEN / "noncanonical_target.json")], 0),
     "reduce_incomplete_domain": (["reduce", "{00->00,011->01,1->1}"], 2),
     "reduce_arity3_incomplete_range": (["reduce", "--arity", "3",
                                         "{00->00,01->01,02->02,1->10,2->2}"], 2),
@@ -82,6 +85,11 @@ def test_golden_transcript(name):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     if expected_code:
         assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
+def test_noncanonical_target_prints_the_canonical_value():
+    assert ((GOLDEN / "verify_noncanonical_target.txt").read_bytes()
+            == (GOLDEN / "verify_derived_conj.txt").read_bytes())
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import re
@@ -6,22 +7,25 @@ from pathlib import Path
 
 import pytest
 
-from cantorwit.clopen import canonicalize
+from cantorwit import witnesses
+from cantorwit.clopen import canonicalize, letters
 from cantorwit.compression import join_compression, min_cover_3, transporter
 from cantorwit.corpus import (random_clopen, random_code, random_element, random_rist_element,
                               random_witness_input)
-from cantorwit.errors import ArityMismatchError, PreconditionError, VerificationError
+from cantorwit.errors import (ArityMismatchError, ParseError, PreconditionError, ToolkitError,
+                              VerificationError)
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import identity
+from cantorwit.prefixmap import PrefixMap, identity
 from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
                                  _inverse_letters, certificate_from_obj, claim1_transporter,
                                  claim2_factorization, claim3_witness,
                                  commutator, commuting_chain, decompose2,
-                                 derived_conjugator, monolith_witness,
+                                 commutator_word_to_obj, derived_conjugator,
+                                 monolith_witness, normal_word_to_obj,
                                  shift_identity_check, simple_witness,
-                                 simple_witness_to_obj)
+                                 simple_witness_to_obj, verify_certificate)
 from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
-                     normal_word_fold)
+                     normal_word_fold, verify_parse_target)
 
 C = parse_clopen
 E = parse_element
@@ -638,6 +642,190 @@ class TestCertificateSerialization:
         assert obj["arity"] == 3
         back, target = certificate_from_obj(obj)
         assert back == word and target == word.evaluate()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+MISSING = object()
+
+
+def golden_certificates() -> dict:
+    """Every certificate object of the golden files, and each of the
+    certificates a claim2 transcript lists, by name."""
+    found = {}
+    for path in sorted(GOLDEN.glob("*.txt")) + sorted(GOLDEN.glob("*.json")):
+        try:
+            obj = json.loads(path.read_text())
+        except ValueError:
+            continue
+        if "kind" in obj:
+            found[path.stem] = obj
+        for i, cert in enumerate(obj.get("certs", ())):
+            found[f"{path.stem}.certs[{i}]"] = cert
+    return found
+
+
+def built_certificates(arity: int) -> dict:
+    """derived-conj, monolith and simple certificates built at an arity."""
+    rng = random.Random(170 + arity)
+    found = {}
+    for i in range(2):
+        d, cert = derived_conjugator(random_element(rng, arity, 4), random_clopen(rng, arity, 4))
+        found[f"derived_conj_{i}"] = commutator_word_to_obj(cert, target=d)
+        a, ya, b, yb = random_witness_input(rng, arity, full_union=i == 1)
+        found[f"monolith_{i}"] = normal_word_to_obj(
+            monolith_witness(a, ya, b, yb, random_element(rng, arity, 4, nontrivial=True)),
+            target=commutator(a, b))
+        n = identity(arity)
+        while n.is_identity():
+            x, y = random_element(rng, arity, 3), random_element(rng, arity, 3)
+            n = commutator(x, y)
+        found[f"simple_{i}"] = simple_witness_to_obj(
+            simple_witness(a, ya, b, yb, n, CommutatorWord(((x, y),), arity)),
+            target=commutator(a, b))
+    return found
+
+
+def with_target(obj: dict, target) -> dict:
+    """A copy of a certificate object whose target (the witness's, for a
+    simple witness) is replaced, or dropped when MISSING."""
+    obj = copy.deepcopy(obj)
+    holder = obj["witness"] if obj.get("kind") == "simple_witness" else obj
+    holder.pop("target", None)
+    if target is not MISSING:
+        holder["target"] = target
+    return obj
+
+
+def word_variants(obj: dict) -> dict:
+    """The certificate as it is, with a word that evaluates elsewhere, and
+    with a malformed literal in its word; a simple witness also with a
+    malformed conjugator, alone and after a malformed conjugator target."""
+    wrong, broken = copy.deepcopy(obj), copy.deepcopy(obj)
+    variants = {"as_is": obj, "wrong_value": wrong, "malformed_word": broken}
+    if obj["kind"] == "simple_witness":
+        wrong["conjugators"][0]["factors"] = []
+        broken["witness"]["base"] = "{0->"
+        variants["malformed_conjugator"] = late = copy.deepcopy(obj)
+        late["conjugators"][-1]["factors"] = [{"x": "{0->", "y": "{e->e}"}]
+        variants["malformed_conjugator_target"] = both = copy.deepcopy(late)
+        both["conjugators"][0]["target"] = "{0->1,1-0}"
+    elif obj["kind"] == "normal_word":
+        wrong["letters"] = wrong["letters"][:-1]
+        broken["base"] = "{0->"
+    else:
+        wrong["factors"] = wrong["factors"][:-1]
+        broken["factors"][0]["x"] = "{0->"
+    return variants
+
+
+def target_mutations(text: str, arity: int) -> dict:
+    """Target texts around a canonical literal: equal elements written
+    otherwise, a different element, and targets that do not parse."""
+    pairs = list(parse_element(text, arity).pairs)
+
+    def fmt(ps):
+        return "{" + ",".join(f"{d or 'e'}->{r or 'e'}" for d, r in ps) + "}"
+
+    alphabet = letters(arity)
+    d, r = pairs[0]
+    split = [(d + c, r + c) for c in alphabet] + pairs[1:]
+    rotate = PrefixMap.from_pairs(zip(alphabet, alphabet[1:] + alphabet[0]), arity)
+    return {
+        "canonical": text,
+        "spaces": " " + text.replace(",", " ,\n ").replace("->", " -> ") + "\t",
+        "reordered": fmt(pairs[::-1]),
+        "split_pair": fmt(split),
+        "wrong_element": str(parse_element(text, arity) * rotate),
+        "grammar_error": text.replace("->", "-", 1),
+        "unbraced": text[:-1],
+        "off_alphabet": fmt([(d + str(arity), r)] + pairs[1:]),
+        "incomplete_code": fmt(split[1:]),
+        "int": 5,
+        "null": None,
+        "missing": MISSING,
+    }
+
+
+def outcome(check, obj):
+    """The value a checker returns, or the type and message it raises."""
+    try:
+        return check(obj)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+CERTIFICATES = ([(f"golden:{name}", 2, obj) for name, obj in golden_certificates().items()]
+                + [(f"arity{k}:{name}", k, obj) for k in (3, 4)
+                   for name, obj in built_certificates(k).items()])
+
+
+class TestVerifyTarget:
+    """verify_certificate accepts a target whose text is the value's
+    canonical literal without parsing it; every other target is parsed and
+    compared.  Checked against verify_parse_target, which parses every
+    literal first, on target texts that denote the value, another element
+    or nothing."""
+
+    @pytest.mark.parametrize("name, arity, obj", CERTIFICATES,
+                             ids=[name for name, _, _ in CERTIFICATES])
+    def test_matches_parsing_the_target_first(self, name, arity, obj):
+        cert, _ = certificate_from_obj(obj, arity)
+        canonical = str(cert.evaluate())
+        for variant, word in word_variants(obj).items():
+            for mutation, target in target_mutations(canonical, arity).items():
+                mutated = with_target(word, target)
+                expected = outcome(lambda o: verify_parse_target(o, arity), mutated)
+                assert outcome(lambda o: verify_certificate(o, arity), mutated) == expected, \
+                    (variant, mutation)
+
+    def test_mutations_reach_every_outcome(self):
+        """The mutations above accept, refuse with a verification failure
+        and refuse with a parse error, so the comparison is not vacuous."""
+        obj = json.loads((GOLDEN / "derived_conj.txt").read_text())
+        kinds = {mutation: outcome(verify_parse_target, with_target(obj, target))
+                 for mutation, target in target_mutations(obj["target"], 2).items()}
+        for mutation in ("canonical", "spaces", "reordered", "split_pair"):
+            assert str(kinds[mutation]) == obj["target"], mutation
+        assert kinds["wrong_element"][0] is VerificationError
+        for mutation in ("grammar_error", "unbraced", "off_alphabet", "incomplete_code",
+                         "int", "null", "missing"):
+            assert kinds[mutation][0] is ParseError, mutation
+
+    @staticmethod
+    def parsed_texts(monkeypatch) -> list:
+        texts = []
+
+        def parse(text, arity=2):
+            texts.append(text)
+            return parse_element(text, arity)
+
+        monkeypatch.setattr(witnesses, "parse_element", parse)
+        return texts
+
+    @pytest.mark.parametrize("name", sorted(n for n, o in golden_certificates().items()
+                                            if "target" in o.get("witness", o)))
+    def test_target_is_parsed_only_when_not_canonical(self, monkeypatch, name):
+        """verify parses the literals of the word, as a reader of the
+        certificate without its target does, and the target only when it
+        is not the canonical literal: golden targets are canonical, except
+        that of noncanonical_target.json."""
+        obj = golden_certificates()[name]
+        target = obj.get("witness", obj)["target"]
+        cert, parsed = certificate_from_obj(obj)
+        canonical = str(cert.evaluate())
+        assert (target != canonical) == (name == "noncanonical_target")
+        texts = []
+
+        def parse(text, arity=2):
+            texts.append(text)
+            return parse_element(text, arity)
+
+        monkeypatch.setattr(witnesses, "parse_element", parse)
+        certificate_from_obj(with_target(obj, MISSING))
+        word_texts = texts[:]
+        texts.clear()
+        assert verify_certificate(obj) == parsed
+        assert texts == word_texts + [target] * (target != canonical)
 
 
 class TestCommutingChain:
