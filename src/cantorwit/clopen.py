@@ -32,6 +32,15 @@ def letters(arity: int) -> str:
     return ALPHABET[:arity]
 
 
+def same_arity(first, *rest) -> int:
+    """The arity that `first` shares with every operand of `rest`, each a
+    clopen set, an element or a commutator word."""
+    for x in rest:
+        if x.arity != first.arity:
+            raise ArityMismatchError(f"mixed arities {first.arity} and {x.arity}")
+    return first.arity
+
+
 def off_alphabet(text: str, arity: int) -> bool:
     """Whether some symbol of `text` is not a letter of the arity: one pass
     in C that deletes the letters from the ASCII bytes of the text (any
@@ -68,10 +77,6 @@ class ClopenSet:
     def __str__(self) -> str:
         return "[" + ",".join(w if w else "e" for w in self.code) + "]"
 
-    def _check_same(self, other: "ClopenSet") -> None:
-        if self.arity != other.arity:
-            raise ArityMismatchError(f"mixed arities {self.arity} and {other.arity}")
-
     def is_empty(self) -> bool:
         return not self.code
 
@@ -83,12 +88,11 @@ class ClopenSet:
         return bool(self.code) and self.code != ("",)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
-        self._check_same(other)
-        return canonicalize(self.code + other.code, self.arity)
+        return canonicalize(self.code + other.code, same_arity(self, other))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        self._check_same(other)
-        return canonicalize(refine(code_view(self.code), code_view(other.code)), self.arity)
+        k = same_arity(self, other)
+        return canonicalize(refine(code_view(self.code), code_view(other.code)), k)
 
     def complement(self) -> "ClopenSet":
         return ClopenSet(tuple(lenlex_sorted(_complement_words(self.code, self.arity))),
@@ -98,7 +102,7 @@ class ClopenSet:
         return self.disjoint(other.complement())
 
     def disjoint(self, other: "ClopenSet") -> bool:
-        self._check_same(other)
+        same_arity(self, other)
         # both codes are antichains: if a word of one extends a word x of the
         # other, the word right after x in lexicographic order does too
         srt = sorted(self.code + other.code)
@@ -278,6 +282,7 @@ def cylinder(word: str, arity: int = 2) -> ClopenSet:
 
 
 def whole_space(arity: int = 2) -> ClopenSet:
+    letters(arity)
     return ClopenSet(("",), arity)
 
 

@@ -10,8 +10,8 @@ witness cylinders.
 
 from typing import NamedTuple
 
-from .clopen import ClopenSet, canonicalize, cylinder, letters, split_words
-from .errors import ArityMismatchError, PreconditionError
+from .clopen import ClopenSet, canonicalize, cylinder, letters, same_arity, split_words
+from .errors import PreconditionError
 from .prefixmap import PrefixMap, compose, identity, onto_transporter, sigma_swap
 
 
@@ -24,15 +24,13 @@ def transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
     |code(src)| words with `onto_transporter`, which pairs src's code with
     those words order-wise and completes length-lexicographically.
     """
-    if src.arity != dst.arity:
-        raise ArityMismatchError(f"mixed arities {src.arity} and {dst.arity}")
+    k = same_arity(src, dst)
     if src.is_empty() or dst.is_empty():
         raise PreconditionError("transporter needs non-empty source and target")
     if src.is_full():
         if dst.is_full():
-            return identity(src.arity)
+            return identity(k)
         raise PreconditionError("the whole space can only be transported onto itself")
-    k = src.arity
     n_src = len(src.code)
     need = n_src + 1 if dst.is_full() else n_src
     m = len(dst.code)
@@ -97,8 +95,7 @@ def join_compression(part_a: ClopenSet, part_b: ClopenSet) -> PrefixMap:
     transporters: g1 carries A into W, g2 and g3 carry A and B into
     disjoint halves of g1(A); the result is g1^-1 · σ(g2, A) · σ(g3, B).
     """
-    if part_a.arity != part_b.arity:
-        raise ArityMismatchError(f"mixed arities {part_a.arity} and {part_b.arity}")
+    same_arity(part_a, part_b)
     if part_a.is_empty() or part_b.is_empty():
         raise PreconditionError("join compression needs non-empty parts")
     if not part_a.disjoint(part_b):

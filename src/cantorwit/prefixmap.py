@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .clopen import (ClopenSet, canonicalize, code_view, cylinder, check_word, merge_siblings,
-                     off_alphabet, refine, split_words)
-from .errors import ArityMismatchError, PreconditionError
+from .clopen import (ClopenSet, canonicalize, code_view, cylinder, check_word, empty_set,
+                     letters, merge_siblings, off_alphabet, refine, same_arity, split_words)
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class PrefixMap:
 
     def __str__(self) -> str:
         return "{" + ",".join(f"{d if d else 'e'}->{r if r else 'e'}" for d, r in self.pairs) + "}"
-
-    def _check_same(self, other: "PrefixMap") -> None:
-        if self.arity != other.arity:
-            raise ArityMismatchError(f"mixed arities {self.arity} and {other.arity}")
 
     def is_identity(self) -> bool:
         return self.pairs == (("", ""),)
@@ -112,8 +108,7 @@ class PrefixMap:
         The returned domain words form an antichain whose union is the
         region; images are the corresponding range words.
         """
-        if self.arity != region.arity:
-            raise ArityMismatchError("region arity differs from map arity")
+        same_arity(self, region)
         return list(refine(code_view(region.code), self._domain).items())
 
     def image(self, region: ClopenSet) -> ClopenSet:
@@ -151,6 +146,7 @@ class PrefixMap:
 
 
 def identity(arity: int = 2) -> PrefixMap:
+    letters(arity)
     return PrefixMap((("", ""),), arity)
 
 
@@ -207,17 +203,16 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
     The identity is the neutral factor: once every factor's arity is
     checked, identity factors are dropped, so a lone remaining factor is
     returned itself, and `first` when all of them are identities."""
-    for g in rest:
-        first._check_same(g)
+    arity = same_arity(first, *rest)
     factors = [g for g in (first, *rest) if not g.is_identity()]
     if len(factors) < 2:
         return factors[0] if factors else first
     view = factors[0]._domain
     for g in factors[1:]:
         seeds: list[str] = []
-        table = merge_siblings(refine(g._range, view, seeds), first.arity, seeds)
+        table = merge_siblings(refine(g._range, view, seeds), arity, seeds)
         view = table, sorted(table)
-    return _element(*view, first.arity)
+    return _element(*view, arity)
 
 
 def _element(table: dict[str, str], lex: list[str], arity: int) -> PrefixMap:
@@ -253,64 +248,52 @@ def matched_pairs(dom_words, ran_words, arity: int) -> list[tuple[str, str]]:
 def onto_transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
     """A bijection mapping `src` exactly onto `dst`, completed
     length-lexicographically off `src`."""
-    if src.arity != dst.arity:
-        raise ArityMismatchError("mixed arities")
+    k = same_arity(src, dst)
     if not src.is_empty() and dst.is_empty() or src.is_empty() and not dst.is_empty():
         raise PreconditionError("cannot map a non-empty set onto an empty one")
-    pairs = matched_pairs(src.code, dst.code, src.arity)
-    pairs += matched_pairs(src.complement().code, dst.complement().code, src.arity)
-    return PrefixMap.from_pairs(pairs, src.arity)
+    pairs = matched_pairs(src.code, dst.code, k)
+    pairs += matched_pairs(src.complement().code, dst.complement().code, k)
+    return PrefixMap.from_pairs(pairs, k)
 
 
 def sigma_swap(g: PrefixMap, region: ClopenSet) -> PrefixMap:
     """The involution acting as g on `region`, g^-1 on its image, identity
-    elsewhere; requires the region and its image to be disjoint."""
-    g_region = g.image(region)
+    elsewhere; requires the region and its image to be disjoint.  The map
+    is restricted to the region once, and the image is read off those
+    pieces."""
+    forward = g.restrict(region)
+    g_region = canonicalize([im for _, im in forward], g.arity)
     if not region.disjoint(g_region):
         raise PreconditionError("swap region overlaps its image")
-    forward = g.restrict(region)
-    pairs = list(forward) + [(im, w) for w, im in forward]
-    rest = region.union(g_region).complement()
-    pairs += [(w, w) for w in rest.code]
+    pairs = forward + [(im, w) for w, im in forward]
+    pairs += [(w, w) for w in region.union(g_region).complement().code]
     return PrefixMap.from_pairs(pairs, g.arity)
 
 
 def patch(constraints) -> PrefixMap:
     """Assemble a bijection agreeing with g_i on each region C_i.
 
-    `constraints` is a sequence of (ClopenSet, PrefixMap).  The regions must
-    be pairwise disjoint and so must the images g_i(C_i); the behaviour off
-    the regions is the deterministic length-lexicographic completion of the
-    leftover domain onto the leftover range.
+    `constraints` is a sequence of (ClopenSet, PrefixMap) of one arity.
+    The regions must be pairwise disjoint and so must the images g_i(C_i):
+    each is checked against the union of those before it, the image read
+    off the one restriction of g_i to C_i.  The behaviour off the regions
+    is the deterministic length-lexicographic completion of the leftover
+    domain onto the leftover range.
     """
     constraints = list(constraints)
     if not constraints:
         raise PreconditionError("patch needs at least one constraint")
     arity = constraints[0][1].arity
     pinned: list[tuple[str, str]] = []
-    regions: list[ClopenSet] = []
-    images: list[ClopenSet] = []
+    dom = ran = empty_set(arity)
     for region, g in constraints:
-        if g.arity != arity or region.arity != arity:
-            raise ArityMismatchError("mixed arities in patch constraints")
-        for seen in regions:
-            if not seen.disjoint(region):
-                raise PreconditionError("patch regions overlap")
-        img = g.image(region)
-        for seen in images:
-            if not seen.disjoint(img):
-                raise PreconditionError("patch images overlap")
-        regions.append(region)
-        images.append(img)
-        pinned.extend(g.restrict(region))
-    dom_left = _union_all(regions, arity).complement()
-    ran_left = _union_all(images, arity).complement()
-    pinned += matched_pairs(dom_left.code, ran_left.code, arity)
+        if not dom.disjoint(region):
+            raise PreconditionError("patch regions overlap")
+        pieces = g.restrict(region)
+        img = canonicalize([im for _, im in pieces], arity)
+        if not ran.disjoint(img):
+            raise PreconditionError("patch images overlap")
+        dom, ran = dom.union(region), ran.union(img)
+        pinned += pieces
+    pinned += matched_pairs(dom.complement().code, ran.complement().code, arity)
     return PrefixMap.from_pairs(pinned, arity)
-
-
-def _union_all(sets: list[ClopenSet], arity: int) -> ClopenSet:
-    words: list[str] = []
-    for s in sets:
-        words.extend(s.code)
-    return canonicalize(words, arity)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .clopen import ClopenSet, canonicalize, cylinder, empty_set, letters, whole_space
+from .clopen import ClopenSet, canonicalize, cylinder, empty_set, letters, same_arity, whole_space
 from .compression import transporter, two_disjoint_cylinders, wandering_witness
 from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
 from .literals import _strip, parse_element
@@ -85,9 +85,7 @@ class CommutatorWord:
 
     def __mul__(self, other: "CommutatorWord") -> "CommutatorWord":
         """The concatenated word, which evaluates to the product."""
-        if self.arity != other.arity:
-            raise ArityMismatchError(f"mixed arities {self.arity} and {other.arity}")
-        return CommutatorWord(self.factors + other.factors, self.arity)
+        return CommutatorWord(self.factors + other.factors, same_arity(self, other))
 
     def inverse(self) -> "CommutatorWord":
         return CommutatorWord(tuple((y, x) for x, y in reversed(self.factors)), self.arity)
@@ -520,9 +518,7 @@ def claim3_witness(g: PrefixMap, h: PrefixMap, cover) -> Claim3Result:
     increasing depth; c is a three-constraint patch (g^-1 on g(ia), h^-1
     on h(ib), identity on ic).
     """
-    if g.arity != h.arity:
-        raise ArityMismatchError(f"mixed arities {g.arity} and {h.arity}")
-    k = g.arity
+    k = same_arity(g, h)
     ia, ib, ic = _claim3_targets(g, h, k)
     c = patch([(g.image(ia), g.inverse()), (h.image(ib), h.inverse()),
                (ic, identity(k))])
@@ -671,6 +667,10 @@ def _arity(obj: dict, default: int) -> int:
     k = obj.get("arity", default)
     if type(k) is not int:
         raise ParseError(f"malformed certificate: arity must be an integer, got {type(k).__name__}")
+    try:
+        letters(k)
+    except ArityMismatchError as exc:
+        raise ParseError(f"malformed certificate: {exc}") from exc
     return k
 
 

@@ -21,7 +21,10 @@ literal, the target first, before it evaluates; and two constructions
 built directly where the library goes through shared code:
 `transporter_zip`, whose pairing zips the source code with the split
 target words, and `claim1_swap_patch`, which patches the swap of the two
-regions without `_certified_patch`.
+regions without `_certified_patch`.  `patch_pairwise` and
+`sigma_swap_two_pass` are the patch and swap that compute each image with
+`image` apart from the pieces of the same restriction, and the patch
+checks its regions and images pair by pair.
 """
 
 import itertools
@@ -219,6 +222,9 @@ def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
         if type(k) is not int:
             raise ParseError("malformed certificate: arity must be an integer, "
                              f"got {type(k).__name__}")
+        if not 2 <= k <= len(ALPHABET):
+            raise ParseError("malformed certificate: arity must be between 2 and "
+                             f"{len(ALPHABET)}, got {k}")
         return k
 
     def word_of(o, k):
@@ -315,3 +321,40 @@ def claim1_swap_patch(ia, ib, ic):
     u = transporter(ia.union(ib), free)
     d = derived_conjugator(u, ia.union(ib)).elem
     return Certified.from_word(CommutatorWord(((c, d),), ia.arity))
+
+
+def patch_pairwise(constraints):
+    """`prefixmap.patch` over constraints of one arity, checked pair by
+    pair: each region against every region before it, each image (from
+    `image`) against every image before it, and the leftover domain and
+    range from one canonicalization of all regions and of all images."""
+    constraints = list(constraints)
+    if not constraints:
+        raise PreconditionError("patch needs at least one constraint")
+    arity = constraints[0][1].arity
+    pinned, regions, images = [], [], []
+    for region, g in constraints:
+        if any(not seen.disjoint(region) for seen in regions):
+            raise PreconditionError("patch regions overlap")
+        img = g.image(region)
+        if any(not seen.disjoint(img) for seen in images):
+            raise PreconditionError("patch images overlap")
+        regions.append(region)
+        images.append(img)
+        pinned.extend(g.restrict(region))
+    dom_left = canonicalize([w for s in regions for w in s.code], arity).complement()
+    ran_left = canonicalize([w for s in images for w in s.code], arity).complement()
+    pinned += matched_pairs(dom_left.code, ran_left.code, arity)
+    return PrefixMap.from_pairs(pinned, arity)
+
+
+def sigma_swap_two_pass(g, region):
+    """`prefixmap.sigma_swap` with the image from `image` and the forward
+    pieces from a second `restrict` of the same region."""
+    g_region = g.image(region)
+    if not region.disjoint(g_region):
+        raise PreconditionError("swap region overlaps its image")
+    forward = g.restrict(region)
+    pairs = forward + [(im, w) for w, im in forward]
+    pairs += [(w, w) for w in region.union(g_region).complement().code]
+    return PrefixMap.from_pairs(pairs, g.arity)

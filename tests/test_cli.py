@@ -33,6 +33,13 @@ def simple_proper_with_conjugator_target(target):
     return json.dumps(obj)
 
 
+# A simple witness whose top-level arity lies outside 2..10, over an empty
+# witness that names arity 2 itself.
+SIMPLE_WITNESS_ARITY_11 = (
+    '{"kind":"simple_witness","arity":11,"conjugators":[],"witness":{"kind":"normal_word",'
+    '"arity":2,"base":"{0->1,1->0}","letters":[],"target":"{e->e}"}}')
+
+
 class TestParsing:
     def test_element_roundtrip(self):
         g = parse_element("{0->1, 1->0}")
@@ -457,7 +464,8 @@ class TestFuzzing:
         '{"kind":"simple_witness","conjugators":[],'
         '"witness":{"kind":"commutator_word","factors":[],"target":"{e->e}"}}',
         *(f'{{"kind":"commutator_word","arity":{arity},"factors":[],"target":"{{e->e}}"}}'
-          for arity in ("2.9", '"2"', "2.0", "true")),
+          for arity in ("2.9", '"2"', "2.0", "true", "11", "1", "0", "-3")),
+        SIMPLE_WITNESS_ARITY_11,
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
         pytest.param('{"kind":"commutator_word","arity":' + "7" * 5000 + "}",
                      id="integer-of-5000-digits"),
@@ -491,6 +499,19 @@ class TestFuzzing:
         path = tmp_path / "fz.json"
         path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         assert run(capsys, "verify", str(path))[0] == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("payload, arity", [
+        *((f'{{"kind":"commutator_word","arity":{k},"factors":[],"target":"{{e->e}}"}}', k)
+          for k in (11, 1, 0, -3)),
+        (SIMPLE_WITNESS_ARITY_11, 11),
+    ])
+    def test_out_of_range_arity_names_the_range_and_the_value(self, capsys, tmp_path,
+                                                              payload, arity):
+        path = tmp_path / "arity.json"
+        path.write_text(payload)
+        assert run(capsys, "verify", str(path)) == (
+            cli.EXIT_PARSE, "",
+            f"parse error: malformed certificate: arity must be between 2 and 10, got {arity}\n")
 
     def test_certificate_read_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import canonicalize, cylinder, merge_siblings, refine, whole_space
+from cantorwit.clopen import canonicalize, cylinder, letters, merge_siblings, refine, whole_space
 from cantorwit.corpus import random_clopen, random_code, random_element
-from cantorwit.errors import ArityMismatchError, PreconditionError
+from cantorwit.errors import ArityMismatchError, PreconditionError, ToolkitError
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.prefixmap import (PrefixMap, _check_complete_code, compose, identity,
                                  onto_transporter, patch, sigma_swap)
 from cantorwit.witnesses import CommutatorWord, NormalWord
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
-                     maps_equal, member, merge_siblings_worklist, reduce_table, refine_table,
-                     view)
+                     maps_equal, member, merge_siblings_worklist, patch_pairwise, reduce_table,
+                     refine_table, sigma_swap_two_pass, view)
 
 E = parse_element
 C = parse_clopen
@@ -630,6 +630,63 @@ class TestPatch:
             region = random_clopen(rng)
             b = patch([(region, g)])
             assert (g.inverse() * b).fixes_pointwise(region)
+
+
+def outcome(build, *args):
+    """The element a construction returns, or the type and message it raises."""
+    try:
+        return build(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneRestriction:
+    """patch and sigma_swap, which restrict each map to its region once,
+    against `patch_pairwise` and `sigma_swap_two_pass`: the same element,
+    or the same exception type and message."""
+
+    @staticmethod
+    def constraints(rng, arity):
+        """1-3 constraints: regions cut disjointly from one code, each
+        replaced by a random region (which may overlap the others) with
+        probability 1/4; maps sharing one element (so disjoint regions have
+        disjoint images) with probability 3/5, else drawn on their own."""
+        code = random_code(rng, arity, 3)
+        groups = [[] for _ in range(rng.randint(1, 3))]
+        for w in code:
+            rng.choice(groups + [[]]).append(w)
+        shared = random_element(rng, arity, 3)
+        return [(canonicalize(words, arity) if rng.random() < 0.75
+                 else random_clopen(rng, arity, 3),
+                 shared if rng.random() < 0.6 else random_element(rng, arity, 3))
+                for words in groups]
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_patch_matches_pairwise(self, arity):
+        rng = random.Random(230 + arity)
+        seen = set()
+        for _ in range(150):
+            constraints = self.constraints(rng, arity)
+            expected = outcome(patch_pairwise, constraints)
+            assert outcome(patch, constraints) == expected, constraints
+            seen.add(expected[1] if isinstance(expected, tuple) else "element")
+        assert {"element", "patch regions overlap", "patch images overlap"} <= seen
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_sigma_swap_matches_two_pass(self, arity):
+        rng = random.Random(240 + arity)
+        seen = set()
+        for _ in range(150):
+            g = random_element(rng, arity, 3)
+            if g.is_identity() or rng.random() < 0.5:
+                region = random_clopen(rng, arity, 3)
+            else:
+                word = g.moved_cylinder().code[0] + rng.choice(letters(arity))
+                region = cylinder(word, arity)
+            expected = outcome(sigma_swap_two_pass, g, region)
+            assert outcome(sigma_swap, g, region) == expected, (g, region)
+            seen.add(expected[1] if isinstance(expected, tuple) else "element")
+        assert seen == {"element", "swap region overlaps its image"}
 
 
 class TestOntoTransporter:

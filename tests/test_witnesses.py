@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 
 from cantorwit import witnesses
-from cantorwit.clopen import canonicalize, letters
+from cantorwit.clopen import canonicalize, letters, whole_space
 from cantorwit.compression import join_compression, min_cover_3, transporter
 from cantorwit.corpus import (random_clopen, random_code, random_element, random_rist_element,
                               random_witness_input)
 from cantorwit.errors import (ArityMismatchError, ParseError, PreconditionError, ToolkitError,
                               VerificationError)
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import PrefixMap, identity
+from cantorwit.prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
 from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
                                  _inverse_letters, certificate_from_obj, claim1_transporter,
                                  claim2_factorization, claim3_witness,
@@ -611,11 +611,34 @@ class TestClaim3:
     lambda: commutator(identity(3), E(SWAP)),
     lambda: NormalWord(E(SWAP), ((identity(3), 1),)).evaluate(),
     lambda: NormalWord(E(SWAP), ((identity(), 1), (identity(3), -1))).evaluate(),
+    lambda: C("[0]").union(C("[1]", 3)),
+    lambda: C("[0]").intersect(C("[1]", 3)),
+    lambda: C("[0]").disjoint(C("[1]", 3)),
+    lambda: C("[0]").subset(C("[1]", 3)),
+    lambda: E(SWAP).restrict(C("[0]", 3)),
+    lambda: E(SWAP).image(C("[0]", 3)),
+    lambda: E(SWAP).in_rist(C("[0]", 3)),
+    lambda: sigma_swap(E(SWAP), C("[00]", 3)),
+    lambda: patch([(C("[0]"), E(SWAP)), (C("[1]", 3), identity())]),
+    lambda: patch([(C("[0]"), E(SWAP)), (C("[1]"), identity(3))]),
+    lambda: onto_transporter(C("[0]"), C("[0]", 3)),
+    lambda: CommutatorWord((), 2) * CommutatorWord((), 3),
 ], ids=["transporter", "join_compression", "claim3_witness", "mul", "commutator",
-        "commutator_reversed", "normal_word_letter", "normal_word_later_letter"])
+        "commutator_reversed", "normal_word_letter", "normal_word_later_letter", "union",
+        "intersect", "disjoint", "subset", "restrict", "image", "in_rist", "sigma_swap",
+        "patch_region", "patch_map", "onto_transporter", "commutator_word_product"])
 def test_mixed_arities_rejected(build):
-    with pytest.raises(ArityMismatchError):
+    with pytest.raises(ArityMismatchError, match=r"mixed arities \d+ and \d+"):
         build()
+
+
+@pytest.mark.parametrize("arity", [1, 11])
+@pytest.mark.parametrize("build", [identity, whole_space,
+                                   lambda k: CommutatorWord((), k).evaluate()],
+                         ids=["identity", "whole_space", "empty_commutator_word"])
+def test_invalid_arity_rejected(build, arity):
+    with pytest.raises(ArityMismatchError, match=f"arity must be between 2 and 10, got {arity}$"):
+        build(arity)
 
 
 class TestCertificateSerialization:
@@ -791,6 +814,21 @@ class TestVerifyTarget:
                          "int", "null", "missing"):
             assert kinds[mutation][0] is ParseError, mutation
 
+    @pytest.mark.parametrize("arity", [11, 1, 0, -3])
+    def test_out_of_range_arity_refused_as_parsing_the_target_first(self, arity):
+        """An empty commutator word at the arity, and a simple witness
+        naming it over an empty arity-2 witness: both are refused before
+        any literal is read."""
+        word = {"kind": "commutator_word", "arity": arity, "factors": [], "target": "{e->e}"}
+        simple = {"kind": "simple_witness", "arity": arity, "conjugators": [],
+                  "witness": {"kind": "normal_word", "arity": 2, "base": SWAP,
+                              "letters": [], "target": "{e->e}"}}
+        for obj in (word, simple):
+            expected = outcome(verify_parse_target, obj)
+            assert expected == (ParseError, "malformed certificate: arity must be between "
+                                f"2 and 10, got {arity}")
+            assert outcome(verify_certificate, obj) == expected
+
     @staticmethod
     def parsed_texts(monkeypatch) -> list:
         texts = []
@@ -814,13 +852,7 @@ class TestVerifyTarget:
         cert, parsed = certificate_from_obj(obj)
         canonical = str(cert.evaluate())
         assert (target != canonical) == (name == "noncanonical_target")
-        texts = []
-
-        def parse(text, arity=2):
-            texts.append(text)
-            return parse_element(text, arity)
-
-        monkeypatch.setattr(witnesses, "parse_element", parse)
+        texts = self.parsed_texts(monkeypatch)
         certificate_from_obj(with_target(obj, MISSING))
         word_texts = texts[:]
         texts.clear()
