@@ -13,7 +13,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import witnesses as wit
-from .clopen import ALPHABET
+from .clopen import ARITIES
 from .compression import (ORBIT_WINDOW, join_compression, min_cover_3, orbit_disjoint,
                           transporter, wandering_witness)
 from .errors import (ArityMismatchError, ParseError, PreconditionError,
@@ -278,8 +278,8 @@ def build_parser() -> _Parser:
                                  "homeomorphism groups of the Cantor space.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--arity", type=int, default=2, metavar="K",
-                        choices=range(2, len(ALPHABET) + 1),
-                        help=f"alphabet size, 2 to {len(ALPHABET)} (default 2)")
+                        choices=ARITIES,
+                        help=f"alphabet size, {ARITIES[0]} to {ARITIES[-1]} (default 2)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, arguments in _COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)

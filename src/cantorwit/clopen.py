@@ -22,13 +22,15 @@ from typing import Iterable
 from .errors import ArityMismatchError, PreconditionError
 
 ALPHABET = "0123456789"
+ARITIES = range(2, len(ALPHABET) + 1)  # the legal alphabet sizes
 _AFTER = chr(ord(ALPHABET[-1]) + 1)
 
 
 def letters(arity: int) -> str:
     """The alphabet for a given arity, as a string of digit symbols."""
-    if not 2 <= arity <= len(ALPHABET):
-        raise ArityMismatchError(f"arity must be between 2 and {len(ALPHABET)}, got {arity}")
+    if arity not in ARITIES:
+        raise ArityMismatchError(
+            f"arity must be between {ARITIES[0]} and {ARITIES[-1]}, got {arity}")
     return ALPHABET[:arity]
 
 

@@ -5,14 +5,14 @@ r·x.  The domain words and the range words each form a complete prefix code
 (an antichain whose cylinders partition the space), so the map is a
 homeomorphism.  Elements are stored reduced — no family of pairs
 (d0, r0), ..., (d(k-1), r(k-1)) with a common parent on both sides survives,
-it merges to (d, r) — and sorted by domain word, which makes equality of
-maps a plain tuple comparison: two pair lists denote the same bijection iff
-their reduced forms are identical.
+it merges to (d, r) — which makes equality of maps a plain comparison of
+pair tables: two pair lists denote the same bijection iff their reduced
+forms are identical.
 
 Composition is written like function application: (g * h)(x) = g(h(x)).
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain
 
@@ -21,21 +21,51 @@ from .clopen import (ClopenSet, canonicalize, code_view, cylinder, check_word, e
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
 class PrefixMap:
-    """A reduced, domain-sorted prefix-exchange bijection.
+    """A reduced prefix-exchange bijection.
 
     Build instances through :meth:`from_pairs` (or the module helpers);
-    the constructor trusts its arguments.
+    the constructor `PrefixMap(pairs, arity)` trusts its arguments.
 
-    The views `refine` walks, and the inverse, are computed at most once
-    per instance and kept in its `__dict__`; equality, hashing and `repr`
-    stay on `pairs` and `arity`.  Nothing may write to a cached table or
-    key list.
+    An element holds one of two forms of its reduced pair table and derives
+    the other on first read: `pairs`, the pairs in length-lexicographic
+    order of domain word, and `_domain`, the table with its keys in
+    lexicographic order.  The constructor stores `pairs`; every other
+    element (a product, an inverse, a validated literal) is made with only
+    `_domain`, and its `pairs` are built when something reads them.  Each
+    form, the range view and the inverse is computed at most once per
+    instance and kept in its `__dict__`; nothing may write to a cached
+    table or key list, and attributes cannot be assigned.  Equality
+    compares the arities and the tables; hashing and `repr` read `pairs`
+    and `arity`.
     """
 
-    pairs: tuple[tuple[str, str], ...]
-    arity: int = 2
+    def __init__(self, pairs: tuple[tuple[str, str], ...], arity: int = 2):
+        self.__dict__.update(pairs=pairs, arity=arity)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PrefixMap:
+            return NotImplemented
+        return self.arity == other.arity and self._domain[0] == other._domain[0]
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.arity))
+
+    def __repr__(self) -> str:
+        return f"PrefixMap(pairs={self.pairs!r}, arity={self.arity!r})"
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The pairs in length-lexicographic order of domain word: a stable
+        sort of a copy of the lexicographic keys by length."""
+        table, lex = self._domain
+        return tuple([(d, table[d]) for d in sorted(lex, key=len)])
 
     @classmethod
     def from_pairs(cls, pairs, arity: int = 2) -> "PrefixMap":
@@ -57,7 +87,9 @@ class PrefixMap:
         return "{" + ",".join(f"{d if d else 'e'}->{r if r else 'e'}" for d, r in self.pairs) + "}"
 
     def is_identity(self) -> bool:
-        return self.pairs == (("", ""),)
+        """A reduced table of one pair is {e->e}: the only complete prefix
+        code of one word is the empty word."""
+        return len(self._domain[0]) == 1
 
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
         """Composition: (g * h)(x) = g(h(x))."""
@@ -74,7 +106,7 @@ class PrefixMap:
     def _range(self) -> tuple[dict[str, str], list[str]]:
         """The range-to-domain table and its keys (the range words) in
         lexicographic order: the inner side of a product in `refine`."""
-        table = {r: d for d, r in self.pairs}
+        table = {r: d for d, r in self._domain[0].items()}
         return table, sorted(table)
 
     def inverse(self) -> "PrefixMap":
@@ -217,11 +249,10 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
 
 def _element(table: dict[str, str], lex: list[str], arity: int) -> PrefixMap:
     """The element with the reduced pair table `table`, whose keys `lex`
-    holds in lexicographic order: its pairs in length-lexicographic order
-    of domain word (a stable sort of a copy of `lex` by length), and
-    `(table, lex)` as its cached `_domain`, which nothing may write to."""
-    element = PrefixMap(tuple([(d, table[d]) for d in sorted(lex, key=len)]), arity)
-    element.__dict__["_domain"] = table, lex
+    holds in lexicographic order: `(table, lex)` is its `_domain`, which
+    nothing may write to, and its `pairs` are built when first read."""
+    element = object.__new__(PrefixMap)
+    element.__dict__.update(_domain=(table, lex), arity=arity)
     return element
 
 

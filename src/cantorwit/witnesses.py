@@ -651,6 +651,10 @@ def _read_certificate(obj: dict, arity: int):
         certs = tuple(c for c, _ in parsed)
         if not all(isinstance(c, CommutatorWord) for c in certs):
             raise ParseError("conjugator certificates must be commutator words")
+        try:
+            same_arity(word.base, *certs)
+        except ArityMismatchError as exc:
+            raise ParseError(f"malformed certificate: {exc}") from exc
         # with one certificate per letter, a target a conjugator object carries
         # must be its letter's conjugator (a count mismatch fails in evaluate)
         if len(parsed) == len(word.letters) and any(

@@ -268,6 +268,10 @@ def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
         parsed = [word_of(c, k) for c in obj["conjugators"]]
         if not all(isinstance(c, CommutatorWord) for c, _ in parsed):
             raise ParseError("conjugator certificates must be commutator words")
+        other = next((c.arity for c, _ in parsed if c.arity != word.base.arity), None)
+        if other is not None:
+            raise ParseError("malformed certificate: mixed arities "
+                             f"{word.base.arity} and {other}")
         if len(parsed) == len(word.letters) and any(
                 t is not None and t != conj for (_, t), (conj, _) in zip(parsed, word.letters)):
             raise ParseError("a conjugator certificate's target is not its letter's conjugator")

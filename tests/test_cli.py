@@ -38,6 +38,10 @@ def simple_proper_with_conjugator_target(target):
 SIMPLE_WITNESS_ARITY_11 = (
     '{"kind":"simple_witness","arity":11,"conjugators":[],"witness":{"kind":"normal_word",'
     '"arity":2,"base":"{0->1,1->0}","letters":[],"target":"{e->e}"}}')
+SIMPLE_WITNESS_MIXED_ARITIES = (
+    '{"kind":"simple_witness","arity":3,"witness":{"kind":"normal_word","arity":2,'
+    '"base":"{0->1,1->0}","letters":[{"conj":"{e->e}","exp":1}],"target":"{0->1,1->0}"},'
+    '"conjugators":[{"kind":"commutator_word","factors":[]}]}')
 
 
 class TestParsing:
@@ -494,6 +498,7 @@ class TestFuzzing:
         '"letters":[],"target":"{e->e}"}}}',
         pytest.param(simple_proper_with_conjugator_target("{0->1,1->0}"),
                      id="simple-proper-wrong-conjugator-target"),
+        pytest.param(SIMPLE_WITNESS_MIXED_ARITIES, id="simple-witness-mixed-arities"),
     ])
     def test_malformed_certificates_exit_parse(self, capsys, tmp_path, payload):
         path = tmp_path / "fz.json"

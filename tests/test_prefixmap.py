@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -301,10 +302,15 @@ class TestCachedViews:
             assert repr(g) == repr(fresh) and str(g) == str(fresh)
             assert g.inverse() == fresh.inverse() and hash(g.inverse()) == hash(fresh.inverse())
 
-    @pytest.mark.parametrize("arity", [2, 3, 4])
-    def test_views_survive_a_chain_of_operations(self, arity):
-        rng = random.Random(140 + arity)
-        pool = seeded_elements(140 + arity, 12, arity=arity, max_depth=self.DEPTH[arity])
+    @classmethod
+    def chain_of_operations(cls, seed, arity):
+        """A pool of elements after a seeded chain of products, inverses,
+        powers, restrictions and images, none of which reads pairs.  A power
+        that is the identity is left out: `g ** n` may return `identity(k)`,
+        which the constructor made."""
+        depth = cls.DEPTH[arity]
+        rng = random.Random(seed)
+        pool = seeded_elements(seed, 12, arity=arity, max_depth=depth)
         for _ in range(300):
             op = rng.randrange(5)
             g = rng.choice(pool)
@@ -313,15 +319,21 @@ class TestCachedViews:
             elif op == 1:
                 pool.append(g.inverse())
             elif op == 2:
-                pool.append(g ** rng.choice([-3, -2, -1, 2, 3]))
+                power = g ** rng.choice([-3, -2, -1, 2, 3])
+                if not power.is_identity():
+                    pool.append(power)
             elif op == 3:
-                g.restrict(random_clopen(rng, arity, self.DEPTH[arity]))
+                g.restrict(random_clopen(rng, arity, depth))
             else:
-                g.image(random_clopen(rng, arity, self.DEPTH[arity]))
+                g.image(random_clopen(rng, arity, depth))
             if len(pool) > 40:
                 pool = rng.sample(pool, 20)
+        return pool
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_views_survive_a_chain_of_operations(self, arity):
         checked = set()
-        for g in pool:
+        for g in self.chain_of_operations(140 + arity, arity):
             for h in (g, g.inverse()):
                 assert_cache_matches_pairs(h)
                 checked.update(n for n in ("_domain", "_range") if n in h.__dict__)
@@ -362,6 +374,47 @@ class TestCachedViews:
                 assert "_domain" in fresh.__dict__
                 assert_cache_matches_pairs(fresh)
                 assert fresh in (g, g.inverse())
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_pairs_are_built_only_when_read(self, arity):
+        pool = self.chain_of_operations(180 + arity, arity)
+        for g in pool:
+            assert "pairs" not in g.__dict__ and "_domain" in g.__dict__
+        g = pool[-1]
+        assert g.pairs is g.__dict__["pairs"]
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_unread_pairs_agree_with_the_trusting_constructor(self, arity):
+        """An element whose pairs were never read, against one built from
+        its pairs in canonical order (sorted here from its table): equality
+        and the identity test read no pairs; hashing, repr, str and the
+        moved cylinder build them."""
+        pool = self.chain_of_operations(190 + arity, arity)
+        pool.append(pool[0] * pool[0].inverse())
+        pool = list({id(g): g for g in pool}.values())  # a cached inverse, or g * e, recurs
+        for g in pool:
+            fresh = PrefixMap(tuple(sorted(g._domain[0].items(), key=lambda pr: lenlex(pr[0]))),
+                              g.arity)
+            assert g == fresh and fresh == g and not g != fresh
+            assert g != PrefixMap(fresh.pairs, arity + 1)
+            assert g.is_identity() == fresh.is_identity()
+            assert "pairs" not in g.__dict__
+            assert hash(g) == hash(fresh)
+            assert repr(g) == repr(fresh) and str(g) == str(fresh)
+            if fresh.is_identity():
+                with pytest.raises(PreconditionError, match="moves no cylinder"):
+                    g.moved_cylinder()
+            else:
+                assert g.moved_cylinder() == fresh.moved_cylinder()
+
+    def test_attributes_cannot_be_assigned_or_deleted(self):
+        for g in (identity(3), E("{0->1,1->0}") * E("{0->10,10->11,11->0}")):
+            for name in ("pairs", "arity", "_domain", "_range", "_inverse", "other"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(g, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(g, name)
+            assert g == PrefixMap(g.pairs, g.arity)
 
 
 class TestIdentityFactors:

@@ -741,6 +741,12 @@ def word_variants(obj: dict) -> dict:
     return variants
 
 
+def rotation(arity: int) -> PrefixMap:
+    """The rotation of the first-letter cylinders, c -> c + 1 mod arity."""
+    alphabet = letters(arity)
+    return PrefixMap.from_pairs(zip(alphabet, alphabet[1:] + alphabet[0]), arity)
+
+
 def target_mutations(text: str, arity: int) -> dict:
     """Target texts around a canonical literal: equal elements written
     otherwise, a different element, and targets that do not parse."""
@@ -752,13 +758,12 @@ def target_mutations(text: str, arity: int) -> dict:
     alphabet = letters(arity)
     d, r = pairs[0]
     split = [(d + c, r + c) for c in alphabet] + pairs[1:]
-    rotate = PrefixMap.from_pairs(zip(alphabet, alphabet[1:] + alphabet[0]), arity)
     return {
         "canonical": text,
         "spaces": " " + text.replace(",", " ,\n ").replace("->", " -> ") + "\t",
         "reordered": fmt(pairs[::-1]),
         "split_pair": fmt(split),
-        "wrong_element": str(parse_element(text, arity) * rotate),
+        "wrong_element": str(parse_element(text, arity) * rotation(arity)),
         "grammar_error": text.replace("->", "-", 1),
         "unbraced": text[:-1],
         "off_alphabet": fmt([(d + str(arity), r)] + pairs[1:]),
@@ -828,6 +833,27 @@ class TestVerifyTarget:
             assert expected == (ParseError, "malformed certificate: arity must be between "
                                 f"2 and 10, got {arity}")
             assert outcome(verify_certificate, obj) == expected
+
+    @pytest.mark.parametrize("arity, other", [(2, 3), (3, 2), (4, 3)])
+    def test_conjugators_of_another_arity_refused_after_the_target(self, arity, other):
+        """A simple witness whose conjugator words name another arity than
+        its witness is malformed; a malformed witness target is reported
+        in its place, as a reader parsing it first would."""
+        rotate = str(rotation(arity))
+        obj = {"kind": "simple_witness", "arity": other,
+               "witness": {"kind": "normal_word", "arity": arity, "base": rotate,
+                           "letters": [{"conj": "{e->e}", "exp": 1}]},
+               "conjugators": [{"kind": "commutator_word", "factors": []}]}
+        for mutation, target in target_mutations(rotate, arity).items():
+            mutated = with_target(obj, target)
+            expected = outcome(verify_parse_target, mutated)
+            assert outcome(verify_certificate, mutated) == expected, mutation
+            if mutation in ("canonical", "spaces", "reordered", "split_pair", "wrong_element",
+                            "missing"):
+                assert expected == (ParseError, "malformed certificate: mixed arities "
+                                    f"{arity} and {other}"), mutation
+            else:
+                assert expected[0] is ParseError and "mixed" not in expected[1], mutation
 
     @staticmethod
     def parsed_texts(monkeypatch) -> list:
