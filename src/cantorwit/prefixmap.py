@@ -27,21 +27,19 @@ class PrefixMap:
     Build instances through :meth:`from_pairs` (or the module helpers);
     the constructor `PrefixMap(pairs, arity)` trusts its arguments.
 
-    An element holds one of two forms of its reduced pair table and derives
-    the other on first read: `pairs`, the pairs in length-lexicographic
-    order of domain word, and `_domain`, the table with its keys in
-    lexicographic order.  The constructor stores `pairs`; every other
-    element (a product, an inverse, a validated literal) is made with only
-    `_domain`, and its `pairs` are built when something reads them.  Each
-    form, the range view and the inverse is computed at most once per
-    instance and kept in its `__dict__`; nothing may write to a cached
-    table or key list, and attributes cannot be assigned.  Equality
-    compares the arities and the tables; hashing and `repr` read `pairs`
-    and `arity`.
+    An element stores its reduced pair table as `_domain`: the table and
+    its keys (the domain words) in lexicographic order, the outer side of a
+    product in `refine`.  The views derived from it, `pairs` (the pairs in
+    length-lexicographic order of domain word), the range view and the
+    inverse, are computed at most once per instance, when first read, and
+    kept in its `__dict__`; nothing may write to a table or key list, and
+    attributes cannot be assigned.  Equality compares the arities and the
+    tables; hashing and `repr` read `pairs` and `arity`.
     """
 
     def __init__(self, pairs: tuple[tuple[str, str], ...], arity: int = 2):
-        self.__dict__.update(pairs=pairs, arity=arity)
+        table = dict(pairs)
+        self.__dict__.update(_domain=(table, sorted(table)), arity=arity)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -94,13 +92,6 @@ class PrefixMap:
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
         """Composition: (g * h)(x) = g(h(x))."""
         return compose(self, other)
-
-    @cached_property
-    def _domain(self) -> tuple[dict[str, str], list[str]]:
-        """The pair table and its keys (the domain words) in lexicographic
-        order: the outer side of a product in `refine`."""
-        table = dict(self.pairs)
-        return table, sorted(table)
 
     @cached_property
     def _range(self) -> tuple[dict[str, str], list[str]]:
@@ -250,7 +241,7 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
 def _element(table: dict[str, str], lex: list[str], arity: int) -> PrefixMap:
     """The element with the reduced pair table `table`, whose keys `lex`
     holds in lexicographic order: `(table, lex)` is its `_domain`, which
-    nothing may write to, and its `pairs` are built when first read."""
+    nothing may write to.  Unlike the constructor it sorts nothing."""
     element = object.__new__(PrefixMap)
     element.__dict__.update(_domain=(table, lex), arity=arity)
     return element
