@@ -15,6 +15,7 @@ from cantorwit import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 NCERT = str(GOLDEN / "ncert.json")
+NCERT3 = str(GOLDEN / "ncert_arity3.json")
 GCERT = str(GOLDEN / "gcert.json")
 
 # proper union: the round-trip acceptance literals (both supports in [00])
@@ -25,6 +26,15 @@ A_FULL = "{00->01,01->00,1->1}"
 B_FULL = "{00->00,01->10,10->01,11->11}"
 N_MONOLITH = "{00->01,01->10,10->00,11->11}"
 N_SIMPLE = "{00->10,01->00,10->01,11->11}"     # [x, y] certified by ncert.json
+# the same four invocations at arity 3, on shallow inputs: a and b swap
+# sub-cylinders of [00] in the proper union; in the full one a swaps 00 and
+# 02 inside [0] and b swaps 02 and 2 inside [02,1,2]
+A_PROPER3 = "{000->001,001->000,002->002,01->01,02->02,1->1,2->2}"
+B_PROPER3 = "{000->000,001->002,002->001,01->01,02->02,1->1,2->2}"
+A_FULL3 = "{00->02,01->01,02->00,1->1,2->2}"
+B_FULL3 = "{00->00,01->01,02->2,1->1,2->02}"
+N_MONOLITH3 = "{00->01,01->10,10->00,02->02,11->11,12->12,2->2}"
+N_SIMPLE3 = "{00->10,01->00,10->01,02->02,11->11,12->12,2->2}"  # certified by ncert_arity3.json
 
 # name -> (argv, exit code)
 CASES = {
@@ -45,6 +55,14 @@ CASES = {
                        N_SIMPLE, "--n-cert", NCERT, "--json"], 0),
     "simple_full": (["simple-witness", A_FULL, "[0]", B_FULL, "[01,1]",
                      N_SIMPLE, "--n-cert", NCERT, "--json"], 0),
+    "monolith_proper_arity3": (["monolith-witness", "--arity", "3", A_PROPER3, "[00]",
+                                B_PROPER3, "[00]", N_MONOLITH3, "--json"], 0),
+    "monolith_full_arity3": (["monolith-witness", "--arity", "3", A_FULL3, "[0]",
+                              B_FULL3, "[02,1,2]", N_MONOLITH3, "--json"], 0),
+    "simple_proper_arity3": (["simple-witness", "--arity", "3", A_PROPER3, "[00]",
+                              B_PROPER3, "[00]", N_SIMPLE3, "--n-cert", NCERT3, "--json"], 0),
+    "simple_full_arity3": (["simple-witness", "--arity", "3", A_FULL3, "[0]",
+                            B_FULL3, "[02,1,2]", N_SIMPLE3, "--n-cert", NCERT3, "--json"], 0),
     "corpus_quick": (["corpus", "--seed", "42", "--quick"], 0),
     "corpus_quick_arity3": (["corpus", "--arity", "3", "--seed", "42", "--quick"], 0),
     "reduce": (["reduce", "{000->100,001->101,01->11,10->00,11->01}"], 0),
@@ -59,6 +77,10 @@ CASES = {
     "verify_derived_conj": (["verify", str(GOLDEN / "derived_conj.txt")], 0),
     "verify_monolith_full": (["verify", str(GOLDEN / "monolith_full.txt")], 0),
     "verify_simple_full": (["verify", str(GOLDEN / "simple_full.txt")], 0),
+    "verify_monolith_proper_arity3": (["verify", str(GOLDEN / "monolith_proper_arity3.txt")], 0),
+    "verify_monolith_full_arity3": (["verify", str(GOLDEN / "monolith_full_arity3.txt")], 0),
+    "verify_simple_proper_arity3": (["verify", str(GOLDEN / "simple_proper_arity3.txt")], 0),
+    "verify_simple_full_arity3": (["verify", str(GOLDEN / "simple_full_arity3.txt")], 0),
     # derived_conj.txt with its target spaced, reordered and one pair split:
     # the same stdout as verify_derived_conj
     "verify_noncanonical_target": (["verify", str(GOLDEN / "noncanonical_target.json")], 0),
