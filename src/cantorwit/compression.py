@@ -93,7 +93,9 @@ def join_compression(part_a: ClopenSet, part_b: ClopenSet) -> PrefixMap:
 
     Requires a non-empty complement W of the union.  Built from three
     transporters: g1 carries A into W, g2 and g3 carry A and B into
-    disjoint halves of g1(A); the result is g1^-1 · σ(g2, A) · σ(g3, B).
+    disjoint halves of g1(A), the first of the cylinders that
+    `two_disjoint_cylinders` finds there and the rest; the result is
+    g1^-1 · σ(g2, A) · σ(g3, B).
     """
     same_arity(part_a, part_b)
     if part_a.is_empty() or part_b.is_empty():
@@ -105,21 +107,11 @@ def join_compression(part_a: ClopenSet, part_b: ClopenSet) -> PrefixMap:
         raise PreconditionError("the union leaves no room to move into")
     g1 = transporter(part_a, rest)
     landing = g1.image(part_a)
-    half_a, half_b = _split_in_two(landing)
+    half_a = two_disjoint_cylinders(landing)[0]
+    half_b = landing.intersect(half_a.complement())
     g2 = transporter(part_a, half_a)
     g3 = transporter(part_b, half_b)
     return compose(g1.inverse(), sigma_swap(g2, part_a), sigma_swap(g3, part_b))
-
-
-def _split_in_two(region: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
-    """Two disjoint non-empty clopen pieces covering the region."""
-    k = region.arity
-    if len(region.code) >= 2:
-        first = canonicalize(region.code[:1], k)
-        return first, canonicalize(region.code[1:], k)
-    w = region.code[0]
-    first = cylinder(w + "0", k)
-    return first, canonicalize([w + c for c in letters(k)[1:]], k)
 
 
 class TriCover(NamedTuple):

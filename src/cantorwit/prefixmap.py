@@ -34,7 +34,8 @@ class PrefixMap:
     inverse, are computed at most once per instance, when first read, and
     kept in its `__dict__`; nothing may write to a table or key list, and
     attributes cannot be assigned.  Equality compares the arities and the
-    tables; hashing and `repr` read `pairs` and `arity`.
+    tables, and hashing reads the arity and the sorted domain words (equal
+    tables have equal keys), so neither builds `pairs`; `repr` reads it.
     """
 
     def __init__(self, pairs: tuple[tuple[str, str], ...], arity: int = 2):
@@ -53,7 +54,7 @@ class PrefixMap:
         return self.arity == other.arity and self._domain[0] == other._domain[0]
 
     def __hash__(self) -> int:
-        return hash((self.pairs, self.arity))
+        return hash((self.arity, *self._domain[1]))
 
     def __repr__(self) -> str:
         return f"PrefixMap(pairs={self.pairs!r}, arity={self.arity!r})"

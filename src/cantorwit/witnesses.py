@@ -619,135 +619,133 @@ def certificate_from_obj(obj: dict, arity: int = 2):
     """Parse a certificate object into (certificate, target-or-None): a
     NormalWord, a CommutatorWord, or a SimpleWitness with its witness's
     target, whose parts default to its arity and share one table of parsed
-    literals.  Any structural defect (missing or mistyped fields, bad
-    literals, an identity base) is reported as a ParseError; the target is
-    parsed here too, so a malformed one is refused at once."""
-    cert, _text, read_target = _read_certificate(obj, arity)
-    return cert, read_target() if read_target else None
+    literals.  Each object is read target first, then its other literals,
+    so a malformed target is refused before anything after it; any
+    structural defect (missing or mistyped fields, bad literals or arities,
+    an identity base) is reported as a ParseError."""
+    with _malformed():
+        return _read_certificate(obj, arity, {}, None)
 
 
-def _read_certificate(obj: dict, arity: int):
-    """The reader certificate_from_obj and verify_certificate share: the
-    certificate with every literal but its target parsed, the raw target,
-    and a function that parses the target through the same table (None
-    when the certificate carries no target).  A defect found after the
-    target's place is reported only once the target has parsed, so the
-    error is the one a reader parsing the target first would raise."""
-    table: dict = {}
+def _read_certificate(obj: dict, arity: int, table: dict, deferred: list | None):
+    """The reader certificate_from_obj and verify_certificate share, in one
+    order: the witness (or the word itself), then each conjugator object,
+    every object its target first.  Returns (certificate, target), except
+    that with a `deferred` list the top-level target is appended to it as
+    (text, arity) instead of being parsed, and None is returned in its
+    place.  Conjugator targets are always parsed."""
     if not (isinstance(obj, dict) and obj.get("kind") == "simple_witness"):
-        return _word_from_obj(obj, arity, table)
+        return _word_from_obj(obj, arity, table, deferred)
     if not isinstance(obj.get("witness"), dict):
         raise ParseError("simple_witness certificate needs a 'witness' object")
     k = _arity(obj, arity)
-    word, text, read_target = _word_from_obj(obj["witness"], k, table)
-    try:
-        if not isinstance(word, NormalWord):
-            raise ParseError("a simple_witness 'witness' must be a normal_word")
-        if not isinstance(obj.get("conjugators"), list):
-            raise ParseError("a simple_witness 'conjugators' must be a list")
-        # each conjugator's target is parsed right after its word
-        parsed = [(c, read() if read else None)
-                  for c, _, read in (_word_from_obj(o, k, table) for o in obj["conjugators"])]
-        certs = tuple(c for c, _ in parsed)
-        if not all(isinstance(c, CommutatorWord) for c in certs):
-            raise ParseError("conjugator certificates must be commutator words")
-        try:
-            same_arity(word.base, *certs)
-        except ArityMismatchError as exc:
-            raise ParseError(f"malformed certificate: {exc}") from exc
-        # with one certificate per letter, a target a conjugator object carries
-        # must be its letter's conjugator (a count mismatch fails in evaluate)
-        if len(parsed) == len(word.letters) and any(
-                t is not None and t != conj for (_, t), (conj, _) in zip(parsed, word.letters)):
-            raise ParseError("a conjugator certificate's target is not its letter's conjugator")
-    except ParseError:
-        if read_target:
-            read_target()
-        raise
-    return SimpleWitness(word, certs), text, read_target
+    word, target = _word_from_obj(obj["witness"], k, table, deferred)
+    if not isinstance(word, NormalWord):
+        raise ParseError("a simple_witness 'witness' must be a normal_word")
+    if not isinstance(obj.get("conjugators"), list):
+        raise ParseError("a simple_witness 'conjugators' must be a list")
+    parsed = [_word_from_obj(o, k, table, None) for o in obj["conjugators"]]
+    certs = tuple(c for c, _ in parsed)
+    if not all(isinstance(c, CommutatorWord) for c in certs):
+        raise ParseError("conjugator certificates must be commutator words")
+    same_arity(word.base, *certs)
+    # with one certificate per letter, a target a conjugator object carries
+    # must be its letter's conjugator (a count mismatch fails in evaluate)
+    if len(parsed) == len(word.letters) and any(
+            t is not None and t != conj for (_, t), (conj, _) in zip(parsed, word.letters)):
+        raise ParseError("a conjugator certificate's target is not its letter's conjugator")
+    return SimpleWitness(word, certs), target
 
 
 def _arity(obj: dict, default: int) -> int:
     k = obj.get("arity", default)
     if type(k) is not int:
         raise ParseError(f"malformed certificate: arity must be an integer, got {type(k).__name__}")
-    try:
-        letters(k)
-    except ArityMismatchError as exc:
-        raise ParseError(f"malformed certificate: {exc}") from exc
+    letters(k)                  # an arity outside 2..10 raises here
     return k
 
 
 @contextmanager
 def _malformed():
     """Report a structural defect of a certificate object (a missing or
-    mistyped field, an identity base) as a ParseError."""
+    mistyped field, an out-of-range or mixed arity, an identity base) as a
+    ParseError."""
     try:
         yield
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, PreconditionError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, PreconditionError,
+            ArityMismatchError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
 
 
-def _word_from_obj(obj, arity: int, table: dict):
+def _element(table: dict, text, k: int) -> PrefixMap:
+    """The element literal `text` at arity k, parsed once per table."""
+    g = table.get((text, k))
+    if g is None:
+        g = table[(text, k)] = parse_element(text, k)
+    return g
+
+
+def _word_from_obj(obj, arity: int, table: dict, deferred: list | None):
     """Read a normal_word or commutator_word object as _read_certificate
-    does, parsing its literals through the table keyed by (literal,
+    does: its target (parsed, or appended to `deferred`), then its other
+    literals, each parsed once through the table keyed by (literal,
     arity)."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("certificate object must carry a 'kind'")
     k = _arity(obj, arity)
-
-    def elem(text) -> PrefixMap:
-        g = table.get((text, k))
-        if g is None:
-            g = table[(text, k)] = parse_element(text, k)
-        return g
-
-    def read_target() -> PrefixMap:
-        with _malformed():
-            return elem(obj["target"])
-
-    read = read_target if "target" in obj else None
-    try:
-        with _malformed():
-            if obj["kind"] == "normal_word":
-                base = elem(obj["base"])
-                letters = tuple((elem(l["conj"]), l["exp"]) for l in _listed(obj, "letters"))
-                return NormalWord(base, letters), obj.get("target"), read
-            if obj["kind"] == "commutator_word":
-                factors = tuple((elem(f["x"]), elem(f["y"])) for f in _listed(obj, "factors"))
-                return CommutatorWord(factors, k), obj.get("target"), read
-        raise ParseError(f"unknown certificate kind {obj['kind']!r}")
-    except ParseError:
-        if read:
-            read()
-        raise
+    target = None
+    if "target" in obj:
+        if deferred is None:
+            target = _element(table, obj["target"], k)
+        else:
+            deferred.append((obj["target"], k))
+    if obj["kind"] == "normal_word":
+        base = _element(table, obj["base"], k)
+        letters = tuple((_element(table, l["conj"], k), l["exp"]) for l in _listed(obj, "letters"))
+        return NormalWord(base, letters), target
+    if obj["kind"] == "commutator_word":
+        factors = tuple((_element(table, f["x"], k), _element(table, f["y"], k))
+                        for f in _listed(obj, "factors"))
+        return CommutatorWord(factors, k), target
+    raise ParseError(f"unknown certificate kind {obj['kind']!r}")
 
 
 def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
     """Re-evaluate a certificate object of any kind against its target.
 
-    Every literal but the target is parsed and the certificate evaluated;
-    a target whose text, whitespace removed, is the value's canonical
-    literal is accepted without being parsed (parse(format(v)) == v, so
-    equal texts denote equal reduced forms).  Any other target is parsed
-    through the same literal table and compared as an element.  Errors are
-    those of parsing the target first: a certificate without a target is
-    refused before evaluation, and a malformed target is a ParseError even
-    when evaluation fails.
+    The certificate is read as certificate_from_obj reads it, except that
+    its top-level target is set aside, and then evaluated.  A target whose
+    text, whitespace removed, is the value's canonical literal is accepted
+    without being parsed (parse(format(v)) == v, so equal texts denote
+    equal reduced forms).  The target is parsed, through the same literal
+    table, only here: when it is not canonical, to be compared as an
+    element, and when reading or evaluation fails, so that a malformed
+    target is the error reported, as a reader parsing it first would
+    report it.  A certificate without a target is refused before
+    evaluation.
 
     Raises VerificationError on mismatch; returns the evaluated element.
     """
-    cert, text, read_target = _read_certificate(obj, arity)
-    if read_target is None:
-        raise ParseError("certificate carries no target to verify against")
+    table: dict = {}
+    deferred: list = []
+
+    def target() -> PrefixMap | None:
+        with _malformed():
+            return _element(table, *deferred[0]) if deferred else None
+
     try:
+        with _malformed():
+            cert, _ = _read_certificate(obj, arity, table, deferred)
+        if not deferred:
+            raise ParseError("certificate carries no target to verify against")
         value = cert.evaluate()
-    except VerificationError:
-        read_target()
+    except (ParseError, VerificationError):
+        target()
         raise
-    if not (isinstance(text, str) and _strip(text) == str(value)) and read_target() != value:
+    text = deferred[0][0]
+    if not (isinstance(text, str) and _strip(text) == str(value)) and target() != value:
         raise VerificationError("certificate does not evaluate to its target")
     return value
 

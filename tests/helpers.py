@@ -84,27 +84,11 @@ def refine_oracle(xs, ys):
                 yield x, y, y
 
 
-def clopen_equal(a, b) -> bool:
-    """Brute-force equality of two clopen sets via depth-wise membership."""
-    depth = max(max_word_len(a.code, b.code), 1)
-    return all(member(a.code, w) == member(b.code, w)
-               for w in all_words(a.arity, depth))
-
-
 def maps_equal(g, h) -> bool:
     """Brute-force equality of two prefix maps via pointwise evaluation."""
     depth = max(max_word_len([d for d, _ in g.pairs], [d for d, _ in h.pairs]), 1)
     return all(apply_pairs(g.pairs, w) == apply_pairs(h.pairs, w)
                for w in all_words(g.arity, depth))
-
-
-def image_words(g, region, depth: int) -> set[str]:
-    """All depth-d images under g of the points named by region's code."""
-    out = set()
-    for w in all_words(g.arity, depth):
-        if member(region.code, w):
-            out.add(apply_pairs(g.pairs, w))
-    return out
 
 
 def commutator_fold(factors, arity: int):

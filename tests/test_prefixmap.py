@@ -375,6 +375,7 @@ class TestCachedViews:
     def test_pairs_are_built_only_when_read(self, arity):
         pool = self.chain_of_operations(180 + arity, arity) + [identity(arity)]
         for g in pool:
+            hash(g)
             assert "pairs" not in g.__dict__ and "_domain" in g.__dict__
         g = pool[-1]
         assert g.pairs is g.__dict__["pairs"]
@@ -382,8 +383,8 @@ class TestCachedViews:
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_unread_pairs_agree_with_the_trusting_constructor(self, arity):
         """An element whose pairs were never read, against one built from
-        its pairs in canonical order (sorted here from its table): equality
-        and the identity test read no pairs; hashing, repr, str and the
+        its pairs in canonical order (sorted here from its table): equality,
+        hashing and the identity test read no pairs; repr, str and the
         moved cylinder build them."""
         pool = self.chain_of_operations(190 + arity, arity)
         pool.append(pool[0] * pool[0].inverse())
@@ -394,8 +395,8 @@ class TestCachedViews:
             assert g == fresh and fresh == g and not g != fresh
             assert g != PrefixMap(fresh.pairs, arity + 1)
             assert g.is_identity() == fresh.is_identity()
-            assert "pairs" not in g.__dict__
             assert hash(g) == hash(fresh)
+            assert "pairs" not in g.__dict__
             assert repr(g) == repr(fresh) and str(g) == str(fresh)
             if fresh.is_identity():
                 with pytest.raises(PreconditionError, match="moves no cylinder"):

@@ -24,6 +24,7 @@ from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWi
                                  monolith_witness, normal_word_to_obj,
                                  shift_identity_check, simple_witness,
                                  simple_witness_to_obj, verify_certificate)
+import helpers
 from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
                      normal_word_fold, verify_parse_target)
 
@@ -782,7 +783,8 @@ def outcome(check, obj):
         return type(exc), str(exc)
 
 
-CERTIFICATES = ([(f"golden:{name}", 2, obj) for name, obj in golden_certificates().items()]
+CERTIFICATES = ([(f"golden:{name}", obj.get("arity", 2), obj)
+                 for name, obj in golden_certificates().items()]
                 + [(f"arity{k}:{name}", k, obj) for k in (3, 4)
                    for name, obj in built_certificates(k).items()])
 
@@ -856,14 +858,14 @@ class TestVerifyTarget:
                 assert expected[0] is ParseError and "mixed" not in expected[1], mutation
 
     @staticmethod
-    def parsed_texts(monkeypatch) -> list:
+    def parsed_texts(monkeypatch, module=witnesses) -> list:
         texts = []
 
         def parse(text, arity=2):
             texts.append(text)
             return parse_element(text, arity)
 
-        monkeypatch.setattr(witnesses, "parse_element", parse)
+        monkeypatch.setattr(module, "parse_element", parse)
         return texts
 
     @pytest.mark.parametrize("name", sorted(n for n, o in golden_certificates().items()
@@ -872,7 +874,11 @@ class TestVerifyTarget:
         """verify parses the literals of the word, as a reader of the
         certificate without its target does, and the target only when it
         is not the canonical literal: golden targets are canonical, except
-        that of noncanonical_target.json."""
+        that of noncanonical_target.json.  The literals come in the order
+        verify_parse_target reads those of the certificate without its
+        target, the target last when parsed; a simple witness is also read with its first conjugator
+        target spaced, a text no other literal shares, which that order
+        parses before the conjugator's factors."""
         obj = golden_certificates()[name]
         target = obj.get("witness", obj)["target"]
         cert, parsed = certificate_from_obj(obj)
@@ -884,6 +890,21 @@ class TestVerifyTarget:
         texts.clear()
         assert verify_certificate(obj) == parsed
         assert texts == word_texts + [target] * (target != canonical)
+        variants = [obj]
+        if obj["kind"] == "simple_witness":
+            spaced = copy.deepcopy(obj)
+            conj = spaced["witness"]["letters"][0]["conj"]
+            spaced["conjugators"][0]["target"] = " " + conj.replace(",", " , ")
+            variants.append(spaced)
+        reference = self.parsed_texts(monkeypatch, helpers)
+        for variant in variants:
+            assert verify_parse_target(variant) == parsed
+            reference.clear()
+            with pytest.raises(ParseError, match="no target"):
+                verify_parse_target(with_target(variant, MISSING))
+            texts.clear()
+            assert verify_certificate(variant) == parsed
+            assert texts == reference + [target] * (target != canonical)
 
 
 class TestCommutingChain:
