@@ -876,9 +876,10 @@ class TestVerifyTarget:
         is not the canonical literal: golden targets are canonical, except
         that of noncanonical_target.json.  The literals come in the order
         verify_parse_target reads those of the certificate without its
-        target, the target last when parsed; a simple witness is also read with its first conjugator
-        target spaced, a text no other literal shares, which that order
-        parses before the conjugator's factors."""
+        target, and the target last when it is parsed.  A simple witness is
+        also read with its first conjugator target spaced, a text no other
+        literal shares, which that order parses before the conjugator's
+        factors."""
         obj = golden_certificates()[name]
         target = obj.get("witness", obj)["target"]
         cert, parsed = certificate_from_obj(obj)
