@@ -4,7 +4,7 @@ witnesses, and commutator/normal-word certificates."""
 
 from .clopen import ClopenSet, canonicalize, cylinder, empty_set, whole_space
 from .compression import (TriCover, join_compression, min_cover_3, transporter,
-                          wandering_base, wandering_witness)
+                          wandering_base, wandering_witness, wanders)
 from .errors import (ArityMismatchError, ParseError, PreconditionError,
                      ToolkitError, VerificationError)
 from .literals import parse_clopen, parse_element
@@ -21,7 +21,7 @@ __all__ = [
     "ClopenSet", "canonicalize", "cylinder", "empty_set", "whole_space",
     "PrefixMap", "identity", "onto_transporter", "patch", "sigma_swap",
     "TriCover", "join_compression", "min_cover_3", "transporter",
-    "wandering_base", "wandering_witness",
+    "wandering_base", "wandering_witness", "wanders",
     "NormalWord", "CommutatorWord", "Certified", "SimpleWitness", "Decomposition", "Claim2Result",
     "Claim3Result",
     "commutator", "decompose2", "derived_conjugator", "shift_identity_check",

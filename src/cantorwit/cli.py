@@ -14,8 +14,7 @@ import sys
 from . import corpus as corpus_mod
 from . import witnesses as wit
 from .clopen import ARITIES
-from .compression import (ORBIT_WINDOW, join_compression, min_cover_3, orbit_disjoint,
-                          transporter, wandering_witness)
+from .compression import join_compression, min_cover_3, transporter, wanders, wandering_witness
 from .errors import (ArityMismatchError, ParseError, PreconditionError,
                      ToolkitError, VerificationError)
 from .literals import parse_clopen, parse_element
@@ -95,14 +94,11 @@ def cmd_transporter(args):
 
 
 def cmd_wandering(args):
-    g, z = wandering_witness(args.region)
-    window = args.orbit_window
-    disjoint = orbit_disjoint(g, args.region, window)
-    _emit(args,
-          [f"g = {g}", f"Z = {z}", f"disjoint(|n|<={window}) = {str(disjoint).lower()}"],
-          {"g": str(g), "Z": str(z), "window": window, "disjoint": disjoint,
-           "arity": args.arity})
-    return EXIT_OK if disjoint else EXIT_VERIFY
+    g, trap = wandering_witness(args.region)
+    ok = wanders(g, args.region, trap)
+    _emit(args, [f"g = {g}", f"trap = {trap}", f"wanders = {str(ok).lower()}"],
+          {"g": str(g), "trap": str(trap), "wanders": ok, "arity": args.arity})
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_join_compress(args):
@@ -207,16 +203,6 @@ def cmd_corpus(args):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-
-
 # An argument is (name, reader, [add_argument options]).  The reader turns the
 # text into a value at the parsed --arity, or is None for a plain argument.
 _JSON = ("--json", None, {"action": "store_true", "help": "emit JSON instead of text"})
@@ -235,9 +221,7 @@ _COMMANDS = (
     ("transporter", cmd_transporter, "element carrying one clopen set inside another",
      (("source", parse_clopen), ("target", parse_clopen))),
     ("wandering", cmd_wandering, "element with pairwise disjoint powers of a region",
-     (("region", parse_clopen), _JSON,
-      ("--orbit-window", None, {"type": _non_negative, "default": ORBIT_WINDOW,
-                                "help": "wandering disjointness check window"}))),
+     (("region", parse_clopen), _JSON)),
     ("join-compress", cmd_join_compress, "map a disjoint union into its first part",
      (("part_a", parse_clopen), ("part_b", parse_clopen))),
     ("cover3", cmd_cover3, "minimal 3-cover with private witness sets", (_JSON,)),

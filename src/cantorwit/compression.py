@@ -2,10 +2,10 @@
 
 Everything here returns explicit prefix maps whose postconditions are
 checkable with the clopen-set algebra: a transporter squeezing one clopen
-set inside another, an element whose integer powers move a cylinder to
-pairwise disjoint images, the two-swap construction compressing a disjoint
-union into its first part, and a minimal 3-element cover with private
-witness cylinders.
+set inside another, an element whose integer powers move a region to
+pairwise disjoint images with a trap set certifying it, the two-swap
+construction compressing a disjoint union into its first part, and a
+minimal 3-element cover with private witness cylinders.
 """
 
 from typing import NamedTuple
@@ -44,7 +44,8 @@ def wandering_base(arity: int = 2) -> tuple[PrefixMap, ClopenSet]:
 
     g0 contracts into [0...] and expands out of the top letter, so the
     orbit of Z0 consists of the pairwise incomparable cylinders
-    [0^n 01] (forward) and [(k-1)^(n-1) 1] (backward).
+    [0^n 01] (forward) and [(k-1)^(n-1) 1] (backward).  g0 sends 0w to
+    00w, so [00] is a trap set for Z0 (see `wanders`).
     """
     alpha = letters(arity)
     top = alpha[-1]
@@ -56,36 +57,38 @@ def wandering_base(arity: int = 2) -> tuple[PrefixMap, ClopenSet]:
 
 
 def wandering_witness(region: ClopenSet) -> tuple[PrefixMap, ClopenSet]:
-    """An element g and a clopen set Z with region ⊆ Z and the images
-    g^n(Z), n in Z, pairwise disjoint.
+    """An element g and a trap set P certifying that the region wanders
+    under g: `wanders(g, region, P)` holds.
 
     Conjugates the fixed base element by a transporter f carrying the
-    region into the base wandering cylinder; Z is the pullback f^-1(Z0).
+    region into the base wandering cylinder; P is the pullback f^-1([00])
+    of the base trap set.
     """
     if not region.is_proper():
         raise PreconditionError("wandering witness needs a proper non-empty region")
     g0, z0 = wandering_base(region.arity)
     f = transporter(region, z0)
     f_inv = f.inverse()
-    return compose(f_inv, g0, f), f_inv.image(z0)
+    return compose(f_inv, g0, f), f_inv.image(cylinder("00", region.arity))
 
 
-# The window that `wandering` checks by default and the corpus always checks.
-ORBIT_WINDOW = 8
+def wanders(g: PrefixMap, region: ClopenSet, trap: ClopenSet) -> bool:
+    """True iff region ∩ trap = ∅, g(region) ⊆ trap and g(trap) ⊆ trap,
+    so that the trap set certifies that the images g^n(region) over all
+    integers n are pairwise disjoint.
 
+    Then g^n(region) ⊆ trap for every n >= 1, so for m < n the images
+    g^m(region) and g^n(region) meet in g^m(region ∩ g^(n-m)(region)) = ∅.
 
-def orbit_disjoint(g: PrefixMap, region: ClopenSet, window: int) -> bool:
-    """True iff the images g^m(region), |m| <= window, are pairwise
-    disjoint; the orbit is stepped one multiplication per power."""
-    power = g.inverse() ** window
-    images = [power.image(region)]
-    for _ in range(2 * window):
-        power = g * power
-        image = power.image(region)
-        if any(not seen.disjoint(image) for seen in images):
-            return False
-        images.append(image)
-    return True
+    >>> g0, z0 = wandering_base(2)
+    >>> wanders(g0, z0, cylinder("00", 2))
+    True
+    >>> swap = PrefixMap.from_pairs([("0", "1"), ("1", "0")], 2)
+    >>> wanders(swap, cylinder("0", 2), cylinder("1", 2))
+    False
+    """
+    return (region.disjoint(trap) and g.image(region).subset(trap)
+            and g.image(trap).subset(trap))
 
 
 def join_compression(part_a: ClopenSet, part_b: ClopenSet) -> PrefixMap:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import witnesses as wit
 from .clopen import ClopenSet, canonicalize, letters, split_words, whole_space
-from .compression import (ORBIT_WINDOW, join_compression, min_cover_3, orbit_disjoint,
-                          transporter, wandering_witness)
+from .compression import (join_compression, min_cover_3, transporter, wanders,
+                          wandering_witness)
 from .prefixmap import PrefixMap, identity
 from .witnesses import CommutatorWord, commutator
 
@@ -201,8 +201,8 @@ def _compression(rng, arity, transporter_cases, wandering_cases, join_cases):
 
     def check_wandering(_i):
         y = random_clopen(rng, arity, depth)
-        g, z = wandering_witness(y)
-        return y.subset(z) and orbit_disjoint(g, y, ORBIT_WINDOW)
+        g, trap = wandering_witness(y)
+        return wanders(g, y, trap)
 
     def check_join(_i):
         while True:

@@ -1,11 +1,13 @@
 import io
 import json
 import random
+import shlex
 from pathlib import Path
 
 import pytest
 
 from cantorwit import cli, corpus
+from cantorwit.compression import wandering_base
 from cantorwit.corpus import random_element, random_witness_input
 from cantorwit.literals import parse_clopen, parse_element
 from cantorwit.errors import ParseError
@@ -102,6 +104,7 @@ class TestExitCodes:
         ("reduce", "{e->e}", "--seed", "3"),
         ("wandering", "[01]", "--orbit-window", "-1"),
         ("wandering", "[01]", "--orbit-window", "x"),
+        ("wandering", "[01]", "--orbit-window", "8"),
         ("corpus", "--quick", "--orbit-window", "-1"),
         ("corpus", "--depth", "5"),
         ("corpus", "--quick", "--orbit-window", "8"),
@@ -133,12 +136,6 @@ class TestExitCodes:
                              "{0->1,1->0}", "[1]", "{0->1,1->0}")
         assert code == cli.EXIT_PRECONDITION and out == ""
         assert "support region of a must be proper and non-empty" in err
-
-    def test_orbit_window_message_names_no_private_function(self, capsys):
-        code, _, err = run(capsys, "wandering", "[01]", "--orbit-window", "x")
-        assert code == cli.EXIT_USAGE
-        assert "must be a non-negative integer, got 'x'" in err
-        assert "_non_negative" not in err
 
 
 
@@ -196,7 +193,15 @@ class TestSubcommands:
     def test_wandering(self, capsys):
         code, out, _ = run(capsys, "wandering", "[01]")
         assert code == 0
-        assert "disjoint(|n|<=8) = true" in out
+        assert "wanders = true" in out
+
+    def test_wandering_failing_trap_exits_verify(self, capsys, monkeypatch):
+        # a trap that meets the region certifies nothing
+        monkeypatch.setattr(cli, "wandering_witness",
+                            lambda region: (wandering_base(region.arity)[0], region))
+        code, out, _ = run(capsys, "wandering", "[01]")
+        assert code == cli.EXIT_VERIFY
+        assert out.endswith("wanders = false\n")
 
     def test_join_compress(self, capsys):
         code, out, _ = run(capsys, "join-compress", "[00]", "[01]")
@@ -438,6 +443,35 @@ class TestCorpusCommand:
         code, out, _ = run(capsys, "corpus", "--seed", "9", "--quick")
         assert code == 0
         assert out.count("PASS") == len(corpus.SUITES)
+
+
+def readme_examples():
+    """The self-contained `cantorwit ...` lines of README's command-line
+    block as (argv, expected stdout or None), each named by its argv.  A
+    trailing `# {...}` or `# [...]` comment is the expected stdout.  Lines
+    with placeholders, redirections or file arguments are left out, and so
+    is `corpus`, which the acceptance tests run."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if argv[0] == "corpus" or any(arg.isupper() or arg.startswith("[--") or arg == ">"
+                                      or arg.endswith(".json") for arg in argv):
+            continue
+        comment = comment.strip()
+        expected = comment + "\n" if comment[:1] in ("{", "[") else None
+        examples.append(pytest.param(argv, expected, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_example(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    if expected is not None:
+        assert out == expected
 
 
 class TestFuzzing:

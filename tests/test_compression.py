@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from cantorwit.clopen import canonicalize, whole_space
-from cantorwit.compression import (join_compression, min_cover_3, orbit_disjoint, transporter,
-                                   two_disjoint_cylinders, wandering_base, wandering_witness)
+from cantorwit.clopen import canonicalize, cylinder, whole_space
+from cantorwit.compression import (join_compression, min_cover_3, transporter,
+                                   two_disjoint_cylinders, wandering_base, wanders,
+                                   wandering_witness)
 from cantorwit.corpus import random_clopen
 from cantorwit.errors import PreconditionError
 from cantorwit.literals import parse_clopen, parse_element
@@ -85,34 +86,43 @@ class TestWandering:
         assert (g0 ** -2).image(z0) == C("[110]")
 
     def test_fixed_region_returns_base(self):
-        g, z = wandering_witness(C("[01]"))
+        g, trap = wandering_witness(C("[01]"))
         assert g == wandering_base(2)[0]
-        assert z == C("[01]")
+        assert trap == C("[00]")
 
-    def test_region_inside_returned_set(self):
-        y = C("[0]")
-        g, z = wandering_witness(y)
-        assert y.subset(z)
-        imgs = [(g ** m).image(z) for m in range(-8, 9)]
-        assert all(imgs[i].disjoint(imgs[j])
-                   for i in range(len(imgs)) for j in range(i + 1, len(imgs)))
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_trap_certifies_windowed_disjointness(self, arity):
+        """The trap relations hold for the returned element, and the
+        images g^m(region), |m| <= 8, are pairwise disjoint by brute force."""
+        rng = random.Random(1000 + arity)
+        depth = {2: 5, 3: 3, 4: 3, 5: 2}[arity]
+        regions = [cylinder("0", arity), wandering_base(arity)[1]]
+        regions += [random_clopen(rng, arity, depth) for _ in range(50)]
+        for y in regions:
+            g, trap = wandering_witness(y)
+            assert y.disjoint(trap) and g.image(y).subset(trap) and g.image(trap).subset(trap)
+            assert wanders(g, y, trap)
+            imgs = [(g ** m).image(y) for m in range(-8, 9)]
+            assert all(imgs[i].disjoint(imgs[j])
+                       for i in range(len(imgs)) for j in range(i + 1, len(imgs))), y
 
     def test_whole_space_rejected(self):
         with pytest.raises(PreconditionError):
             wandering_witness(whole_space())
 
-    def test_swap_orbit_is_not_disjoint(self):
-        # the swap's powers g^-2, ..., g^2 send [0] to [0] and [1] in turn
-        assert orbit_disjoint(E("{0->1,1->0}"), C("[0]"), 2) is False
-
-    def test_random_disjointness(self):
-        rng = random.Random(22)
-        for _ in range(50):
-            y = random_clopen(rng)
-            g, _ = wandering_witness(y)
-            imgs = [(g ** m).image(y) for m in range(-8, 9)]
-            assert all(imgs[i].disjoint(imgs[j])
-                       for i in range(len(imgs)) for j in range(i + 1, len(imgs)))
+    @pytest.mark.parametrize("g, region, trap, relations", [
+        # the trap meets the region
+        ("{0->00,10->01,11->1}", "[01]", "[0]", (False, True, True)),
+        # the trap misses g(region) = [001]
+        ("{0->00,10->01,11->1}", "[01]", "[000]", (True, False, True)),
+        # the swap sends the trap [1] back onto the region
+        ("{0->1,1->0}", "[0]", "[1]", (True, True, False)),
+    ])
+    def test_each_failing_relation_is_refused(self, g, region, trap, relations):
+        g, region, trap = E(g), C(region), C(trap)
+        assert (region.disjoint(trap), g.image(region).subset(trap),
+                g.image(trap).subset(trap)) == relations
+        assert wanders(g, region, trap) is False
 
     def test_disjoint_powers_commute(self):
         # supported elements conjugated by distinct powers commute, by
@@ -128,12 +138,6 @@ class TestWandering:
             for m in range(-3, 4):
                 for n in range(m + 1, 4):
                     assert commutator(conj[m], conj[n]).is_identity()
-
-    def test_arity3_base(self):
-        g0, z0 = wandering_base(3)
-        imgs = [(g0 ** m).image(z0) for m in range(-6, 7)]
-        assert all(imgs[i].disjoint(imgs[j])
-                   for i in range(len(imgs)) for j in range(i + 1, len(imgs)))
 
 
 class TestJoinCompression:

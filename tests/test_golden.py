@@ -40,7 +40,9 @@ N_SIMPLE3 = "{00->10,01->00,10->01,02->02,11->11,12->12,2->2}"  # certified by n
 CASES = {
     "decompose2": (["decompose2", "{0->1,1->0}"], 0),
     "transporter": (["transporter", "[0]", "[11]"], 0),
-    "wandering": (["wandering", "[01]", "--orbit-window", "8"], 0),
+    "wandering": (["wandering", "[01]"], 0),
+    # [0] is not the base cylinder, so g is a proper conjugate of the base
+    "wandering_json": (["wandering", "[0]", "--json"], 0),
     "cover3": (["cover3"], 0),
     "derived_conj": (["derived-conj", "{0->00,10->01,11->1}", "[11]", "--json"], 0),
     "claim1": (["claim1", "[00]", "[01]", "[10]", "--json"], 0),
@@ -88,7 +90,7 @@ CASES = {
     "reduce_arity3_incomplete_range": (["reduce", "--arity", "3",
                                         "{00->00,01->01,02->02,1->10,2->2}"], 2),
     "reduce_overlapping_domain": (["reduce", "{0->0,01->10,1->11}"], 2),
-    "wandering_arity3": (["wandering", "--arity", "3", "[01]", "--orbit-window", "8"], 0),
+    "wandering_arity3": (["wandering", "--arity", "3", "[01]"], 0),
 }
 
 
