@@ -30,12 +30,13 @@ class PrefixMap:
     An element stores its reduced pair table as `_domain`: the table and
     its keys (the domain words) in lexicographic order, the outer side of a
     product in `refine`.  The views derived from it, `pairs` (the pairs in
-    length-lexicographic order of domain word), the range view and the
-    inverse, are computed at most once per instance, when first read, and
-    kept in its `__dict__`; nothing may write to a table or key list, and
-    attributes cannot be assigned.  Equality compares the arities and the
-    tables, and hashing reads the arity and the sorted domain words (equal
-    tables have equal keys), so neither builds `pairs`; `repr` reads it.
+    length-lexicographic order of domain word), the range view, the inverse
+    and the literal that `str` returns, are computed at most once per
+    instance, when first read, and kept in its `__dict__`; nothing may
+    write to a table or key list, and attributes cannot be assigned.
+    Equality compares the arities and the tables, and hashing reads the
+    arity and the sorted domain words (equal tables have equal keys), so
+    neither builds `pairs`; `repr` reads it.
     """
 
     def __init__(self, pairs: tuple[tuple[str, str], ...], arity: int = 2):
@@ -83,6 +84,11 @@ class PrefixMap:
         return _element(table, dom if len(table) == len(dom) else sorted(table), arity)
 
     def __str__(self) -> str:
+        return self._literal
+
+    @cached_property
+    def _literal(self) -> str:
+        """The element literal, formatted from `pairs` once."""
         return "{" + ",".join(f"{d if d else 'e'}->{r if r else 'e'}" for d, r in self.pairs) + "}"
 
     def is_identity(self) -> bool:

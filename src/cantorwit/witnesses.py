@@ -66,9 +66,11 @@ class CommutatorWord:
         """The product of the factors.  A memo shared by several words
         computes each distinct commutator [x, y] and each distinct step
         prefix·[x, y] once; its keys are the maps themselves (compared by
-        value), so equal but distinct objects share entries.  The product
-        starts from the identity, which `compose` drops after checking
-        each factor's arity against the word's."""
+        value), so equal but distinct objects share entries.  A missing
+        [x, y] is read as the inverse of a [y, x] the memo holds, since
+        [y, x] = [x, y]^-1.  The product starts from the identity, which
+        `compose` drops after checking each factor's arity against the
+        word's."""
         if memo is None:
             memo = {}
         acc = identity(self.arity)
@@ -78,7 +80,8 @@ class CommutatorWord:
             if nxt is None:
                 comm = memo.get((x, y))
                 if comm is None:
-                    comm = memo[(x, y)] = commutator(x, y)
+                    rev = memo.get((y, x))
+                    comm = memo[(x, y)] = commutator(x, y) if rev is None else rev.inverse()
                 nxt = memo[step] = acc * comm
             acc = nxt
         return acc
@@ -105,9 +108,10 @@ class Certified(NamedTuple):
     word: CommutatorWord
 
     @classmethod
-    def from_word(cls, word: CommutatorWord) -> "Certified":
-        """The word with its value, evaluated once."""
-        return cls(word.evaluate(), word)
+    def from_word(cls, word: CommutatorWord, memo: dict | None = None) -> "Certified":
+        """The word with its value, evaluated once (through `memo` when one
+        is given; see `CommutatorWord.evaluate`)."""
+        return cls(word.evaluate(memo), word)
 
     def __mul__(self, other: "Certified") -> "Certified":
         return Certified(self.elem * other.elem, self.word * other.word)
@@ -148,9 +152,10 @@ def decompose2(g: PrefixMap) -> Decomposition:
     return Decomposition(s1, gy.complement(), s2, y.union(gy))
 
 
-def derived_conjugator(g: PrefixMap, region: ClopenSet) -> Certified:
+def derived_conjugator(g: PrefixMap, region: ClopenSet, memo: dict | None = None) -> Certified:
     """A product of at most two commutators agreeing with g pointwise on
-    the proper clopen `region` (hence with the same image of it).
+    the proper clopen `region` (hence with the same image of it), its word
+    evaluated through `memo` when one is given.
 
     For each factor s of g = s1·s2 with support bound S, a transporter h
     pushes S off the current image of the region, so h·s^-1·h^-1 fixes that
@@ -159,7 +164,7 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet) -> Certified:
     if not region.is_proper():
         raise PreconditionError("degenerate region for derived conjugator")
     if g.is_identity():
-        return Certified.from_word(CommutatorWord((), g.arity))
+        return Certified.from_word(CommutatorWord((), g.arity), memo)
     dec = decompose2(g)
     current = region
     built: list[tuple[PrefixMap, PrefixMap]] = []
@@ -168,7 +173,7 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet) -> Certified:
         built.append((s, h))
         current = s.image(current)
     built.reverse()
-    return Certified.from_word(CommutatorWord(tuple(built), g.arity))
+    return Certified.from_word(CommutatorWord(tuple(built), g.arity), memo)
 
 
 def shift_identity_check(a: PrefixMap, b: PrefixMap, region: ClopenSet
@@ -276,11 +281,12 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified
     return out
 
 
-def _expand(a, ya, b, yb, n, n_cert, base_of, lift):
+def _expand(a, ya, b, yb, n, n_cert, base_of, lift, memo=None):
     """The prologue both builders share: check the inputs, then n_cert
     when one is given, and return ([a, b], letters), with no letters when
-    [a, b] is trivial and otherwise the expansion over base_of(n) on the
-    branch that ya ∪ yb selects."""
+    [a, b] is trivial and otherwise the expansion over base_of(n, memo) on
+    the branch that ya ∪ yb selects.  n_cert and [a, b] are evaluated
+    through `memo` when one is given."""
     if n.is_identity():
         raise PreconditionError("base element must be non-trivial")
     for name, (elem, region) in {"a": (a, ya), "b": (b, yb)}.items():
@@ -288,13 +294,13 @@ def _expand(a, ya, b, yb, n, n_cert, base_of, lift):
             raise PreconditionError(f"support region of {name} must be proper and non-empty")
         if not elem.in_rist(region):
             raise PreconditionError(f"element {name} is not supported in its region")
-    if n_cert is not None and n_cert.evaluate() != n:
+    if n_cert is not None and n_cert.evaluate(memo) != n:
         raise PreconditionError("n_cert does not evaluate to the base element")
-    target = commutator(a, b)
+    target = CommutatorWord(((a, b),), a.arity).evaluate(memo)
     if target.is_identity():
         return target, []
     build = _full_union_letters if ya.union(yb).is_full() else _proper_union_letters
-    return target, build(a, ya, b, yb, base_of(n), lift)
+    return target, build(a, ya, b, yb, base_of(n, memo), lift)
 
 
 def _raw(x: PrefixMap, _bound=None) -> Certified:
@@ -302,7 +308,7 @@ def _raw(x: PrefixMap, _bound=None) -> Certified:
     return Certified(x, CommutatorWord((), x.arity))
 
 
-def _raw_base(n: PrefixMap) -> _Base:
+def _raw_base(n: PrefixMap, _memo=None) -> _Base:
     k = n.arity
     return _Base(_raw(n), ((_raw(identity(k)), 1),), whole_space(k), n.moved_cylinder())
 
@@ -335,10 +341,10 @@ def _cycle(words, arity: int) -> PrefixMap:
     return PrefixMap.from_pairs(pairs, arity)
 
 
-def _small_base(n: PrefixMap) -> _Base:
+def _small_base(n: PrefixMap, memo: dict) -> _Base:
     """m = [q, n], a non-trivial certified element of the normal closure of
     n, written as two letters over n, whose support bound Z1 ∪ n(Z1) is
-    proper.
+    proper; both commutators are evaluated through `memo`.
 
     q is the 3-cycle of three disjoint sub-cylinders of Z1 (a sub-cylinder
     of a moved cylinder of n, so Z1 ∪ n(Z1) misses Z1's sibling), written
@@ -348,10 +354,11 @@ def _small_base(n: PrefixMap) -> _Base:
     k = n.arity
     z1 = n.moved_cylinder().code[0] + "0"
     wa, wb, wc = z1 + "00", z1 + "01", z1 + "10"
-    q = Certified.from_word(CommutatorWord(((_cycle((wb, wc), k), _cycle((wa, wb), k)),), k))
+    q = Certified.from_word(
+        CommutatorWord(((_cycle((wb, wc), k), _cycle((wa, wb), k)),), k), memo)
     if q.elem != _cycle((wa, wb, wc), k):
         raise VerificationError("internal error: 3-cycle certificate")
-    m = Certified(commutator(q.elem, n), CommutatorWord(((q.elem, n),), k))
+    m = Certified.from_word(CommutatorWord(((q.elem, n),), k), memo)
     zone = cylinder(z1, k)
     return _Base(m, letters=((q, 1), (_raw(identity(k)), -1)),
                  bound=zone.union(n.image(zone)),
@@ -366,12 +373,15 @@ class SimpleWitness(NamedTuple):
     word: NormalWord
     certs: tuple[CommutatorWord, ...]
 
-    def evaluate(self) -> PrefixMap:
+    def evaluate(self, memo: dict | None = None) -> PrefixMap:
         """The word's value, once every conjugator certificate is checked
-        against its letter (one memo serves all certificates)."""
+        against its letter.  One memo serves all certificates: a fresh one,
+        or the one `simple_witness` filled while building them (see
+        `CommutatorWord.evaluate`)."""
         if len(self.certs) != len(self.word.letters):
             raise VerificationError("conjugator certificate count mismatch")
-        memo: dict = {}
+        if memo is None:
+            memo = {}
         for cert, (conj, _) in zip(self.certs, self.word.letters):
             if cert.evaluate(memo) != conj:
                 raise VerificationError("a conjugator certificate does not match its letter")
@@ -387,11 +397,22 @@ def simple_witness(a: PrefixMap, ya: ClopenSet, b: PrefixMap, yb: ClopenSet,
     Letter count: at most 8 when ya ∪ yb is proper, at most 16 otherwise
     (each base letter becomes two letters of the small certified word
     m = [q, n]).
+
+    The build and the self-check share one memo, so every commutator and
+    step product is composed once per call.  Its entries are values of
+    pure functions under keys compared by value, so the self-check reaches
+    the verdict a fresh memo would give, and it still composes every
+    factor and step that the build did not.
     """
-    target, tagged = _expand(a, ya, b, yb, n, n_cert, _small_base, derived_conjugator)
+    memo: dict = {}
+
+    def lift(x: PrefixMap, bound: ClopenSet) -> Certified:
+        return derived_conjugator(x, bound, memo)
+
+    target, tagged = _expand(a, ya, b, yb, n, n_cert, _small_base, lift, memo)
     out = SimpleWitness(NormalWord(n, tuple((c.elem, e) for c, e in tagged)),
                         tuple(c.word for c, _ in tagged))
-    if tagged and out.evaluate() != target:
+    if tagged and out.evaluate(memo) != target:
         raise VerificationError("internal error: simple witness failed to evaluate")
     return out
 

@@ -404,6 +404,24 @@ class TestCachedViews:
             else:
                 assert g.moved_cylinder() == fresh.moved_cylinder()
 
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_literal_is_formatted_once(self, arity):
+        """str returns the literal cached on first read: the text a fresh
+        formatting of the pairs gives, which parses back to the element,
+        and caching it leaves the element frozen."""
+        els = seeded_elements(160 + arity, 40, arity=arity, max_depth=self.DEPTH[arity])
+        for g in els + [h.inverse() for h in els] + [f * h for f, h in zip(els, els[1:])]:
+            text = str(g)
+            assert text == "{" + ",".join(f"{d or 'e'}->{r or 'e'}" for d, r in g.pairs) + "}"
+            assert str(g) is text
+            assert parse_element(text, arity) == g
+            for name in ("_literal", "arity", "other"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(g, name, "{e->e}")
+                with pytest.raises(FrozenInstanceError):
+                    delattr(g, name)
+            assert str(g) is text
+
     def test_constructor_keeps_the_table_not_the_order_of_its_pairs(self):
         """Pairs given out of canonical order make the same element: equal,
         with the same hash, repr and pairs."""

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import re
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWi
                                  shift_identity_check, simple_witness,
                                  simple_witness_to_obj, verify_certificate)
 import helpers
+import test_golden
 from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
                      normal_word_fold, verify_parse_target)
 
@@ -206,6 +208,53 @@ class TestMemoisedEvaluation:
             assert (CommutatorWord(factors, arity).evaluate(memo)
                     == commutator_fold(factors, arity))
             del a, b, c, factors
+
+    @staticmethod
+    def counting_commutator(monkeypatch) -> list:
+        """Record every pair that witnesses.commutator composes from now on."""
+        calls = []
+        plain = witnesses.commutator
+
+        def counted(x, y):
+            calls.append((x, y))
+            return plain(x, y)
+
+        monkeypatch.setattr(witnesses, "commutator", counted)
+        return calls
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_reversed_entries_match_fold(self, monkeypatch, arity):
+        """A memo holding [y, x] gives [x, y] as its inverse and composes
+        nothing new, on words holding both orders, (x, x) and (e, y)."""
+        rng = random.Random(68 + arity)
+        pool = self.pool(rng, arity, 4)
+        e = identity(arity)
+        calls = self.counting_commutator(monkeypatch)
+        for _ in range(30):
+            x, y = rng.sample(pool, 2)
+            factors = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 4))]
+            factors += [(x, y), (y, x), (x, x), (e, y)]
+            rng.shuffle(factors)
+            word = CommutatorWord(tuple(factors), arity)
+            expected = commutator_fold(word.factors, arity)
+            memo = {}
+            assert word.inverse().evaluate(memo) == expected.inverse()
+            calls.clear()
+            assert word.evaluate(memo) == expected
+            assert calls == []
+            # a word followed by its own inverse cancels to the identity
+            both = word * word.inverse()
+            assert both.evaluate(memo) == identity(arity) == commutator_fold(both.factors, arity)
+            assert both.evaluate({}) == identity(arity)
+
+    def test_other_arity_raises_with_warm_memo(self):
+        rng = random.Random(72)
+        x, y = self.pool(rng, 3, 2)
+        memo = {}
+        CommutatorWord(((y, x),), 3).evaluate(memo)
+        for factors in (((x, y),), ((y, x),)):
+            with pytest.raises(ArityMismatchError):
+                CommutatorWord(factors, 2).evaluate(memo)
 
 
 class TestSingleReduce:
@@ -453,6 +502,88 @@ class TestSimpleWitnessCertificate:
         sw = SimpleWitness(NormalWord(n, ((identity(), 1),)), (n_cert,))
         with pytest.raises(VerificationError, match="does not match its letter"):
             sw.evaluate()
+
+
+def golden_simple_request(name: str) -> tuple:
+    """The simple_witness arguments of a golden simple-witness invocation."""
+    argv, _ = test_golden.CASES[name]
+    k, rest = (int(argv[2]), argv[3:]) if argv[1] == "--arity" else (2, argv[1:])
+    a, ya, b, yb, n = rest[:5]
+    n_cert_path = Path(argv[argv.index("--n-cert") + 1])
+    n_cert, _ = certificate_from_obj(json.loads(n_cert_path.read_text()))
+    return E(a, k), C(ya, k), E(b, k), C(yb, k), E(n, k), n_cert
+
+
+GOLDEN_SIMPLE = ["simple_proper", "simple_full", "simple_proper_arity3", "simple_full_arity3"]
+
+
+class TestSharedMemo:
+    """simple_witness builds its conjugators and checks them through one
+    memo, which cannot make a wrong certificate pass."""
+
+    @staticmethod
+    def build(monkeypatch, name) -> tuple:
+        """The golden request's witness and the memo its build filled, read
+        off the calls to derived_conjugator."""
+        memos = []
+        plain = witnesses.derived_conjugator
+
+        def recording(g, region, memo=None):
+            memos.append(memo)
+            return plain(g, region, memo)
+
+        monkeypatch.setattr(witnesses, "derived_conjugator", recording)
+        args = golden_simple_request(name)
+        sw = simple_witness(*args)
+        monkeypatch.undo()
+        assert memos and all(m is memos[0] for m in memos)
+        assert sw.evaluate(dict(memos[0])) == commutator(args[0], args[2])
+        return sw, memos[0]
+
+    @pytest.mark.parametrize("name", GOLDEN_SIMPLE)
+    def test_swapped_factor_fails_against_the_filled_memo(self, monkeypatch, name):
+        """A factor (x, y) turned into (y, x), whose value the memo holds
+        under the reversed key, still refutes its certificate."""
+        sw, memo = self.build(monkeypatch, name)
+        tampered = 0
+        for i, cert in enumerate(sw.certs):
+            for j, (x, y) in enumerate(cert.factors):
+                factors = cert.factors[:j] + ((y, x),) + cert.factors[j + 1:]
+                forged = CommutatorWord(factors, cert.arity)
+                if forged.evaluate() == sw.word.letters[i][0]:
+                    continue
+                certs = sw.certs[:i] + (forged,) + sw.certs[i + 1:]
+                with pytest.raises(VerificationError, match="does not match its letter"):
+                    SimpleWitness(sw.word, certs).evaluate(dict(memo))
+                tampered += 1
+                break
+        assert tampered
+
+    @pytest.mark.parametrize("name", GOLDEN_SIMPLE)
+    def test_replaced_conjugator_fails_against_the_filled_memo(self, monkeypatch, name):
+        sw, memo = self.build(monkeypatch, name)
+        lts = sw.word.letters
+        tampered = 0
+        for i in range(len(lts)):
+            conj, e = lts[i]
+            other = lts[(i + 1) % len(lts)][0]
+            if other == conj:
+                continue
+            word = NormalWord(sw.word.base, lts[:i] + ((other, e),) + lts[i + 1:])
+            with pytest.raises(VerificationError, match="does not match its letter"):
+                SimpleWitness(word, sw.certs).evaluate(dict(memo))
+            tampered += 1
+        assert tampered
+
+    @pytest.mark.parametrize("name", GOLDEN_SIMPLE)
+    def test_no_pair_composed_twice(self, monkeypatch, name):
+        """Building and self-checking compose each commutator [x, y] once,
+        [y, x] counting as the same unordered pair."""
+        args = golden_simple_request(name)
+        calls = TestMemoisedEvaluation.counting_commutator(monkeypatch)
+        simple_witness(*args)
+        pairs = Counter(frozenset(pair) for pair in calls)
+        assert pairs and max(pairs.values()) == 1, pairs.most_common(1)
 
 
 class TestClaim1:
