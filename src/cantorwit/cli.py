@@ -39,10 +39,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, text_lines, obj):
+    """Print the JSON object under --json, the text lines otherwise.  Both
+    come as functions of no arguments, and only the one printed is called,
+    so a request formats no output that it does not print."""
     if args.json:
-        print(dumps_certificate(obj))
+        print(dumps_certificate(obj()))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -81,10 +84,10 @@ def cmd_sigma(args):
 def cmd_decompose2(args):
     dec = wit.decompose2(args.element)
     _emit(args,
-          [f"s1 = {dec.s1}", f"support1 = {dec.support1}",
-           f"s2 = {dec.s2}", f"support2 = {dec.support2}"],
-          {"s1": str(dec.s1), "support1": str(dec.support1),
-           "s2": str(dec.s2), "support2": str(dec.support2), "arity": args.arity})
+          lambda: [f"s1 = {dec.s1}", f"support1 = {dec.support1}",
+                   f"s2 = {dec.s2}", f"support2 = {dec.support2}"],
+          lambda: {"s1": str(dec.s1), "support1": str(dec.support1),
+                   "s2": str(dec.s2), "support2": str(dec.support2), "arity": args.arity})
     return EXIT_OK
 
 
@@ -96,8 +99,8 @@ def cmd_transporter(args):
 def cmd_wandering(args):
     g, trap = wandering_witness(args.region)
     ok = wanders(g, args.region, trap)
-    _emit(args, [f"g = {g}", f"trap = {trap}", f"wanders = {str(ok).lower()}"],
-          {"g": str(g), "trap": str(trap), "wanders": ok, "arity": args.arity})
+    _emit(args, lambda: [f"g = {g}", f"trap = {trap}", f"wanders = {str(ok).lower()}"],
+          lambda: {"g": str(g), "trap": str(trap), "wanders": ok, "arity": args.arity})
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -110,15 +113,16 @@ def cmd_cover3(args):
     cover = min_cover_3(args.arity)
     names = ("J1", "J2", "J3", "U1", "U2", "U3")
     _emit(args,
-          [f"{name} = {member}" for name, member in zip(names, cover.members)],
-          {name: str(member) for name, member in zip(names, cover.members)})
+          lambda: [f"{name} = {member}" for name, member in zip(names, cover.members)],
+          lambda: {name: str(member) for name, member in zip(names, cover.members)})
     return EXIT_OK
 
 
 def _emit_certified(args, name: str, out: wit.Certified):
-    _emit(args, [f"{name} = {out.elem}",
-                 *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(out.word.factors))],
-          commutator_word_to_obj(out.word, target=out.elem))
+    _emit(args,
+          lambda: [f"{name} = {out.elem}",
+                   *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(out.word.factors))],
+          lambda: commutator_word_to_obj(out.word, target=out.elem))
     return EXIT_OK
 
 
@@ -136,15 +140,16 @@ def _word_lines(word, value):
 def cmd_monolith(args):
     word = wit.monolith_witness(args.a, args.ya, args.b, args.yb, args.n)
     value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
-    _emit(args, _word_lines(word, value), normal_word_to_obj(word, target=value))
+    _emit(args, lambda: _word_lines(word, value),
+          lambda: normal_word_to_obj(word, target=value))
     return EXIT_OK
 
 
 def cmd_simple(args):
     cert = wit.simple_witness(args.a, args.ya, args.b, args.yb, args.n, args.n_cert)
     value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
-    _emit(args, _word_lines(cert.word, value) + [f"conjugator_certs = {len(cert.certs)}"],
-          simple_witness_to_obj(cert, target=value))
+    _emit(args, lambda: _word_lines(cert.word, value) + [f"conjugator_certs = {len(cert.certs)}"],
+          lambda: simple_witness_to_obj(cert, target=value))
     return EXIT_OK
 
 
@@ -155,14 +160,21 @@ def cmd_claim1(args):
 def cmd_claim2(args):
     cover = min_cover_3(args.arity)
     res = wit.claim2_factorization(args.element, cover, args.cert)
-    lines = [f"s1 = {res.s1}", f"s2 = {res.s2}", f"s3 = {res.s3}",
-             f"fixes = {','.join(str(i) for i in res.indices)}"]
-    obj = {"s1": str(res.s1), "s2": str(res.s2), "s3": str(res.s3),
-           "fixes": list(res.indices), "arity": args.arity}
-    if res.certs is not None:
-        obj["certs"] = [commutator_word_to_obj(c, target=s)
-                        for c, s in zip(res.certs, (res.s1, res.s2, res.s3))]
-        lines.append("certs = 3")
+    certified = res.certs is not None
+
+    def lines():
+        return [f"s1 = {res.s1}", f"s2 = {res.s2}", f"s3 = {res.s3}",
+                f"fixes = {','.join(str(i) for i in res.indices)}",
+                *(["certs = 3"] if certified else [])]
+
+    def obj():
+        out = {"s1": str(res.s1), "s2": str(res.s2), "s3": str(res.s3),
+               "fixes": list(res.indices), "arity": args.arity}
+        if certified:
+            out["certs"] = [commutator_word_to_obj(c, target=s)
+                            for c, s in zip(res.certs, (res.s1, res.s2, res.s3))]
+        return out
+
     _emit(args, lines, obj)
     return EXIT_OK
 
@@ -170,18 +182,18 @@ def cmd_claim2(args):
 def cmd_claim3(args):
     cover = min_cover_3(args.arity)
     res = wit.claim3_witness(args.g, args.h, cover)
-    lines = [f"c = {res.c}", f"IA = {res.ia}", f"IB = {res.ib}", f"IC = {res.ic}"]
-    lines += [f"f{i} = {f}" for i, f in enumerate(res.f_table)]
-    obj = {"c": str(res.c), "IA": str(res.ia), "IB": str(res.ib), "IC": str(res.ic),
-           "f_table": [str(f) for f in res.f_table], "arity": args.arity}
-    _emit(args, lines, obj)
+    _emit(args,
+          lambda: [f"c = {res.c}", f"IA = {res.ia}", f"IB = {res.ib}", f"IC = {res.ic}",
+                   *(f"f{i} = {f}" for i, f in enumerate(res.f_table))],
+          lambda: {"c": str(res.c), "IA": str(res.ia), "IB": str(res.ib), "IC": str(res.ic),
+                   "f_table": [str(f) for f in res.f_table], "arity": args.arity})
     return EXIT_OK
 
 
 def cmd_chain(args):
     g, h = wit.commuting_chain(args.ya, args.yb)
-    _emit(args, [f"g = {g}", f"h = {h}"],
-          {"g": str(g), "h": str(h), "arity": args.arity})
+    _emit(args, lambda: [f"g = {g}", f"h = {h}"],
+          lambda: {"g": str(g), "h": str(h), "arity": args.arity})
     return EXIT_OK
 
 

@@ -88,8 +88,13 @@ class PrefixMap:
 
     @cached_property
     def _literal(self) -> str:
-        """The element literal, formatted from `pairs` once."""
-        return "{" + ",".join(f"{d if d else 'e'}->{r if r else 'e'}" for d, r in self.pairs) + "}"
+        """The element literal, formatted from `pairs` once.  Only the
+        identity has an empty word (a complete code holding the empty word
+        holds nothing else), so every other literal joins its words as they
+        are."""
+        if self.is_identity():
+            return "{e->e}"
+        return "{" + ",".join(map("->".join, self.pairs)) + "}"
 
     def is_identity(self) -> bool:
         """A reduced table of one pair is {e->e}: the only complete prefix
@@ -113,9 +118,11 @@ class PrefixMap:
     @cached_property
     def _inverse(self) -> "PrefixMap":
         """The inverse, linked both ways: its `_domain` is this element's
-        `_range`, and its inverse is this element."""
+        `_range`, its `_range` is this element's `_domain` (the same table
+        and keys, so an inverse used as an inner factor builds no table),
+        and its inverse is this element."""
         inv = _element(*self._range, self.arity)
-        inv.__dict__["_inverse"] = self
+        inv.__dict__.update(_range=self._domain, _inverse=self)
         return inv
 
     def __pow__(self, n: int) -> "PrefixMap":
@@ -159,15 +166,19 @@ class PrefixMap:
     def moved_cylinder(self) -> ClopenSet:
         """A cylinder Z with g(Z) disjoint from Z.
 
-        Takes the first moved pair in canonical order.  A prefix-incomparable
-        pair gives Z = [d] directly; for a comparable pair with excess u on
-        either side, Z = [d·w] with the letter w != u[0] works, since the
-        image [r·w] then differs from [d·w] at the first excess position.
+        Takes the first moved pair in canonical order: the shortest moved
+        domain word, the first of its length in the lexicographic key list
+        (`min` keeps the first of equal keys), so `pairs` is not built.  A
+        prefix-incomparable pair gives Z = [d] directly; for a comparable
+        pair with excess u on either side, Z = [d·w] with the letter
+        w != u[0] works, since the image [r·w] then differs from [d·w] at
+        the first excess position.
         """
-        moved = [(d, r) for d, r in self.pairs if d != r]
-        if not moved:
+        table, lex = self._domain
+        d = min((d for d in lex if table[d] != d), key=len, default=None)
+        if d is None:
             raise PreconditionError("the identity moves no cylinder")
-        d, r = moved[0]
+        r = table[d]
         if not d.startswith(r) and not r.startswith(d):
             return cylinder(d, self.arity)
         u = r[len(d):] if r.startswith(d) else d[len(r):]
@@ -232,11 +243,17 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
 
     The identity is the neutral factor: once every factor's arity is
     checked, identity factors are dropped, so a lone remaining factor is
-    returned itself, and `first` when all of them are identities."""
-    arity = same_arity(first, *rest)
-    factors = [g for g in (first, *rest) if not g.is_identity()]
+    returned itself, and `first` when all of them are identities.  The
+    filtered list is built only when some factor is the identity; the
+    factors stay a tuple otherwise."""
+    factors = (first, *rest)
+    arity = same_arity(*factors)
+    for g in factors:
+        if g.is_identity():
+            factors = [f for f in factors if not f.is_identity()] or [first]
+            break
     if len(factors) < 2:
-        return factors[0] if factors else first
+        return factors[0]
     view = factors[0]._domain
     for g in factors[1:]:
         seeds: list[str] = []
@@ -287,16 +304,24 @@ def onto_transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
 
 def sigma_swap(g: PrefixMap, region: ClopenSet) -> PrefixMap:
     """The involution acting as g on `region`, g^-1 on its image, identity
-    elsewhere; requires the region and its image to be disjoint.  The map
-    is restricted to the region once, and the image is read off those
-    pieces."""
+    elsewhere; requires the region and its image to be disjoint.  See
+    `_swap`, which also returns the image and the support."""
+    return _swap(g, region)[0]
+
+
+def _swap(g: PrefixMap, region: ClopenSet) -> tuple[PrefixMap, ClopenSet, ClopenSet]:
+    """(σ, g(region), region ∪ g(region)): the swap `sigma_swap` returns
+    with the image and the union it computes on the way, for callers that
+    need them too.  The map is restricted to the region once, and the image
+    is read off those pieces."""
     forward = g.restrict(region)
     g_region = canonicalize([im for _, im in forward], g.arity)
     if not region.disjoint(g_region):
         raise PreconditionError("swap region overlaps its image")
+    both = region.union(g_region)
     pairs = forward + [(im, w) for w, im in forward]
-    pairs += [(w, w) for w in region.union(g_region).complement().code]
-    return PrefixMap.from_pairs(pairs, g.arity)
+    pairs += [(w, w) for w in both.complement().code]
+    return PrefixMap.from_pairs(pairs, g.arity), g_region, both
 
 
 def patch(constraints) -> PrefixMap:

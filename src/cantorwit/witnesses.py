@@ -24,7 +24,7 @@ from .clopen import ClopenSet, canonicalize, cylinder, empty_set, letters, same_
 from .compression import transporter, two_disjoint_cylinders, wandering_witness
 from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
 from .literals import _strip, parse_element
-from .prefixmap import PrefixMap, compose, identity, onto_transporter, patch, sigma_swap
+from .prefixmap import PrefixMap, _swap, compose, identity, onto_transporter, patch
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +140,15 @@ def decompose2(g: PrefixMap) -> Decomposition:
 
     Take a proper sub-cylinder Y of a moved cylinder (so Y ∪ gY is never
     the whole space), let s2 be the swap σ(g, Y) and s1 = g·s2^-1; then s1
-    fixes gY pointwise and s2 is supported in Y ∪ gY.
+    fixes gY pointwise and s2 is supported in Y ∪ gY.  The swap hands back
+    gY and Y ∪ gY with it (`prefixmap._swap`), so neither is computed
+    again.
     """
     if g.is_identity():
         raise PreconditionError("cannot decompose the identity")
     z = g.moved_cylinder().code[0]
-    y = cylinder(z + "0", g.arity)
-    s2 = sigma_swap(g, y)
-    gy = g.image(y)
-    s1 = g * s2.inverse()
-    return Decomposition(s1, gy.complement(), s2, y.union(gy))
+    s2, gy, support2 = _swap(g, cylinder(z + "0", g.arity))
+    return Decomposition(g * s2.inverse(), gy.complement(), s2, support2)
 
 
 def derived_conjugator(g: PrefixMap, region: ClopenSet, memo: dict | None = None) -> Certified:
@@ -159,21 +158,17 @@ def derived_conjugator(g: PrefixMap, region: ClopenSet, memo: dict | None = None
 
     For each factor s of g = s1·s2 with support bound S, a transporter h
     pushes S off the current image of the region, so h·s^-1·h^-1 fixes that
-    image pointwise and [s, h] acts on it exactly as s does.
+    image pointwise and [s, h] acts on it exactly as s does: s2 acts on the
+    region itself and s1 on s2(region), the one image the word needs.
     """
     if not region.is_proper():
         raise PreconditionError("degenerate region for derived conjugator")
     if g.is_identity():
         return Certified.from_word(CommutatorWord((), g.arity), memo)
     dec = decompose2(g)
-    current = region
-    built: list[tuple[PrefixMap, PrefixMap]] = []
-    for s, bound in ((dec.s2, dec.support2), (dec.s1, dec.support1)):
-        h = transporter(bound, current.complement())
-        built.append((s, h))
-        current = s.image(current)
-    built.reverse()
-    return Certified.from_word(CommutatorWord(tuple(built), g.arity), memo)
+    h2 = transporter(dec.support2, region.complement())
+    h1 = transporter(dec.support1, dec.s2.image(region).complement())
+    return Certified.from_word(CommutatorWord(((dec.s1, h1), (dec.s2, h2)), g.arity), memo)
 
 
 def shift_identity_check(a: PrefixMap, b: PrefixMap, region: ClopenSet
@@ -218,8 +213,9 @@ def _inverse_letters(lts) -> list[tuple[Certified, int]]:
     return [(c, -e) for c, e in reversed(lts)]
 
 
-def _proper_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified, int]]:
-    """Letters for a non-trivial [a, b] when W = ya ∪ yb is proper.
+def _proper_union_letters(a, b, w, base: _Base, lift) -> list[tuple[Certified, int]]:
+    """Letters for a non-trivial [a, b] when W = ya ∪ yb, the proper union
+    of their support regions, is given as `w`.
 
     g' = d^-1·m·d moves W off itself (d lifts a transporter of W into the
     base zone), so g'·a^-1·g'^-1 commutes with b and [a, b] = [[a, g'], b],
@@ -227,7 +223,6 @@ def _proper_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certifi
     a, e, b, b·a, each lifted on the support bound of g'.  lift(x, S)
     returns a certified element agreeing with x pointwise on S.
     """
-    w = ya.union(yb)
     d = lift(transporter(w, base.zone), w)
     dinv = d.inverse()
     sp = dinv.elem.image(base.bound)
@@ -274,7 +269,7 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified
     pre += _conjugate_letters(lift(a1, sh), h_letters)          # a1 h a1^-1
     pre += _conjugate_letters(lift(a1 * b, sh), h_inverse)      # (a1 b) h^-1 (a1 b)^-1
     if not commutator(a1, b).is_identity():                     # [a1, b]
-        pre += _proper_union_letters(a1, h.image(ya), b, yb, base, lift)
+        pre += _proper_union_letters(a1, b, h.image(ya).union(yb), base, lift)
     out = _conjugate_letters(h_cert.inverse(), pre)             # conjugate the block by h^-1
     out += h_inverse                                            # [h^-1, b] = h^-1 · (b h b^-1)
     out += _conjugate_letters(lift(b, sh), h_letters)
@@ -285,8 +280,9 @@ def _expand(a, ya, b, yb, n, n_cert, base_of, lift, memo=None):
     """The prologue both builders share: check the inputs, then n_cert
     when one is given, and return ([a, b], letters), with no letters when
     [a, b] is trivial and otherwise the expansion over base_of(n, memo) on
-    the branch that ya ∪ yb selects.  n_cert and [a, b] are evaluated
-    through `memo` when one is given."""
+    the branch that ya ∪ yb selects (the proper branch takes that union
+    as it is).  n_cert and [a, b] are evaluated through `memo` when one is
+    given."""
     if n.is_identity():
         raise PreconditionError("base element must be non-trivial")
     for name, (elem, region) in {"a": (a, ya), "b": (b, yb)}.items():
@@ -299,8 +295,10 @@ def _expand(a, ya, b, yb, n, n_cert, base_of, lift, memo=None):
     target = CommutatorWord(((a, b),), a.arity).evaluate(memo)
     if target.is_identity():
         return target, []
-    build = _full_union_letters if ya.union(yb).is_full() else _proper_union_letters
-    return target, build(a, ya, b, yb, base_of(n, memo), lift)
+    w = ya.union(yb)
+    if w.is_full():
+        return target, _full_union_letters(a, ya, b, yb, base_of(n, memo), lift)
+    return target, _proper_union_letters(a, b, w, base_of(n, memo), lift)
 
 
 def _raw(x: PrefixMap, _bound=None) -> Certified:

@@ -24,18 +24,23 @@ target words, and `claim1_swap_patch`, which patches the swap of the two
 regions without `_certified_patch`.  `patch_pairwise` and
 `sigma_swap_two_pass` are the patch and swap that compute each image with
 `image` apart from the pieces of the same restriction, and the patch
-checks its regions and images pair by pair.
+checks its regions and images pair by pair; `moved_cylinder_pairs` takes
+the first moved pair from the sorted `pairs`, and `decompose2_three_pass`
+computes the swap, the image of its region and their union in three
+separate calls.
 """
 
 import itertools
 
-from cantorwit.clopen import canonicalize, lenlex_sorted, letters, merge_siblings, split_words
+from cantorwit.clopen import (canonicalize, cylinder, lenlex_sorted, letters, merge_siblings,
+                             split_words)
 from cantorwit.compression import transporter
 from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
 from cantorwit.literals import _parse_word, _strip, parse_element
-from cantorwit.prefixmap import PrefixMap, identity, matched_pairs, onto_transporter, patch
-from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
-                                 commutator, derived_conjugator)
+from cantorwit.prefixmap import (PrefixMap, identity, matched_pairs, onto_transporter, patch,
+                                 sigma_swap)
+from cantorwit.witnesses import (Certified, CommutatorWord, Decomposition, NormalWord,
+                                 SimpleWitness, commutator, derived_conjugator)
 
 ALPHABET = "0123456789"
 
@@ -346,3 +351,29 @@ def sigma_swap_two_pass(g, region):
     pairs = forward + [(im, w) for w, im in forward]
     pairs += [(w, w) for w in region.union(g_region).complement().code]
     return PrefixMap.from_pairs(pairs, g.arity)
+
+
+def moved_cylinder_pairs(g):
+    """`PrefixMap.moved_cylinder` read off `pairs`: the first moved pair in
+    length-lexicographic order, from the list of all moved pairs."""
+    moved = [(d, r) for d, r in g.pairs if d != r]
+    if not moved:
+        raise PreconditionError("the identity moves no cylinder")
+    d, r = moved[0]
+    if not d.startswith(r) and not r.startswith(d):
+        return cylinder(d, g.arity)
+    u = r[len(d):] if r.startswith(d) else d[len(r):]
+    w = "0" if u[0] != "0" else "1"
+    return cylinder(d + w, g.arity)
+
+
+def decompose2_three_pass(g):
+    """`witnesses.decompose2` with the swap from `sigma_swap`, the image
+    gY from `image` and the support Y ∪ gY from `union`, each apart."""
+    if g.is_identity():
+        raise PreconditionError("cannot decompose the identity")
+    y = cylinder(moved_cylinder_pairs(g).code[0] + "0", g.arity)
+    s2 = sigma_swap(g, y)
+    gy = g.image(y)
+    s1 = g * s2.inverse()
+    return Decomposition(s1, gy.complement(), s2, y.union(gy))

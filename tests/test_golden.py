@@ -111,6 +111,40 @@ def test_golden_transcript(name):
         assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
+# the goldens of the commands that emit a certificate
+CERTIFYING = sorted(name for name, (argv, _) in CASES.items()
+                    if argv[0] in ("monolith-witness", "simple-witness", "derived-conj",
+                                   "claim1", "claim2"))
+WRITERS = ("commutator_word_to_obj", "normal_word_to_obj", "simple_witness_to_obj")
+
+
+def _unprinted(*args, **kwargs):
+    raise AssertionError("built output that is not printed")
+
+
+@pytest.mark.parametrize("name", CERTIFYING)
+def test_only_the_printed_output_is_built(name, monkeypatch):
+    """Under --json no text lines are built (`_word_lines` raises), and
+    without it no JSON object (every `*_to_obj` raises); each run prints
+    what it prints unpatched, the golden under --json."""
+    argv, _ = CASES[name]
+    text_argv = [arg for arg in argv if arg != "--json"]
+    code, text, _ = _run(text_argv)
+    assert code == 0 and "--json" in argv
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_word_lines", _unprinted)
+        assert _run(argv)[:2] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+        if argv[0].endswith("-witness"):
+            with pytest.raises(AssertionError, match="not printed"):
+                _run(text_argv)
+    with monkeypatch.context() as m:
+        for writer in WRITERS:
+            m.setattr(cli, writer, _unprinted)
+        assert _run(text_argv)[:2] == (0, text)
+        with pytest.raises(AssertionError, match="not printed"):
+            _run(argv)
+
+
 def test_noncanonical_target_prints_the_canonical_value():
     assert ((GOLDEN / "verify_noncanonical_target.txt").read_bytes()
             == (GOLDEN / "verify_derived_conj.txt").read_bytes())

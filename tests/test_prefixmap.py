@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import canonicalize, cylinder, letters, merge_siblings, refine, whole_space
+from cantorwit.clopen import (ClopenSet, canonicalize, cylinder, letters, merge_siblings, refine,
+                             whole_space)
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError, ToolkitError
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import (PrefixMap, _check_complete_code, compose, identity,
+from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _swap, compose, identity,
                                  onto_transporter, patch, sigma_swap)
 from cantorwit.witnesses import CommutatorWord, NormalWord
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
-                     maps_equal, member, merge_siblings_worklist, patch_pairwise, reduce_table,
-                     refine_table, sigma_swap_two_pass, view)
+                     maps_equal, member, merge_siblings_worklist, moved_cylinder_pairs,
+                     patch_pairwise, reduce_table, refine_table, sigma_swap_two_pass, view)
 
 E = parse_element
 C = parse_clopen
@@ -274,7 +275,9 @@ def warmed(g):
 
 def assert_cache_matches_pairs(g):
     """Every view cached on g equals one recomputed from its pairs, and a
-    cached inverse is the inverse of the pairs, linked back to g."""
+    cached inverse is the inverse of the pairs, linked back to g, whose
+    range view holds g's own domain table and keys (not copies) and still
+    equals a range view recomputed from the inverse's pairs."""
     fresh = PrefixMap(g.pairs, g.arity)
     for name in ("_domain", "_range"):
         if name in g.__dict__:
@@ -282,6 +285,9 @@ def assert_cache_matches_pairs(g):
     if "_inverse" in g.__dict__:
         inv = g.__dict__["_inverse"]
         assert inv == fresh.inverse() and inv.inverse() is g, g
+        table, keys = inv.__dict__["_range"]
+        assert table is g._domain[0] and keys is g._domain[1], g
+        assert inv._range == PrefixMap(inv.pairs, inv.arity)._range, g
 
 
 class TestCachedViews:
@@ -410,7 +416,9 @@ class TestCachedViews:
         formatting of the pairs gives, which parses back to the element,
         and caching it leaves the element frozen."""
         els = seeded_elements(160 + arity, 40, arity=arity, max_depth=self.DEPTH[arity])
-        for g in els + [h.inverse() for h in els] + [f * h for f, h in zip(els, els[1:])]:
+        pool = els + [h.inverse() for h in els] + [f * h for f, h in zip(els, els[1:])]
+        pool += [identity(arity), els[0] * els[0].inverse()]
+        for g in pool:
             text = str(g)
             assert text == "{" + ",".join(f"{d or 'e'}->{r or 'e'}" for d, r in g.pairs) + "}"
             assert str(g) is text
@@ -635,6 +643,23 @@ class TestMovedCylinder:
             assert len(z.code) == 1
             assert z.disjoint(g.image(z))
 
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_matches_pairs_oracle(self, arity):
+        """The shortest moved key of the sorted table gives the cylinder of
+        the first moved pair in `pairs`, and the identity the same error;
+        products and inverses carry tables `pairs` was never read from."""
+        rng = random.Random(610 + arity)
+        depth = {2: 5, 3: 3, 4: 2, 5: 2}[arity]
+        els = [random_element(rng, arity, depth) for _ in range(60)]
+        pool = els + [f * g.inverse() for f, g in zip(els, els[1:])]
+        pool += [identity(arity), els[0] * els[0].inverse()]
+        seen = set()
+        for g in pool:
+            got = outcome(PrefixMap.moved_cylinder, g)  # before the oracle reads `pairs`
+            assert got == outcome(moved_cylinder_pairs, g), g
+            seen.add("cylinder" if isinstance(got, ClopenSet) else got[1])
+        assert seen == {"cylinder", "the identity moves no cylinder"}
+
 
 class TestSigmaSwap:
     def test_full_swap_is_g(self):
@@ -763,6 +788,21 @@ class TestOneRestriction:
             assert outcome(sigma_swap, g, region) == expected, (g, region)
             seen.add(expected[1] if isinstance(expected, tuple) else "element")
         assert seen == {"element", "swap region overlaps its image"}
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_swap_hands_back_its_image_and_support(self, arity):
+        """`_swap` returns `sigma_swap`'s involution with g(Y) and
+        Y ∪ g(Y), each equal to a fresh `image` and `union`."""
+        rng = random.Random(620 + arity)
+        depth = {2: 5, 3: 3, 4: 2, 5: 2}[arity]
+        for _ in range(80):
+            g = random_element(rng, arity, depth, nontrivial=True)
+            word = g.moved_cylinder().code[0] + rng.choice(letters(arity))
+            region = cylinder(word, arity)
+            swap, image, support = _swap(g, region)
+            assert swap == sigma_swap(g, region)
+            assert image == g.image(region)
+            assert support == region.union(g.image(region))
 
 
 class TestOntoTransporter:

@@ -28,7 +28,7 @@ from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWi
 import helpers
 import test_golden
 from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
-                     normal_word_fold, verify_parse_target)
+                     decompose2_three_pass, normal_word_fold, verify_parse_target)
 
 C = parse_clopen
 E = parse_element
@@ -305,6 +305,23 @@ class TestDecompose2:
             assert dec.s1.in_rist(dec.support1)
             assert dec.s2.in_rist(dec.support2)
             assert not dec.s1.is_identity() and not dec.s2.is_identity()
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_matches_three_pass_oracle(self, arity):
+        """The image and support that the swap hands back give the
+        decomposition of `decompose2_three_pass`, field by field, and the
+        identity raises the same error."""
+        rng = random.Random(290 + arity)
+        depth = {2: 5, 3: 3, 4: 2, 5: 2}[arity]
+        for g in [identity(arity)] + [random_element(rng, arity, depth) for _ in range(60)]:
+            if g.is_identity():
+                for build in (decompose2, decompose2_three_pass):
+                    with pytest.raises(PreconditionError, match="cannot decompose the identity"):
+                        build(g)
+                continue
+            dec, expected = decompose2(g), decompose2_three_pass(g)
+            for field in ("s1", "support1", "s2", "support2"):
+                assert getattr(dec, field) == getattr(expected, field), (field, g)
 
 
 class TestDerivedConjugator:
