@@ -188,9 +188,13 @@ def refine(xview: tuple[dict[str, str], list[str]], yview: tuple[dict[str, str],
     and both advance.  Otherwise the shorter word gives one entry with each
     key of the other table that extends it: those keys are a run, the
     sorted words from it up to it + _AFTER (the symbol after the alphabet),
-    found by bisection.  Of an incomparable pair the smaller word can meet
-    nothing further on; on two complete codes (a product) the current words
-    always start at the same point of the space and are comparable.
+    found by bisection.  Each word of a run starts with the shorter word,
+    so its first occurrence is that prefix, and one `str.replace(prefix,
+    new, 1)` writes the entry's word with the prefix swapped in one
+    allocation (on the empty word it inserts at the front, which is the
+    same swap).  Of an incomparable pair the smaller word can meet nothing
+    further on; on two complete codes (a product) the current words always
+    start at the same point of the space and are comparable.
 
     With a `seeds` list, the parents p of the product's pieces that may
     start a full sibling family p0 -> q0, ..., p(k-1) -> q(k-1) are appended
@@ -226,16 +230,16 @@ def refine(xview: tuple[dict[str, str], list[str]], yview: tuple[dict[str, str],
                 seeds.append(d[:-1])
         elif x.startswith(y):
             end = bisect_left(xkeys, y + _AFTER, i)
-            r, n = ys[y], len(y)
+            r = ys[y]
             for x in xkeys[i:end]:
-                table[xs[x]] = r + x[n:]
+                table[xs[x]] = x.replace(y, r, 1)
             i = end
             j += 1
         elif y.startswith(x):
             end = bisect_left(ykeys, x + _AFTER, j)
-            d, n = xs[x], len(x)
+            d = xs[x]
             for y in ykeys[j:end]:
-                table[d + y[n:]] = ys[y]
+                table[y.replace(x, d, 1)] = ys[y]
             j = end
             i += 1
         elif x < y:

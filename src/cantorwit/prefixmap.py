@@ -65,7 +65,8 @@ class PrefixMap:
         """The pairs in length-lexicographic order of domain word: a stable
         sort of a copy of the lexicographic keys by length."""
         table, lex = self._domain
-        return tuple([(d, table[d]) for d in sorted(lex, key=len)])
+        words = sorted(lex, key=len)
+        return tuple(zip(words, map(table.__getitem__, words)))
 
     @classmethod
     def from_pairs(cls, pairs, arity: int = 2) -> "PrefixMap":

@@ -738,12 +738,13 @@ def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
     its top-level target is set aside, and then evaluated.  A target whose
     text, whitespace removed, is the value's canonical literal is accepted
     without being parsed (parse(format(v)) == v, so equal texts denote
-    equal reduced forms).  The target is parsed, through the same literal
-    table, only here: when it is not canonical, to be compared as an
-    element, and when reading or evaluation fails, so that a malformed
-    target is the error reported, as a reader parsing it first would
-    report it.  A certificate without a target is refused before
-    evaluation.
+    equal reduced forms); a text that is the literal as it stands is
+    accepted before any whitespace is removed.  The target is parsed,
+    through the same literal table, only here: when it is not canonical,
+    to be compared as an element, and when reading or evaluation fails, so
+    that a malformed target is the error reported, as a reader parsing it
+    first would report it.  A certificate without a target is refused
+    before evaluation.
 
     Raises VerificationError on mismatch; returns the evaluated element.
     """
@@ -763,8 +764,9 @@ def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
     except (ParseError, VerificationError):
         target()
         raise
-    text = deferred[0][0]
-    if not (isinstance(text, str) and _strip(text) == str(value)) and target() != value:
+    text, literal = deferred[0][0], str(value)
+    canonical = isinstance(text, str) and (text == literal or _strip(text) == literal)
+    if not canonical and target() != value:
         raise VerificationError("certificate does not evaluate to its target")
     return value
 

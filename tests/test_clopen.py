@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import (canonicalize, cylinder, empty_set, merge_siblings, refine,
-                              split_words, whole_space)
-from cantorwit.corpus import random_element
+from cantorwit.clopen import (ARITIES, canonicalize, cylinder, empty_set, letters, merge_siblings,
+                              refine, split_words, whole_space)
+from cantorwit.corpus import random_clopen, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError
 
 from helpers import (all_words, apply_pairs, lenlex, member, merge_siblings_worklist,
-                     refine_oracle, split_words_resorting, view)
+                     refine_oracle, refine_table, split_words_resorting, view)
 
 words2 = st.lists(st.text(alphabet="01", max_size=5), max_size=8)
 
@@ -178,7 +178,7 @@ class TestComplement:
 
 def antichain_pairs(rng, arity, count):
     """Pairs of antichains: random, identical, nested and edge cases."""
-    alpha = "0123"[:arity]
+    alpha = letters(arity)
     pairs = [([], []), ([], [""]), ([""], [""]), ([""], ["0", alpha[-1] * 3])]
     for _ in range(count):
         xs = random_antichain(rng, alpha, 10)
@@ -201,41 +201,97 @@ def identity_table(words):
 
 class TestRefine:
     """The common-refinement walk on word tables against the nested-loop
-    oracle."""
+    oracle, at every arity (shallow words above arity 4)."""
 
-    @pytest.mark.parametrize("arity", [2, 3, 4])
+    DEPTH = {2: 5, 3: 3, 4: 3}
+
+    @staticmethod
+    def oracle(xs, ys):
+        """`refine_table` of two word tables, with `xs` as the inner
+        factor's range-to-domain table and `ys` as the outer one."""
+        return refine_table(ys.items(), [(d, x) for x, d in xs.items()])
+
+    @pytest.mark.parametrize("arity", ARITIES)
     def test_codes_refine_to_their_meets(self, arity):
         for xs, ys in antichain_pairs(random.Random(80 + arity), arity, 400):
             walked = refine(view(identity_table(xs)), view(identity_table(ys)))
             assert walked == identity_table(w for _, _, w in refine_oracle(xs, ys)), (xs, ys)
 
-    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("arity", ARITIES)
     def test_element_table_maps_the_pieces(self, arity):
         rng = random.Random(90 + arity)
         for xs, _ in antichain_pairs(rng, arity, 200):
-            g = random_element(rng, arity, {2: 5, 3: 3, 4: 3}[arity])
+            g = random_element(rng, arity, self.DEPTH.get(arity, 2))
             walked = refine(view(identity_table(xs)), view(dict(g.pairs)))
             dom = [d for d, _ in g.pairs]
             assert walked == {w: apply_pairs(g.pairs, w)
                               for _, _, w in refine_oracle(xs, dom)}, (xs, g)
 
-    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    @pytest.mark.parametrize("arity", ARITIES)
     def test_seeded_merge_of_reduced_views(self, arity):
         """On the views of two reduced elements g and h the merge from the
         seeds of equal-word pieces reduces the table of g·h as a merge
         started from every piece does."""
         rng = random.Random(240 + arity)
-        depth = {2: 5, 3: 3, 4: 3, 5: 2}[arity]
+        depth = self.DEPTH.get(arity, 2)
         merged = 0
         for _ in range(300):
             g, h = (random_element(rng, arity, depth) for _ in range(2))
             h = rng.choice([h, g.inverse(), g.inverse() * h])
             seeds = []
             table = refine(view({r: d for d, r in h.pairs}), view(dict(g.pairs)), seeds)
+            assert table == refine_table(g.pairs, h.pairs), (g, h)
             full = merge_siblings_worklist(dict(table), arity)
             merged += len(full) < len(table)
             assert merge_siblings(table, arity, seeds) == full, (g, h)
         assert merged >= 50
+
+    def test_run_swaps_only_the_leading_prefix(self):
+        """01 recurs in 0101: a run swaps the prefix, not a later
+        occurrence, on either side of the walk."""
+        assert refine(view({"0101": "0101"}), view({"01": "1"})) == {"0101": "101"}
+        assert refine(view({"01": "1"}), view({"0101": "0101"})) == {"101": "0101"}
+        assert refine(view({"0101": "0"}), view({"01": "0101"})) == {"0": "010101"}
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_recurring_prefixes_match_the_oracle(self, arity):
+        """Keys y·y under keys y, and words that repeat their keys, so that
+        every word of a run holds the shorter word more than once."""
+        rng = random.Random(300 + arity)
+        alpha = letters(arity)
+        for _ in range(100):
+            ys = random_antichain(rng, alpha, 4)
+            short = {y: y + rng.choice(alpha) + y for y in ys}
+            long = {y * 2 + c: y * 3 + c for y in ys for c in rng.sample(alpha, 2)}
+            for xs, zs in ((long, short), (short, long)):
+                assert refine(view(xs), view(zs)) == self.oracle(xs, zs), (xs, zs)
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_empty_word_on_either_side(self, arity):
+        """Against the table of the whole space, an {e->e} view, each word
+        of the other table is its own swap; a table sending e to a word w
+        puts w in front of each word, as `"".replace(e, w, 1)` does."""
+        rng = random.Random(320 + arity)
+        alpha = letters(arity)
+        for _ in range(50):
+            words = random_antichain(rng, alpha, 6)
+            table = {x: rng.choice(alpha) + x[::-1] for x in words}
+            front = {"": rng.choice(["", alpha[-1], alpha[1] + alpha[0]])}
+            for xs, ys in ((front, table), (table, front)):
+                assert refine(view(xs), view(ys)) == self.oracle(xs, ys), (xs, ys)
+        assert refine(view({"": ""}), view({"0": "1", "1": "0"})) == {"0": "1", "1": "0"}
+        assert refine(view({"0": "1", "1": "0"}), view({"": ""})) == {"1": "0", "0": "1"}
+        assert refine(view({"": "10"}), view({"0": "1", "1": "0"})) == {"100": "1", "101": "0"}
+        assert refine(view({"0": "1", "1": "0"}), view({"": "10"})) == {"1": "100", "0": "101"}
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_whole_space_intersects_to_the_other_set(self, arity):
+        rng = random.Random(340 + arity)
+        full, empty = whole_space(arity), empty_set(arity)
+        for c in [full, empty] + [random_clopen(rng, arity, self.DEPTH.get(arity, 2))
+                                  for _ in range(30)]:
+            assert full.intersect(c) == c == c.intersect(full)
+            assert empty.intersect(c) == empty == c.intersect(empty)
 
 
 class TestSplitToSize:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorwit.clopen import (ClopenSet, canonicalize, cylinder, letters, merge_siblings, refine,
-                             whole_space)
+from cantorwit.clopen import (ARITIES, ClopenSet, canonicalize, cylinder, letters, merge_siblings,
+                             refine, whole_space)
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError, ToolkitError
 from cantorwit.literals import parse_clopen, parse_element
@@ -218,7 +218,7 @@ class TestMergeSiblings:
 class TestSeededMerge:
     """compose's walk and its seeded sibling merge against the nested-loop
     refinement with a full-scan merge, and against from_pairs of the
-    unreduced table."""
+    unreduced table (shallow words above arity 4)."""
 
     DEPTH = {2: 5, 3: 3, 4: 3}
 
@@ -229,7 +229,7 @@ class TestSeededMerge:
         sibling families (a prefix that cancels, then more factors), which
         the merge of an intermediate step reduces."""
         rng = random.Random(seed)
-        pool = seeded_elements(seed, 40, arity=arity, max_depth=cls.DEPTH[arity])
+        pool = seeded_elements(seed, 40, arity=arity, max_depth=cls.DEPTH.get(arity, 2))
         for i in range(count):
             kind = i % 3
             if kind == 0:
@@ -257,7 +257,7 @@ class TestSeededMerge:
             collapsed += product.is_identity()
         assert collapsed and families
 
-    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("arity", ARITIES)
     def test_walk_matches_refine_table(self, arity):
         for chain in self.chains(120 + arity, arity, 60):
             table = chain[0].pairs
@@ -568,6 +568,20 @@ class TestImage:
         g = E("{0->00,10->01,11->1}")
         c = C("[001,1]")
         assert g.inverse().image(g.image(c)) == c
+
+    @pytest.mark.parametrize("arity", ARITIES)
+    def test_whole_space_on_either_side_of_restrict(self, arity):
+        """The region [e] restricts an element to its own pairs, and the
+        identity's {e->e} table restricts to each word of the region."""
+        rng = random.Random(180 + arity)
+        full = whole_space(arity)
+        assert identity(arity).restrict(full) == [("", "")]
+        for _ in range(30):
+            g = random_element(rng, arity, 2)
+            region = random_clopen(rng, arity, 2)
+            assert dict(g.restrict(full)) == dict(g.pairs)
+            assert g.image(full) == full
+            assert dict(identity(arity).restrict(region)) == {w: w for w in region.code}
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_image_matches_pointwise_oracle(self, arity):

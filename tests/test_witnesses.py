@@ -15,7 +15,7 @@ from cantorwit.corpus import (random_clopen, random_code, random_element, random
                               random_witness_input)
 from cantorwit.errors import (ArityMismatchError, ParseError, PreconditionError, ToolkitError,
                               VerificationError)
-from cantorwit.literals import parse_clopen, parse_element
+from cantorwit.literals import _strip, parse_clopen, parse_element
 from cantorwit.prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
 from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
                                  _inverse_letters, certificate_from_obj, claim1_transporter,
@@ -1004,6 +1004,34 @@ class TestVerifyTarget:
                                     f"{arity} and {other}"), mutation
             else:
                 assert expected[0] is ParseError and "mixed" not in expected[1], mutation
+
+    @pytest.mark.parametrize("name, arity, obj", CERTIFICATES,
+                             ids=[name for name, _, _ in CERTIFICATES])
+    def test_literal_text_is_compared_before_whitespace_is_removed(self, monkeypatch, name,
+                                                                   arity, obj):
+        """A target that is the value's literal as it stands is accepted
+        with no whitespace scan and no parse, one with interior whitespace
+        after one scan and no parse, and a non-canonical one (a pair split
+        into its children) after a scan and a parse.  Each verdict is that
+        of verify_parse_target."""
+        cert, _ = certificate_from_obj(obj, arity)
+        literal = str(cert.evaluate())
+        interior = literal.replace(",", ", ").replace("->", " ->\n")
+        cases = [(literal, 0, 0), (interior, 1, 0),
+                 (target_mutations(literal, arity)["split_pair"], 1, 1)]
+        stripped = []
+        monkeypatch.setattr(witnesses, "_strip",
+                            lambda text: stripped.append(text) or _strip(text))
+        texts = self.parsed_texts(monkeypatch)
+        certificate_from_obj(with_target(obj, MISSING), arity)
+        word_texts = texts[:]
+        for target, scans, parses in cases:
+            mutated = with_target(obj, target)
+            stripped.clear()
+            texts.clear()
+            assert verify_certificate(mutated, arity) == verify_parse_target(mutated, arity)
+            assert (stripped, texts[:len(word_texts)]) == ([target] * scans, word_texts)
+            assert texts[len(word_texts):] == [target] * parses
 
     @staticmethod
     def parsed_texts(monkeypatch, module=witnesses) -> list:
