@@ -15,22 +15,23 @@ from . import corpus as corpus_mod
 from . import witnesses as wit
 from .clopen import ARITIES
 from .compression import join_compression, min_cover_3, transporter, wanders, wandering_witness
-from .errors import (ArityMismatchError, ParseError, PreconditionError,
-                     ToolkitError, VerificationError)
+from .errors import ParseError, PreconditionError, ToolkitError, VerificationError
 from .literals import parse_clopen, parse_element
 from .prefixmap import compose, sigma_swap
 from .witnesses import (CommutatorWord, commutator_word_to_obj, dumps_certificate,
                         normal_word_to_obj, simple_witness_to_obj, verify_certificate)
 
+
+class _UsageError(ToolkitError):
+    label = "usage error"
+    exit_code = 1
+
+
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_VERIFY = 4
-
-
-class _UsageError(Exception):
-    pass
+EXIT_USAGE = _UsageError.exit_code
+EXIT_PARSE = ParseError.exit_code
+EXIT_PRECONDITION = PreconditionError.exit_code
+EXIT_VERIFY = VerificationError.exit_code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,21 +301,9 @@ def main(argv=None) -> int:
             elif value is not None:
                 setattr(args, dest, read(value, args.arity))
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PreconditionError, ArityMismatchError) as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

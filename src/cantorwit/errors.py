@@ -1,8 +1,17 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each class states what the command line makes of it: `label` opens the
+stderr line and `exit_code` is the status it exits with.
+"""
 
 
 class ToolkitError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  Unless a
+    subclass says otherwise, the command line reports it as a
+    precondition violation."""
+
+    label = "precondition error"
+    exit_code = 3
 
 
 class ArityMismatchError(ToolkitError):
@@ -11,6 +20,9 @@ class ArityMismatchError(ToolkitError):
 
 class ParseError(ToolkitError):
     """A literal could not be parsed; carries the offending position."""
+
+    label = "parse error"
+    exit_code = 2
 
     def __init__(self, message: str, position: int | None = None):
         self.position = position
@@ -25,3 +37,6 @@ class PreconditionError(ToolkitError):
 
 class VerificationError(ToolkitError):
     """A certificate failed to re-evaluate to its claimed target."""
+
+    label = "verification failed"
+    exit_code = 4

@@ -54,29 +54,27 @@ def parse_element(text: str, arity: int = 2) -> PrefixMap:
     if not s.startswith("{") or not s.endswith("}"):
         raise ParseError("element literal must be braced like {0->1,1->0}", 0)
     body = s[1:-1]
-    if _PAIRS.fullmatch(body):
-        # a valid body has `e` only as a whole word, so it is split in C
-        words = body.replace("e", "").replace("->", ",").split(",")
-        pairs = zip(words[::2], words[1::2])
-    else:
-        pairs = _parse_pairs(body)
+    if not _PAIRS.fullmatch(body):
+        _refuse(body)
+    # a valid body has `e` only as a whole word, so it is split in C
+    words = body.replace("e", "").replace("->", ",").split(",")
     try:
-        return PrefixMap.from_pairs(pairs, arity)
+        return PrefixMap.from_pairs(zip(words[::2], words[1::2]), arity)
     except (PreconditionError, ArityMismatchError) as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_pairs(body: str) -> list[tuple[str, str]]:
-    """The pairs of an element body token by token, raising a ParseError at
-    the first bad token: the path of the bodies the one-pass match refuses."""
+def _refuse(body: str):
+    """Raise the ParseError of the first bad token of an element body that
+    the one-pass match refused; the match accepts exactly the bodies whose
+    every token is good, so this only reports."""
     if not body:
         raise ParseError("an element needs at least one pair", 1)
-    pairs = []
     pos = 1
     for tok in body.split(","):
         if "->" not in tok:
             raise ParseError(f"pair {tok!r} is missing '->'", pos)
         d, _, r = tok.partition("->")
-        pairs.append((_parse_word(d, pos), _parse_word(r, pos + len(d) + 2)))
+        _parse_word(d, pos)
+        _parse_word(r, pos + len(d) + 2)
         pos += len(tok) + 1
-    return pairs

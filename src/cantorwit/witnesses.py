@@ -213,6 +213,14 @@ def _inverse_letters(lts) -> list[tuple[Certified, int]]:
     return [(c, -e) for c, e in reversed(lts)]
 
 
+def _conjugated(base: _Base, d: Certified):
+    """The base conjugated by d, d^-1·m·d, as (d^-1, its letters over n, the
+    letters of its inverse, its support bound d^-1(bound))."""
+    dinv = d.inverse()
+    letters = _conjugate_letters(dinv, base.letters)
+    return dinv, letters, _inverse_letters(letters), dinv.elem.image(base.bound)
+
+
 def _proper_union_letters(a, b, w, base: _Base, lift) -> list[tuple[Certified, int]]:
     """Letters for a non-trivial [a, b] when W = ya ∪ yb, the proper union
     of their support regions, is given as `w`.
@@ -223,11 +231,7 @@ def _proper_union_letters(a, b, w, base: _Base, lift) -> list[tuple[Certified, i
     a, e, b, b·a, each lifted on the support bound of g'.  lift(x, S)
     returns a certified element agreeing with x pointwise on S.
     """
-    d = lift(transporter(w, base.zone), w)
-    dinv = d.inverse()
-    sp = dinv.elem.image(base.bound)
-    g_letters = _conjugate_letters(dinv, base.letters)           # g' = d^-1 m d
-    g_inverse = _inverse_letters(g_letters)
+    _, g_letters, g_inverse, sp = _conjugated(base, lift(transporter(w, base.zone), w))
     out = []
     out += _conjugate_letters(lift(a, sp), g_letters)            # a g' a^-1
     out += g_inverse                                             # g'^-1
@@ -257,14 +261,11 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified
     r1 = t2.image(m_zsub)
     u = patch([(ya, transporter(ya, zsub)), (r1, t2.inverse())])
     d = lift(u, ya.union(r1))
-    dinv = d.inverse()
+    dinv, h_letters, h_inverse, sh = _conjugated(base, d)
     h_cert = Certified(compose(dinv.elem, base.m.elem, d.elem),    # one compose
                        dinv.word * base.m.word * d.word)
     h = h_cert.elem
-    sh = dinv.elem.image(base.bound)
     a1 = compose(h, a, h.inverse())
-    h_letters = _conjugate_letters(dinv, base.letters)
-    h_inverse = _inverse_letters(h_letters)
     pre = []
     pre += _conjugate_letters(lift(a1, sh), h_letters)          # a1 h a1^-1
     pre += _conjugate_letters(lift(a1 * b, sh), h_inverse)      # (a1 b) h^-1 (a1 b)^-1
@@ -430,14 +431,11 @@ def claim1_transporter(ia: ClopenSet, ib: ClopenSet, ic: ClopenSet
     free = ia.union(ib).union(ic).complement()
     if free.is_empty():
         raise PreconditionError("the three regions must not cover the space")
+    if not ((ia == ib or ia.disjoint(ib)) and ia.disjoint(ic) and ib.disjoint(ic)):
+        raise PreconditionError("regions must be pairwise disjoint")
     if ia == ib:
         # the image condition already holds; no movement is needed
-        if not ia.disjoint(ic):
-            raise PreconditionError("regions must be pairwise disjoint")
         return Certified.from_word(CommutatorWord((), ia.arity))
-    for x, y in ((ia, ib), (ia, ic), (ib, ic)):
-        if not x.disjoint(y):
-            raise PreconditionError("regions must be pairwise disjoint")
     return _certified_patch(ia, onto_transporter(ia, ib), empty_set(ia.arity), free)
 
 

@@ -84,6 +84,7 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "no-such-command")
         assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: ")
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "reduce", "{0->00,10->01}")
@@ -130,6 +131,11 @@ class TestExitCodes:
         code, out, err = run(capsys, "claim1", "[0]", "[0]", "[01]")
         assert code == cli.EXIT_PRECONDITION and out == ""
         assert "pairwise disjoint" in err
+
+    def test_claim1_empty_region(self, capsys):
+        code, out, err = run(capsys, "claim1", "[]", "[01]", "[10]")
+        assert (code, out, err) == (cli.EXIT_PRECONDITION, "",
+                                    "precondition error: regions must be non-empty\n")
 
     def test_monolith_witness_whole_space_support(self, capsys):
         code, out, err = run(capsys, "monolith-witness", "{0->1,1->0}", "[e]",

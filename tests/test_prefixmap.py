@@ -399,6 +399,7 @@ class TestCachedViews:
             fresh = PrefixMap(tuple(sorted(g._domain[0].items(), key=lambda pr: lenlex(pr[0]))),
                               g.arity)
             assert g == fresh and fresh == g and not g != fresh
+            assert g != 5 and (g == "{e->e}") is False
             assert g != PrefixMap(fresh.pairs, arity + 1)
             assert g.is_identity() == fresh.is_identity()
             assert hash(g) == hash(fresh)

@@ -624,6 +624,13 @@ class TestClaim1:
         with pytest.raises(PreconditionError):
             claim1_transporter(C("[0]"), C("[01]"), C("[10]"))
 
+    @pytest.mark.parametrize("empty", range(3))
+    def test_empty_region_rejected(self, empty):
+        regions = [C("[00]"), C("[01]"), C("[10]")]
+        regions[empty] = C("[]")
+        with pytest.raises(PreconditionError, match="regions must be non-empty"):
+            claim1_transporter(*regions)
+
     def test_random_triples(self):
         rng = random.Random(45)
         done = 0
