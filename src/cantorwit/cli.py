@@ -18,8 +18,8 @@ from .compression import join_compression, min_cover_3, transporter, wanders, wa
 from .errors import ParseError, PreconditionError, ToolkitError, VerificationError
 from .literals import parse_clopen, parse_element
 from .prefixmap import compose, sigma_swap
-from .witnesses import (CommutatorWord, commutator_word_to_obj, dumps_certificate,
-                        normal_word_to_obj, simple_witness_to_obj, verify_certificate)
+from .witnesses import (CommutatorWord, dumps_certificate, dumps_commutator_word,
+                        dumps_normal_word, dumps_simple_witness, verify_certificate)
 
 
 class _UsageError(ToolkitError):
@@ -39,12 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(args, text_lines, obj):
-    """Print the JSON object under --json, the text lines otherwise.  Both
+def _emit(args, text_lines, json_text):
+    """Print the JSON text under --json, the text lines otherwise.  Both
     come as functions of no arguments, and only the one printed is called,
     so a request formats no output that it does not print."""
     if args.json:
-        print(dumps_certificate(obj()))
+        print(json_text())
     else:
         for line in text_lines():
             print(line)
@@ -87,8 +87,9 @@ def cmd_decompose2(args):
     _emit(args,
           lambda: [f"s1 = {dec.s1}", f"support1 = {dec.support1}",
                    f"s2 = {dec.s2}", f"support2 = {dec.support2}"],
-          lambda: {"s1": str(dec.s1), "support1": str(dec.support1),
-                   "s2": str(dec.s2), "support2": str(dec.support2), "arity": args.arity})
+          lambda: dumps_certificate({"s1": str(dec.s1), "support1": str(dec.support1),
+                                     "s2": str(dec.s2), "support2": str(dec.support2),
+                                     "arity": args.arity}))
     return EXIT_OK
 
 
@@ -101,7 +102,8 @@ def cmd_wandering(args):
     g, trap = wandering_witness(args.region)
     ok = wanders(g, args.region, trap)
     _emit(args, lambda: [f"g = {g}", f"trap = {trap}", f"wanders = {str(ok).lower()}"],
-          lambda: {"g": str(g), "trap": str(trap), "wanders": ok, "arity": args.arity})
+          lambda: dumps_certificate({"g": str(g), "trap": str(trap), "wanders": ok,
+                                     "arity": args.arity}))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -115,7 +117,8 @@ def cmd_cover3(args):
     names = ("J1", "J2", "J3", "U1", "U2", "U3")
     _emit(args,
           lambda: [f"{name} = {member}" for name, member in zip(names, cover.members)],
-          lambda: {name: str(member) for name, member in zip(names, cover.members)})
+          lambda: dumps_certificate({name: str(member)
+                                     for name, member in zip(names, cover.members)}))
     return EXIT_OK
 
 
@@ -123,7 +126,7 @@ def _emit_certified(args, name: str, out: wit.Certified):
     _emit(args,
           lambda: [f"{name} = {out.elem}",
                    *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(out.word.factors))],
-          lambda: commutator_word_to_obj(out.word, target=out.elem))
+          lambda: dumps_commutator_word(out.word, out.elem))
     return EXIT_OK
 
 
@@ -142,7 +145,7 @@ def cmd_monolith(args):
     word = wit.monolith_witness(args.a, args.ya, args.b, args.yb, args.n)
     value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
     _emit(args, lambda: _word_lines(word, value),
-          lambda: normal_word_to_obj(word, target=value))
+          lambda: dumps_normal_word(word, value))
     return EXIT_OK
 
 
@@ -150,7 +153,7 @@ def cmd_simple(args):
     cert = wit.simple_witness(args.a, args.ya, args.b, args.yb, args.n, args.n_cert)
     value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
     _emit(args, lambda: _word_lines(cert.word, value) + [f"conjugator_certs = {len(cert.certs)}"],
-          lambda: simple_witness_to_obj(cert, target=value))
+          lambda: dumps_simple_witness(cert, value))
     return EXIT_OK
 
 
@@ -168,15 +171,15 @@ def cmd_claim2(args):
                 f"fixes = {','.join(str(i) for i in res.indices)}",
                 *(["certs = 3"] if certified else [])]
 
-    def obj():
+    def json_text():
         out = {"s1": str(res.s1), "s2": str(res.s2), "s3": str(res.s3),
                "fixes": list(res.indices), "arity": args.arity}
         if certified:
-            out["certs"] = [commutator_word_to_obj(c, target=s)
+            out["certs"] = [json.loads(dumps_commutator_word(c, s))
                             for c, s in zip(res.certs, (res.s1, res.s2, res.s3))]
-        return out
+        return dumps_certificate(out)
 
-    _emit(args, lines, obj)
+    _emit(args, lines, json_text)
     return EXIT_OK
 
 
@@ -186,15 +189,16 @@ def cmd_claim3(args):
     _emit(args,
           lambda: [f"c = {res.c}", f"IA = {res.ia}", f"IB = {res.ib}", f"IC = {res.ic}",
                    *(f"f{i} = {f}" for i, f in enumerate(res.f_table))],
-          lambda: {"c": str(res.c), "IA": str(res.ia), "IB": str(res.ib), "IC": str(res.ic),
-                   "f_table": [str(f) for f in res.f_table], "arity": args.arity})
+          lambda: dumps_certificate({"c": str(res.c), "IA": str(res.ia), "IB": str(res.ib),
+                                     "IC": str(res.ic), "f_table": [str(f) for f in res.f_table],
+                                     "arity": args.arity}))
     return EXIT_OK
 
 
 def cmd_chain(args):
     g, h = wit.commuting_chain(args.ya, args.yb)
     _emit(args, lambda: [f"g = {g}", f"h = {h}"],
-          lambda: {"g": str(g), "h": str(h), "arity": args.arity})
+          lambda: dumps_certificate({"g": str(g), "h": str(h), "arity": args.arity}))
     return EXIT_OK
 
 

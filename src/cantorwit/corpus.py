@@ -23,11 +23,16 @@ from .witnesses import CommutatorWord, commutator
 
 
 def random_code(rng: random.Random, arity: int = 2, max_depth: int = 5) -> list[str]:
-    """A random complete prefix code with words of length <= max_depth."""
+    """A random complete prefix code with words of length <= max_depth.
+
+    A node splits with probability 0.55 up to arity 3 and 1.65/arity
+    above, so it has at most 1.65 children on average at any arity and the
+    size of a code does not grow with the arity."""
     alpha = letters(arity)
+    stop = 0.45 if arity <= 3 else 1 - 1.65 / arity
 
     def grow(prefix: str) -> list[str]:
-        if len(prefix) >= max_depth or rng.random() < 0.45:
+        if len(prefix) >= max_depth or rng.random() < stop:
             return [prefix]
         out = []
         for c in alpha:

@@ -36,7 +36,8 @@ class PrefixMap:
     write to a table or key list, and attributes cannot be assigned.
     Equality compares the arities and the tables, and hashing reads the
     arity and the sorted domain words (equal tables have equal keys), so
-    neither builds `pairs`; `repr` reads it.
+    neither builds `pairs`, and neither does `str`, which formats the
+    literal from the table; `repr` reads it.
     """
 
     def __init__(self, pairs: tuple[tuple[str, str], ...], arity: int = 2):
@@ -89,13 +90,16 @@ class PrefixMap:
 
     @cached_property
     def _literal(self) -> str:
-        """The element literal, formatted from `pairs` once.  Only the
-        identity has an empty word (a complete code holding the empty word
-        holds nothing else), so every other literal joins its words as they
-        are."""
+        """The element literal, formatted once, straight from the domain
+        table: its words sorted by length (as in `pairs`, which it does not
+        build), each joined with its range word.  Only the identity has an
+        empty word (a complete code holding the empty word holds nothing
+        else), so every other literal joins its words as they are."""
         if self.is_identity():
             return "{e->e}"
-        return "{" + ",".join(map("->".join, self.pairs)) + "}"
+        table, lex = self._domain
+        words = sorted(lex, key=len)
+        return "{" + ",".join(map("->".join, zip(words, map(table.__getitem__, words)))) + "}"
 
     def is_identity(self) -> bool:
         """A reduced table of one pair is {e->e}: the only complete prefix

@@ -593,36 +593,71 @@ def commuting_chain(ya: ClopenSet, yb: ClopenSet) -> tuple[PrefixMap, PrefixMap]
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization of certificates
+# JSON text of certificates
+#
+# One writer per certificate kind returns the text that
+# json.dumps(obj, indent=2, sort_keys=True) gives the kind's object (keys
+# in sorted order, two spaces per level, `[]` for an empty list), written
+# straight from the certificate.  An element literal holds only characters
+# that JSON writes as they are, so it is quoted as it stands; `str` formats
+# it once per element.
 
 
-def normal_word_to_obj(word: NormalWord, target: PrefixMap) -> dict:
-    return {
-        "kind": "normal_word",
-        "arity": word.base.arity,
-        "base": str(word.base),
-        "letters": [{"conj": str(c), "exp": e} for c, e in word.letters],
-        "target": str(target),
-    }
+def dumps_commutator_word(word: CommutatorWord, target: PrefixMap) -> str:
+    return _commutator_word_text(word, target, "", {})
 
 
-def commutator_word_to_obj(word: CommutatorWord, target: PrefixMap) -> dict:
-    return {
-        "kind": "commutator_word",
-        "arity": word.arity,
-        "factors": [{"x": str(x), "y": str(y)} for x, y in word.factors],
-        "target": str(target),
-    }
+def dumps_normal_word(word: NormalWord, target: PrefixMap) -> str:
+    return _normal_word_text(word, target, "")
 
 
-def simple_witness_to_obj(cert: SimpleWitness, target: PrefixMap) -> dict:
-    return {
-        "kind": "simple_witness",
-        "arity": cert.word.base.arity,
-        "witness": normal_word_to_obj(cert.word, target),
-        "conjugators": [commutator_word_to_obj(c, target=conj)
-                        for c, (conj, _e) in zip(cert.certs, cert.word.letters)],
-    }
+def dumps_simple_witness(cert: SimpleWitness, target: PrefixMap) -> str:
+    """The witness and one commutator word per letter, whose target is the
+    letter's conjugator.  The conjugator words share factors, and each
+    distinct factor's text is built once in a call."""
+    factors: dict = {}
+    conjugators = [f"    {_commutator_word_text(c, conj, '    ', factors)}"
+                   for c, (conj, _) in zip(cert.certs, cert.word.letters)]
+    return (f'{{\n  "arity": {cert.word.base.arity},\n'
+            f'  "conjugators": {_list_text(conjugators, "  ")},\n'
+            f'  "kind": "simple_witness",\n'
+            f'  "witness": {_normal_word_text(cert.word, target, "  ")}\n}}')
+
+
+def _list_text(items: list[str], pad: str) -> str:
+    """A JSON list, at indentation `pad`, of items already indented."""
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _commutator_word_text(word: CommutatorWord, target: PrefixMap, pad: str,
+                          factors: dict) -> str:
+    """A commutator word object at indentation `pad`.  `factors` maps the
+    identities of a factor's elements to its text, which every object
+    written through it shares."""
+    inner, item, field = pad + "  ", pad + "    ", pad + "      "
+    items = []
+    for x, y in word.factors:
+        key = id(x), id(y)
+        text = factors.get(key)
+        if text is None:
+            text = factors[key] = f'{item}{{\n{field}"x": "{x}",\n{field}"y": "{y}"\n{item}}}'
+        items.append(text)
+    return (f'{{\n{inner}"arity": {word.arity},\n'
+            f'{inner}"factors": {_list_text(items, inner)},\n'
+            f'{inner}"kind": "commutator_word",\n'
+            f'{inner}"target": "{target}"\n{pad}}}')
+
+
+def _normal_word_text(word: NormalWord, target: PrefixMap, pad: str) -> str:
+    """A normal word object at indentation `pad`."""
+    inner, item, field = pad + "  ", pad + "    ", pad + "      "
+    items = [f'{item}{{\n{field}"conj": "{c}",\n{field}"exp": {e}\n{item}}}'
+             for c, e in word.letters]
+    return (f'{{\n{inner}"arity": {word.base.arity},\n'
+            f'{inner}"base": "{word.base}",\n'
+            f'{inner}"kind": "normal_word",\n'
+            f'{inner}"letters": {_list_text(items, inner)},\n'
+            f'{inner}"target": "{target}"\n{pad}}}')
 
 
 def _listed(obj: dict, field: str) -> list:
@@ -770,4 +805,6 @@ def verify_certificate(obj: dict, arity: int = 2) -> PrefixMap:
 
 
 def dumps_certificate(obj: dict) -> str:
+    """The indented JSON text of an output object that is not a
+    certificate."""
     return json.dumps(obj, indent=2, sort_keys=True)

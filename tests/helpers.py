@@ -27,7 +27,10 @@ regions without `_certified_patch`.  `patch_pairwise` and
 checks its regions and images pair by pair; `moved_cylinder_pairs` takes
 the first moved pair from the sorted `pairs`, and `decompose2_three_pass`
 computes the swap, the image of its region and their union in three
-separate calls.
+separate calls.  The certificate writers are checked against
+`json.dumps(obj, indent=2, sort_keys=True)` of the objects that
+`normal_word_to_obj`, `commutator_word_to_obj` and `simple_witness_to_obj`
+build, one dict per certificate.
 """
 
 import itertools
@@ -377,3 +380,36 @@ def decompose2_three_pass(g):
     gy = g.image(y)
     s1 = g * s2.inverse()
     return Decomposition(s1, gy.complement(), s2, y.union(gy))
+
+
+def normal_word_to_obj(word, target) -> dict:
+    """The object a normal word's JSON text encodes: the oracle of
+    `witnesses.dumps_normal_word`."""
+    return {
+        "kind": "normal_word",
+        "arity": word.base.arity,
+        "base": str(word.base),
+        "letters": [{"conj": str(c), "exp": e} for c, e in word.letters],
+        "target": str(target),
+    }
+
+
+def commutator_word_to_obj(word, target) -> dict:
+    """The object of `witnesses.dumps_commutator_word`."""
+    return {
+        "kind": "commutator_word",
+        "arity": word.arity,
+        "factors": [{"x": str(x), "y": str(y)} for x, y in word.factors],
+        "target": str(target),
+    }
+
+
+def simple_witness_to_obj(cert, target) -> dict:
+    """The object of `witnesses.dumps_simple_witness`."""
+    return {
+        "kind": "simple_witness",
+        "arity": cert.word.base.arity,
+        "witness": normal_word_to_obj(cert.word, target),
+        "conjugators": [commutator_word_to_obj(c, target=conj)
+                        for c, (conj, _e) in zip(cert.certs, cert.word.letters)],
+    }

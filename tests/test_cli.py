@@ -2,6 +2,7 @@ import io
 import json
 import random
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,17 @@ class TestCorpusCommand:
         code, out, _ = run(capsys, "corpus", "--seed", "9", "--quick")
         assert code == 0
         assert out.count("PASS") == len(corpus.SUITES)
+
+    @pytest.mark.parametrize("arity", range(4, 11))
+    def test_quick_corpus_at_every_arity(self, capsys, arity):
+        """Random codes do not grow with the arity, so `corpus --quick`
+        passes every suite at arities 4 to 10 within a few seconds (about
+        half a second each on a 2-vCPU machine)."""
+        start = time.monotonic()
+        code, out, _ = run(capsys, "corpus", "--arity", str(arity), "--seed", "1", "--quick")
+        assert code == 0
+        assert out.count("PASS") == len(corpus.SUITES)
+        assert time.monotonic() - start < 5
 
 
 def readme_examples():

@@ -115,7 +115,8 @@ def test_golden_transcript(name):
 CERTIFYING = sorted(name for name, (argv, _) in CASES.items()
                     if argv[0] in ("monolith-witness", "simple-witness", "derived-conj",
                                    "claim1", "claim2"))
-WRITERS = ("commutator_word_to_obj", "normal_word_to_obj", "simple_witness_to_obj")
+WRITERS = ("dumps_commutator_word", "dumps_normal_word", "dumps_simple_witness",
+           "dumps_certificate")
 
 
 def _unprinted(*args, **kwargs):
@@ -125,8 +126,8 @@ def _unprinted(*args, **kwargs):
 @pytest.mark.parametrize("name", CERTIFYING)
 def test_only_the_printed_output_is_built(name, monkeypatch):
     """Under --json no text lines are built (`_word_lines` raises), and
-    without it no JSON object (every `*_to_obj` raises); each run prints
-    what it prints unpatched, the golden under --json."""
+    without it no JSON text (every writer the CLI calls raises); each run
+    prints what it prints unpatched, the golden under --json."""
     argv, _ = CASES[name]
     text_argv = [arg for arg in argv if arg != "--json"]
     code, text, _ = _run(text_argv)

@@ -413,14 +413,16 @@ class TestCachedViews:
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_literal_is_formatted_once(self, arity):
-        """str returns the literal cached on first read: the text a fresh
-        formatting of the pairs gives, which parses back to the element,
-        and caching it leaves the element frozen."""
+        """str returns the literal cached on first read, formatted from the
+        table without building `pairs`: the text a fresh formatting of the
+        pairs gives, which parses back to the element, and caching it
+        leaves the element frozen."""
         els = seeded_elements(160 + arity, 40, arity=arity, max_depth=self.DEPTH[arity])
         pool = els + [h.inverse() for h in els] + [f * h for f, h in zip(els, els[1:])]
         pool += [identity(arity), els[0] * els[0].inverse()]
-        for g in pool:
-            text = str(g)
+        texts = [str(g) for g in pool]
+        assert not any("pairs" in g.__dict__ for g in pool)
+        for g, text in zip(pool, texts):
             assert text == "{" + ",".join(f"{d or 'e'}->{r or 'e'}" for d, r in g.pairs) + "}"
             assert str(g) is text
             assert parse_element(text, arity) == g

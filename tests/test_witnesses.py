@@ -20,15 +20,14 @@ from cantorwit.prefixmap import PrefixMap, identity, onto_transporter, patch, si
 from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
                                  _inverse_letters, certificate_from_obj, claim1_transporter,
                                  claim2_factorization, claim3_witness,
-                                 commutator, commuting_chain, decompose2,
-                                 commutator_word_to_obj, derived_conjugator,
-                                 monolith_witness, normal_word_to_obj,
-                                 shift_identity_check, simple_witness,
-                                 simple_witness_to_obj, verify_certificate)
+                                 commutator, commuting_chain, decompose2, derived_conjugator,
+                                 monolith_witness, shift_identity_check, simple_witness,
+                                 verify_certificate)
 import helpers
 import test_golden
 from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
-                     decompose2_three_pass, normal_word_fold, verify_parse_target)
+                     commutator_word_to_obj, decompose2_three_pass, normal_word_fold,
+                     normal_word_to_obj, simple_witness_to_obj, verify_parse_target)
 
 C = parse_clopen
 E = parse_element
@@ -487,8 +486,7 @@ class TestSimpleWitnessCertificate:
         obj = json.loads((Path(__file__).parent / "golden" / f"{name}.txt").read_text())
         sw, target = certificate_from_obj(obj)
         assert isinstance(sw, SimpleWitness)
-        assert simple_witness_to_obj(sw, target) == obj
-        assert certificate_from_obj(simple_witness_to_obj(sw, target)) == (sw, target)
+        assert json.loads(written(sw, target)) == obj
 
     @pytest.mark.parametrize("full_union", [False, True])
     def test_arity3_roundtrip(self, full_union):
@@ -502,7 +500,7 @@ class TestSimpleWitnessCertificate:
             a, ya, b, yb = random_witness_input(rng, 3, full_union=full_union)
             sw = simple_witness(a, ya, b, yb, n, CommutatorWord(((x, y),), 3))
             target = commutator(a, b)
-            obj = simple_witness_to_obj(sw, target)
+            obj = json.loads(written(sw, target))
             assert obj["arity"] == 3
             assert certificate_from_obj(obj) == (sw, target)
             assert sw.evaluate() == target
@@ -799,25 +797,24 @@ def test_invalid_arity_rejected(build, arity):
 
 class TestCertificateSerialization:
     def test_random_normal_word_roundtrip(self):
-        from cantorwit.witnesses import (certificate_from_obj, normal_word_to_obj,
-                                         verify_certificate)
+        from cantorwit.witnesses import certificate_from_obj, verify_certificate
         rng = random.Random(50)
         for i in range(50):
             a, ya, b, yb = random_witness_input(rng, full_union=i % 2 == 0)
             n = random_element(rng, max_depth=4, nontrivial=True)
             word = monolith_witness(a, ya, b, yb, n)
-            obj = normal_word_to_obj(word, target=word.evaluate())
+            obj = json.loads(written(word, word.evaluate()))
             back, target = certificate_from_obj(obj)
             assert back == word and target == word.evaluate()
             assert verify_certificate(obj) == word.evaluate()
 
     def test_arity3_roundtrip(self):
-        from cantorwit.witnesses import certificate_from_obj, commutator_word_to_obj
+        from cantorwit.witnesses import certificate_from_obj
         rng = random.Random(51)
         x = random_element(rng, arity=3)
         y = random_element(rng, arity=3)
         word = CommutatorWord(((x, y),), 3)
-        obj = commutator_word_to_obj(word, target=word.evaluate())
+        obj = json.loads(written(word, word.evaluate()))
         assert obj["arity"] == 3
         back, target = certificate_from_obj(obj)
         assert back == word and target == word.evaluate()
@@ -942,6 +939,70 @@ CERTIFICATES = ([(f"golden:{name}", obj.get("arity", 2), obj)
                  for name, obj in golden_certificates().items()]
                 + [(f"arity{k}:{name}", k, obj) for k in (3, 4)
                    for name, obj in built_certificates(k).items()])
+
+
+WRITERS = {NormalWord: (witnesses.dumps_normal_word, normal_word_to_obj),
+           CommutatorWord: (witnesses.dumps_commutator_word, commutator_word_to_obj),
+           SimpleWitness: (witnesses.dumps_simple_witness, simple_witness_to_obj)}
+
+
+def written(cert, target) -> str:
+    """The writer's text for a certificate, once it is checked to be
+    json.dumps of the oracle object and to read back as the certificate
+    and its target."""
+    write, oracle = WRITERS[type(cert)]
+    text = write(cert, target)
+    assert text == json.dumps(oracle(cert, target), indent=2, sort_keys=True)
+    assert certificate_from_obj(json.loads(text)) == (cert, target)
+    return text
+
+
+class TestWriters:
+    """Each certificate writer gives the text of json.dumps(obj, indent=2,
+    sort_keys=True) on the object its oracle in `helpers` builds."""
+
+    @pytest.mark.parametrize("name, arity, obj", CERTIFICATES,
+                             ids=[name for name, _, _ in CERTIFICATES])
+    def test_matches_the_oracle(self, name, arity, obj):
+        cert, target = certificate_from_obj(obj, arity)
+        written(cert, cert.evaluate() if target is None else target)
+
+    @pytest.mark.parametrize("name", [name for name in test_golden.CERTIFYING
+                                      if not name.startswith("claim2")])
+    def test_prints_the_golden(self, name):
+        text = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert written(*certificate_from_obj(json.loads(text))) + "\n" == text
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_random_certificates(self, arity):
+        """Words of up to 4 letters, or up to 6 factors, over a small pool
+        holding {e->e}, with factors and conjugator words repeated both as
+        the same objects and as equal copies."""
+        rng = random.Random(190 + arity)
+        pool = [random_element(rng, arity, 3) for _ in range(6)] + [identity(arity)]
+        pool.append(parse_element(str(pool[0]), arity))           # an equal copy
+
+        def commutator_word():
+            factors = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(5))]
+            return CommutatorWord(tuple(factors + factors[:rng.randrange(3)]), arity)
+
+        base = random_element(rng, arity, 3, nontrivial=True)
+        for _ in range(30):
+            target = rng.choice(pool)
+            letters_ = tuple((rng.choice(pool), rng.choice((1, -1)))
+                             for _ in range(rng.randrange(5)))
+            word = NormalWord(base, letters_)
+            certs = [commutator_word() for _ in letters_]
+            if certs:
+                certs[-1] = rng.choice(certs)                       # a shared word
+            for cert in (word, commutator_word(), SimpleWitness(word, tuple(certs))):
+                written(cert, target)
+
+    def test_empty_words(self):
+        base = rotation(3)
+        for cert in (NormalWord(base), CommutatorWord((), 3),
+                     SimpleWitness(NormalWord(base), ())):
+            assert '": []' in written(cert, identity(3))
 
 
 class TestVerifyTarget:
