@@ -23,15 +23,19 @@ from .errors import ArityMismatchError, PreconditionError
 
 ALPHABET = "0123456789"
 ARITIES = range(2, len(ALPHABET) + 1)  # the legal alphabet sizes
+_LETTERS = {k: ALPHABET[:k] for k in ARITIES}
 _AFTER = chr(ord(ALPHABET[-1]) + 1)
 
 
 def letters(arity: int) -> str:
-    """The alphabet for a given arity, as a string of digit symbols."""
-    if arity not in ARITIES:
+    """The alphabet for a given arity, as a string of digit symbols, read
+    from a table built once.  Only an `int` in `ARITIES` has one: any other
+    value, `2.0` and `True` included, raises ArityMismatchError."""
+    alpha = _LETTERS.get(arity) if arity.__class__ is int else None
+    if alpha is None:
         raise ArityMismatchError(
             f"arity must be between {ARITIES[0]} and {ARITIES[-1]}, got {arity}")
-    return ALPHABET[:arity]
+    return alpha
 
 
 def same_arity(first, *rest) -> int:

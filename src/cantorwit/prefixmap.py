@@ -13,12 +13,28 @@ Composition is written like function application: (g * h)(x) = g(h(x)).
 """
 
 from dataclasses import FrozenInstanceError
-from functools import cached_property
 from itertools import chain
 
 from .clopen import (ClopenSet, canonicalize, code_view, cylinder, check_word, empty_set,
                      letters, merge_siblings, off_alphabet, refine, same_arity, split_words)
 from .errors import PreconditionError
+
+
+class _view:
+    """A view of an element computed on its first read and stored under its
+    name in the instance `__dict__`, which later reads find before the
+    class: a non-data descriptor, like `functools.cached_property` without
+    its lock.  Views are pure functions of the element, so two threads that
+    race on a first read store equal values."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 class PrefixMap:
@@ -30,14 +46,14 @@ class PrefixMap:
     An element stores its reduced pair table as `_domain`: the table and
     its keys (the domain words) in lexicographic order, the outer side of a
     product in `refine`.  The views derived from it, `pairs` (the pairs in
-    length-lexicographic order of domain word), the range view, the inverse
-    and the literal that `str` returns, are computed at most once per
-    instance, when first read, and kept in its `__dict__`; nothing may
-    write to a table or key list, and attributes cannot be assigned.
-    Equality compares the arities and the tables, and hashing reads the
-    arity and the sorted domain words (equal tables have equal keys), so
-    neither builds `pairs`, and neither does `str`, which formats the
-    literal from the table; `repr` reads it.
+    length-lexicographic order of domain word), the range view, the inverse,
+    the literal that `str` returns and the hash, are computed at most once
+    per instance, when first read, and kept in its `__dict__` (`_view`, which
+    takes no lock); nothing may write to a table or key list, and attributes
+    cannot be assigned.  Equality compares the arities and the tables, and
+    the hash is that of the arity and the sorted domain words (equal tables
+    have equal keys), so neither builds `pairs`, and neither does `str`,
+    which formats the literal from the table; `repr` reads it.
     """
 
     def __init__(self, pairs: tuple[tuple[str, str], ...], arity: int = 2):
@@ -56,12 +72,16 @@ class PrefixMap:
         return self.arity == other.arity and self._domain[0] == other._domain[0]
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @_view
+    def _hash(self) -> int:
         return hash((self.arity, *self._domain[1]))
 
     def __repr__(self) -> str:
         return f"PrefixMap(pairs={self.pairs!r}, arity={self.arity!r})"
 
-    @cached_property
+    @_view
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """The pairs in length-lexicographic order of domain word: a stable
         sort of a copy of the lexicographic keys by length."""
@@ -88,7 +108,7 @@ class PrefixMap:
     def __str__(self) -> str:
         return self._literal
 
-    @cached_property
+    @_view
     def _literal(self) -> str:
         """The element literal, formatted once, straight from the domain
         table: its words sorted by length (as in `pairs`, which it does not
@@ -110,7 +130,7 @@ class PrefixMap:
         """Composition: (g * h)(x) = g(h(x))."""
         return compose(self, other)
 
-    @cached_property
+    @_view
     def _range(self) -> tuple[dict[str, str], list[str]]:
         """The range-to-domain table and its keys (the range words) in
         lexicographic order: the inner side of a product in `refine`."""
@@ -120,7 +140,7 @@ class PrefixMap:
     def inverse(self) -> "PrefixMap":
         return self._inverse
 
-    @cached_property
+    @_view
     def _inverse(self) -> "PrefixMap":
         """The inverse, linked both ways: its `_domain` is this element's
         `_range`, its `_range` is this element's `_domain` (the same table

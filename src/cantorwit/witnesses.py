@@ -45,13 +45,22 @@ class NormalWord:
             raise PreconditionError("letter exponents must be the integers +1 or -1")
 
     def evaluate(self) -> PrefixMap:
-        """The product, one `compose` per letter (see `compose`, which drops
-        the identity it starts from)."""
-        acc = identity(self.base.arity)
+        """The product, telescoped: c1·n^e1·c1^-1·c2·n^e2·…·cL^-1 is composed
+        as c1·n^e1·(c1^-1·c2)·n^e2·…·n^eL·cL^-1, each bracket first, so
+        consecutive conjugators cancel down to a small factor before the
+        running product meets them (3L-1 compositions, as letter by letter).
+        Every conjugator's arity is checked against the base's first, as
+        the letter-by-letter product would check it; `compose` drops the
+        identity factors."""
+        conjs = [conj for conj, _ in self.letters]
+        arity = same_arity(self.base, *conjs)
+        if not conjs:
+            return identity(arity)
         power = {1: self.base, -1: self.base.inverse()}
-        for conj, exp in self.letters:
-            acc = compose(acc, conj, power[exp], conj.inverse())
-        return acc
+        factors = [conjs[0], power[self.letters[0][1]]]
+        for prev, (conj, exp) in zip(conjs, self.letters[1:]):
+            factors += compose(prev.inverse(), conj), power[exp]
+        return compose(*factors, conjs[-1].inverse())
 
 
 @dataclass(frozen=True)
@@ -660,11 +669,26 @@ def _normal_word_text(word: NormalWord, target: PrefixMap, pad: str) -> str:
             f'{inner}"target": "{target}"\n{pad}}}')
 
 
-def _listed(obj: dict, field: str) -> list:
+def _listed(obj: dict, field: str):
+    """The entries of the list `obj[field]`, each refused as it is reached
+    unless it is an object."""
     value = obj[field]
     if not isinstance(value, list):
         raise ParseError(f"malformed certificate: '{field}' must be a list")
-    return value
+    for entry in value:
+        if not isinstance(entry, dict):
+            raise ParseError(f"malformed certificate: '{field}' entries must be objects, "
+                             f"got {_json_type(entry)}")
+        yield entry
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    """The JSON name of a decoded value's type."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 def certificate_from_obj(obj: dict, arity: int = 2):
@@ -732,7 +756,11 @@ def _malformed():
 
 
 def _element(table: dict, text, k: int) -> PrefixMap:
-    """The element literal `text` at arity k, parsed once per table."""
+    """The element literal `text` at arity k, parsed once per table; a
+    value that is not a string is refused by its JSON type."""
+    if not isinstance(text, str):
+        raise ParseError("malformed certificate: an element literal must be a string, "
+                         f"got {_json_type(text)}")
     g = table.get((text, k))
     if g is None:
         g = table[(text, k)] = parse_element(text, k)

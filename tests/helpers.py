@@ -202,6 +202,10 @@ def parse_element_per_token(text: str, arity: int = 2) -> PrefixMap:
         raise ParseError(str(exc)) from exc
 
 
+JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "number",
+                   float: "number", bool: "boolean", type(None): "null"}
+
+
 def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
     """A certificate checked in reading order: each object's target, then
     its other literals, all parsed through one table before anything is
@@ -225,23 +229,32 @@ def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
         k = arity_of(o, k)
 
         def elem(text):
+            if not isinstance(text, str):
+                raise ParseError("malformed certificate: an element literal must be a "
+                                 f"string, got {JSON_TYPE_NAMES[type(text)]}")
             if (text, k) not in table:
                 table[(text, k)] = parse_element(text, k)
             return table[(text, k)]
+
+        def entries(field):
+            items = o[field]
+            if not isinstance(items, list):
+                raise ParseError(f"malformed certificate: '{field}' must be a list")
+            for item in items:
+                if not isinstance(item, dict):
+                    raise ParseError(f"malformed certificate: '{field}' entries must be "
+                                     f"objects, got {JSON_TYPE_NAMES[type(item)]}")
+                yield item
 
         try:
             target = elem(o["target"]) if "target" in o else None
             if o["kind"] == "normal_word":
                 base = elem(o["base"])
-                letters = o["letters"]
-                if not isinstance(letters, list):
-                    raise ParseError("malformed certificate: 'letters' must be a list")
-                return NormalWord(base, tuple((elem(l["conj"]), l["exp"]) for l in letters)), target
+                letters = tuple((elem(l["conj"]), l["exp"]) for l in entries("letters"))
+                return NormalWord(base, letters), target
             if o["kind"] == "commutator_word":
-                factors = o["factors"]
-                if not isinstance(factors, list):
-                    raise ParseError("malformed certificate: 'factors' must be a list")
-                return CommutatorWord(tuple((elem(f["x"]), elem(f["y"])) for f in factors), k), target
+                factors = tuple((elem(f["x"]), elem(f["y"])) for f in entries("factors"))
+                return CommutatorWord(factors, k), target
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError, PreconditionError) as exc:

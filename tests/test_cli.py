@@ -46,6 +46,33 @@ SIMPLE_WITNESS_MIXED_ARITIES = (
     '"base":"{0->1,1->0}","letters":[{"conj":"{e->e}","exp":1}],"target":"{0->1,1->0}"},'
     '"conjugators":[{"kind":"commutator_word","factors":[]}]}')
 
+# A literal or a list entry of the wrong JSON type, with the stderr of its
+# refusal: the reader names the type it found.
+NOT_A_STRING = "parse error: malformed certificate: an element literal must be a string, got "
+MISTYPED_FIELDS = {
+    '{"kind":"commutator_word","factors":[{"x":1,"y":"{e->e}"}],"target":"{e->e}"}':
+        NOT_A_STRING + "number",
+    '{"kind":"normal_word","base":7,"letters":[],"target":"{e->e}"}': NOT_A_STRING + "number",
+    '{"kind":"commutator_word","factors":[],"target":["{e->e}"]}': NOT_A_STRING + "array",
+    '{"kind":"normal_word","base":null,"letters":[],"target":"{0->1,1->0}"}':
+        NOT_A_STRING + "null",
+    '{"kind":"commutator_word","factors":[{"x":"{e->e}","y":{}}],"target":"{e->e}"}':
+        NOT_A_STRING + "object",
+    '{"kind":"normal_word","base":"{0->1,1->0}","letters":[{"conj":true,"exp":1}],'
+    '"target":"{0->1,1->0}"}': NOT_A_STRING + "boolean",
+    '{"kind":"commutator_word","factors":[1],"target":"{e->e}"}':
+        "parse error: malformed certificate: 'factors' entries must be objects, got number",
+    '{"kind":"normal_word","base":"{0->1,1->0}","letters":[["{e->e}",1]],'
+    '"target":"{0->1,1->0}"}':
+        "parse error: malformed certificate: 'letters' entries must be objects, got array",
+    # the target is read first, so its type is reported before the factor's
+    '{"kind":"commutator_word","factors":[{"x":1,"y":"{e->e}"}],"target":5}':
+        NOT_A_STRING + "number",
+    # entries are refused as they are reached: a bad literal before a bad entry
+    '{"kind":"commutator_word","factors":[{"x":"{0->","y":"{e->e}"},"x"],"target":"{e->e}"}':
+        "parse error: element literal must be braced like {0->1,1->0} (at position 0)",
+}
+
 
 class TestParsing:
     def test_element_roundtrip(self):
@@ -551,11 +578,15 @@ class TestFuzzing:
         pytest.param(simple_proper_with_conjugator_target("{0->1,1->0}"),
                      id="simple-proper-wrong-conjugator-target"),
         pytest.param(SIMPLE_WITNESS_MIXED_ARITIES, id="simple-witness-mixed-arities"),
+        *MISTYPED_FIELDS,
     ])
     def test_malformed_certificates_exit_parse(self, capsys, tmp_path, payload):
         path = tmp_path / "fz.json"
         path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
-        assert run(capsys, "verify", str(path))[0] == cli.EXIT_PARSE
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == cli.EXIT_PARSE
+        if payload in MISTYPED_FIELDS:
+            assert err == MISTYPED_FIELDS[payload] + "\n"
 
     @pytest.mark.parametrize("payload, arity", [
         *((f'{{"kind":"commutator_word","arity":{k},"factors":[],"target":"{{e->e}}"}}', k)

@@ -433,6 +433,70 @@ class TestCachedViews:
                     delattr(g, name)
             assert str(g) is text
 
+    VIEWS = ("pairs", "_literal", "_range", "_inverse", "_hash")
+
+    @staticmethod
+    def read_views(g):
+        """Read every view of g, and its hash, string and repr."""
+        for name in TestCachedViews.VIEWS:
+            getattr(g, name)
+        hash(g), str(g), repr(g)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_equal_elements_hash_alike(self, arity):
+        """Equal elements hash alike however they were built: from shuffled
+        or split pairs, as products, as inverses or from their literals;
+        and reading every view leaves each hash as it was."""
+        rng = random.Random(220 + arity)
+        alphabet = letters(arity)
+        els = seeded_elements(220 + arity, 30, arity=arity, max_depth=self.DEPTH[arity])
+        for g, h in zip(els, els[1:]):
+            shuffled = list(g.pairs)
+            rng.shuffle(shuffled)
+            split = [(d + c, r + c) for d, r in g.pairs for c in alphabet]
+            rng.shuffle(split)
+            swapped = [(r, d) for d, r in g.inverse().pairs]
+            builds = [PrefixMap.from_pairs(shuffled, arity), PrefixMap.from_pairs(split, arity),
+                      (g * h) * h.inverse(), h.inverse() * (h * g),
+                      PrefixMap.from_pairs(swapped, arity), parse_element(str(g), arity)]
+            inverses = [PrefixMap.from_pairs([(r, d) for d, r in g.pairs], arity),
+                        h * (g * h).inverse(), parse_element(str(g.inverse()), arity)]
+            for same, other in [(g, builds), (g.inverse(), inverses)]:
+                before = [hash(x) for x in (same, *other)]
+                for x in (same, *other):
+                    assert x == same and hash(x) == hash(same)
+                    self.read_views(x)
+                    self.read_views(x.inverse())
+                assert [hash(x) for x in (same, *other)] == before
+                assert all(x.__dict__["_hash"] == before[0] for x in (same, *other))
+
+    def test_each_view_is_computed_once(self, monkeypatch):
+        """A view is computed on its first read only, stored in the
+        instance `__dict__`, and every later read returns that object; an
+        inverse links its element's views instead of computing its own."""
+        pool = [PrefixMap.from_pairs(g.pairs, g.arity) for arity in (2, 3, 4)
+                for g in seeded_elements(230 + arity, 10, arity=arity, max_depth=3)]
+        calls = {name: 0 for name in self.VIEWS}
+
+        def counting(name, compute):
+            def counted(g):
+                calls[name] += 1
+                return compute(g)
+            return counted
+
+        for name in self.VIEWS:
+            view = PrefixMap.__dict__[name]
+            monkeypatch.setattr(view, "compute", counting(name, view.compute))
+        for g in pool:
+            assert not any(name in g.__dict__ for name in self.VIEWS)
+            first = {name: getattr(g, name) for name in self.VIEWS}
+            self.read_views(g)
+            for name in self.VIEWS:
+                assert g.__dict__[name] is first[name] and getattr(g, name) is first[name]
+            inv = g.inverse()
+            assert inv._range is g._domain and inv.inverse() is g
+        assert calls == {name: len(pool) for name in self.VIEWS}
+
     def test_constructor_keeps_the_table_not_the_order_of_its_pairs(self):
         """Pairs given out of canonical order make the same element: equal,
         with the same hash, repr and pairs."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cantorwit import witnesses
-from cantorwit.clopen import canonicalize, letters, whole_space
+from cantorwit.clopen import canonicalize, cylinder, letters, whole_space
 from cantorwit.compression import join_compression, min_cover_3, transporter
 from cantorwit.corpus import (random_clopen, random_code, random_element, random_rist_element,
                               random_witness_input)
@@ -257,8 +257,9 @@ class TestMemoisedEvaluation:
 
 
 class TestSingleReduce:
-    """commutator reduces once and NormalWord.evaluate once per letter;
-    both against the versions that reduce after every composition."""
+    """commutator reduces once, and NormalWord.evaluate composes the
+    telescoped product c1·n^e1·(c1^-1·c2)·…·n^eL·cL^-1; both against the
+    versions that reduce after every composition."""
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_commutator_matches_three_reduce(self, arity):
@@ -280,6 +281,42 @@ class TestSingleReduce:
                             for _ in range(rng.randint(0, 8)))
             word = NormalWord(base, letters)
             assert word.evaluate() == normal_word_fold(word)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_normal_word_cancellations_match_fold(self, arity):
+        """Words whose consecutive conjugators cancel in every way: drawn
+        from a pool of four and the identity, so conjugators repeat; one
+        letter; identity conjugators; a word times its inverse."""
+        rng = random.Random(240 + arity)
+        e = identity(arity)
+        for _ in range(25):
+            base = random_element(rng, arity, max_depth=4, nontrivial=True)
+            pool = [random_element(rng, arity, max_depth=4) for _ in range(4)] + [e]
+            word = tuple((rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(2, 8)))
+            inverse = tuple((c, -x) for c, x in reversed(word))
+            variants = {"pooled": word, "one_letter": word[:1],
+                        "identity_conjugators": tuple((e, x) for _, x in word),
+                        "times_its_inverse": word + inverse,
+                        "repeated_conjugator": ((pool[0], 1), (pool[0], 1), (pool[0], -1))}
+            for name, letters in variants.items():
+                w = NormalWord(base, letters)
+                assert w.evaluate() == normal_word_fold(w), name
+            assert NormalWord(base, word + inverse).evaluate().is_identity()
+
+    @pytest.mark.parametrize("base_arity, conjugators, message", [
+        (2, [3], "mixed arities 2 and 3"),
+        (2, [2, 3], "mixed arities 2 and 3"),
+        (2, [2, 2, 3, 2], "mixed arities 2 and 3"),
+        (3, [2], "mixed arities 3 and 2"),
+        (3, [3, 2], "mixed arities 3 and 2"),
+    ])
+    def test_normal_word_mixed_arities_refused_as_letter_by_letter(self, base_arity,
+                                                                  conjugators, message):
+        """The message the letter-by-letter product gave: the base's arity,
+        then the first conjugator's that differs."""
+        letters = tuple((rotation(k), 1) for k in conjugators)
+        with pytest.raises(ArityMismatchError, match=f"^{message}$"):
+            NormalWord(rotation(base_arity), letters).evaluate()
 
 
 class TestDecompose2:
@@ -786,12 +823,17 @@ def test_mixed_arities_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("arity", [1, 11])
+@pytest.mark.parametrize("arity", [1, 11, 2.0, True, "2", None, [2]])
 @pytest.mark.parametrize("build", [identity, whole_space,
-                                   lambda k: CommutatorWord((), k).evaluate()],
-                         ids=["identity", "whole_space", "empty_commutator_word"])
+                                   lambda k: CommutatorWord((), k).evaluate(),
+                                   letters, lambda k: cylinder("0", k)],
+                         ids=["identity", "whole_space", "empty_commutator_word", "letters",
+                              "cylinder"])
 def test_invalid_arity_rejected(build, arity):
-    with pytest.raises(ArityMismatchError, match=f"arity must be between 2 and 10, got {arity}$"):
+    """Only an `int` in ARITIES is an arity: `letters` refuses every other
+    value, and so does each builder that takes one."""
+    with pytest.raises(ArityMismatchError,
+                       match=f"arity must be between 2 and 10, got {re.escape(str(arity))}$"):
         build(arity)
 
 
