@@ -30,11 +30,12 @@ _AFTER = chr(ord(ALPHABET[-1]) + 1)
 def letters(arity: int) -> str:
     """The alphabet for a given arity, as a string of digit symbols, read
     from a table built once.  Only an `int` in `ARITIES` has one: any other
-    value, `2.0` and `True` included, raises ArityMismatchError."""
+    value, `2.0` and `True` included, raises ArityMismatchError naming it
+    by `repr`, so the string "2" reads as '2'."""
     alpha = _LETTERS.get(arity) if arity.__class__ is int else None
     if alpha is None:
         raise ArityMismatchError(
-            f"arity must be between {ARITIES[0]} and {ARITIES[-1]}, got {arity}")
+            f"arity must be between {ARITIES[0]} and {ARITIES[-1]}, got {arity!r}")
     return alpha
 
 

@@ -27,6 +27,12 @@ from .literals import _strip, parse_element
 from .prefixmap import PrefixMap, _swap, compose, identity, onto_transporter, patch
 
 
+# The most element text, in characters, that the index references of one
+# simple witness may name in total: each index is read as its literal, so
+# a short file could otherwise ask for the work of a huge one.
+MAX_REFERENCED_TEXT = 1 << 24
+
+
 # ---------------------------------------------------------------------------
 # certificate types
 
@@ -613,7 +619,8 @@ def commuting_chain(ya: ClopenSet, yb: ClopenSet) -> tuple[PrefixMap, PrefixMap]
 
 
 def dumps_commutator_word(word: CommutatorWord, target: PrefixMap) -> str:
-    return _commutator_word_text(word, target, "", {})
+    items = [f'    {{\n      "x": "{x}",\n      "y": "{y}"\n    }}' for x, y in word.factors]
+    return _commutator_word_text(word.arity, items, "", f',\n  "target": "{target}"')
 
 
 def dumps_normal_word(word: NormalWord, target: PrefixMap) -> str:
@@ -621,14 +628,23 @@ def dumps_normal_word(word: NormalWord, target: PrefixMap) -> str:
 
 
 def dumps_simple_witness(cert: SimpleWitness, target: PrefixMap) -> str:
-    """The witness and one commutator word per letter, whose target is the
-    letter's conjugator.  The conjugator words share factors, and each
-    distinct factor's text is built once in a call."""
-    factors: dict = {}
-    conjugators = [f"    {_commutator_word_text(c, conj, '    ', factors)}"
-                   for c, (conj, _) in zip(cert.certs, cert.word.letters)]
+    """The witness, one commutator word per letter, and the `elements`
+    list: each distinct factor literal of those words once, in first-use
+    order (x before y), which their factors name by index.  A conjugator
+    word carries no target, since its letter's conjugator is its target.
+    Each distinct literal is formatted once in a call."""
+    index: dict = {}            # element -> its position in `elements`
+    conjugators = []
+    for word in cert.certs:
+        items = []
+        for x, y in word.factors:
+            i, j = index.setdefault(x, len(index)), index.setdefault(y, len(index))
+            items.append(f'        {{\n          "x": {i},\n          "y": {j}\n        }}')
+        conjugators.append(f"    {_commutator_word_text(word.arity, items, '    ', '')}")
+    elements = [f'    "{x}"' for x in index]
     return (f'{{\n  "arity": {cert.word.base.arity},\n'
             f'  "conjugators": {_list_text(conjugators, "  ")},\n'
+            f'  "elements": {_list_text(elements, "  ")},\n'
             f'  "kind": "simple_witness",\n'
             f'  "witness": {_normal_word_text(cert.word, target, "  ")}\n}}')
 
@@ -638,23 +654,13 @@ def _list_text(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
 
 
-def _commutator_word_text(word: CommutatorWord, target: PrefixMap, pad: str,
-                          factors: dict) -> str:
-    """A commutator word object at indentation `pad`.  `factors` maps the
-    identities of a factor's elements to its text, which every object
-    written through it shares."""
-    inner, item, field = pad + "  ", pad + "    ", pad + "      "
-    items = []
-    for x, y in word.factors:
-        key = id(x), id(y)
-        text = factors.get(key)
-        if text is None:
-            text = factors[key] = f'{item}{{\n{field}"x": "{x}",\n{field}"y": "{y}"\n{item}}}'
-        items.append(text)
-    return (f'{{\n{inner}"arity": {word.arity},\n'
+def _commutator_word_text(arity: int, items: list[str], pad: str, tail: str) -> str:
+    """A commutator word object at indentation `pad`, from its factor items
+    already indented and `tail`, the text of the fields after its kind."""
+    inner = pad + "  "
+    return (f'{{\n{inner}"arity": {arity},\n'
             f'{inner}"factors": {_list_text(items, inner)},\n'
-            f'{inner}"kind": "commutator_word",\n'
-            f'{inner}"target": "{target}"\n{pad}}}')
+            f'{inner}"kind": "commutator_word"{tail}\n{pad}}}')
 
 
 def _normal_word_text(word: NormalWord, target: PrefixMap, pad: str) -> str:
@@ -695,21 +701,25 @@ def certificate_from_obj(obj: dict, arity: int = 2):
     """Parse a certificate object into (certificate, target-or-None): a
     NormalWord, a CommutatorWord, or a SimpleWitness with its witness's
     target, whose parts default to its arity and share one table of parsed
-    literals.  Each object is read target first, then its other literals,
-    so a malformed target is refused before anything after it; any
-    structural defect (missing or mistyped fields, bad literals or arities,
-    an identity base) is reported as a ParseError."""
+    literals, and whose conjugator factors name their elements by literal
+    or by index into its `elements` list.  Each object is read target
+    first, then its other literals, so a malformed target is refused
+    before anything after it; any structural defect (missing or mistyped
+    fields, bad literals, indices or arities, an identity base, more
+    referenced text than MAX_REFERENCED_TEXT) is reported as a
+    ParseError."""
     with _malformed():
         return _read_certificate(obj, arity, {}, None)
 
 
 def _read_certificate(obj: dict, arity: int, table: dict, deferred: list | None):
     """The reader certificate_from_obj and verify_certificate share, in one
-    order: the witness (or the word itself), then each conjugator object,
-    every object its target first.  Returns (certificate, target), except
-    that with a `deferred` list the top-level target is appended to it as
-    (text, arity) instead of being parsed, and None is returned in its
-    place.  Conjugator targets are always parsed."""
+    order: the witness (or the word itself), then a simple witness's
+    `elements` list, then each conjugator object, every object its target
+    first.  Returns (certificate, target), except that with a `deferred`
+    list the top-level target is appended to it as (text, arity) instead
+    of being parsed, and None is returned in its place.  Conjugator
+    targets are always parsed."""
     if not (isinstance(obj, dict) and obj.get("kind") == "simple_witness"):
         return _word_from_obj(obj, arity, table, deferred)
     if not isinstance(obj.get("witness"), dict):
@@ -718,9 +728,10 @@ def _read_certificate(obj: dict, arity: int, table: dict, deferred: list | None)
     word, target = _word_from_obj(obj["witness"], k, table, deferred)
     if not isinstance(word, NormalWord):
         raise ParseError("a simple_witness 'witness' must be a normal_word")
+    element = _referrer(obj, word.base.arity, table)
     if not isinstance(obj.get("conjugators"), list):
         raise ParseError("a simple_witness 'conjugators' must be a list")
-    parsed = [_word_from_obj(o, k, table, None) for o in obj["conjugators"]]
+    parsed = [_word_from_obj(o, k, table, None, element) for o in obj["conjugators"]]
     certs = tuple(c for c, _ in parsed)
     if not all(isinstance(c, CommutatorWord) for c in certs):
         raise ParseError("conjugator certificates must be commutator words")
@@ -767,11 +778,54 @@ def _element(table: dict, text, k: int) -> PrefixMap:
     return g
 
 
-def _word_from_obj(obj, arity: int, table: dict, deferred: list | None):
+def _referrer(obj: dict, k: int, table: dict):
+    """How the factors of a simple witness's conjugator words name an
+    element: by a literal, or by an `int` index into the object's
+    `elements` list, whose entries are read here, each parsed at the
+    witness's arity k (that of every conjugator word) through the table.
+    Each index adds the length of the literal it names to a running total,
+    which may not pass MAX_REFERENCED_TEXT.  Returns a function with the
+    signature of `_element`."""
+    texts = obj.get("elements")
+    elems = []
+    if "elements" in obj:
+        if not isinstance(texts, list):
+            raise ParseError("malformed certificate: 'elements' must be a list")
+        for text in texts:
+            if not isinstance(text, str):
+                raise ParseError("malformed certificate: 'elements' entries must be strings, "
+                                 f"got {_json_type(text)}")
+            elems.append(_element(table, text, k))
+    named = 0
+
+    def element(table: dict, value, k: int) -> PrefixMap:
+        nonlocal named
+        if value.__class__ is not int:
+            if value.__class__ in (bool, float):
+                raise ParseError("malformed certificate: an element index must be an integer, "
+                                 f"got {json.dumps(value)}")
+            return _element(table, value, k)
+        if texts is None:
+            raise ParseError(f"malformed certificate: element index {value} without an "
+                             "'elements' list")
+        if not 0 <= value < len(texts):
+            raise ParseError(f"malformed certificate: element index {value} is out of range "
+                             f"for {len(texts)} elements")
+        named += len(texts[value])
+        if named > MAX_REFERENCED_TEXT:
+            raise ParseError("malformed certificate: element indices name more than "
+                             f"{MAX_REFERENCED_TEXT} characters of literal text")
+        return elems[value]
+
+    return element
+
+
+def _word_from_obj(obj, arity: int, table: dict, deferred: list | None, element=_element):
     """Read a normal_word or commutator_word object as _read_certificate
     does: its target (parsed, or appended to `deferred`), then its other
     literals, each parsed once through the table keyed by (literal,
-    arity)."""
+    arity).  A commutator word's factors are read by `element` (a
+    `_referrer` inside a simple witness)."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("certificate object must carry a 'kind'")
     k = _arity(obj, arity)
@@ -786,7 +840,7 @@ def _word_from_obj(obj, arity: int, table: dict, deferred: list | None):
         letters = tuple((_element(table, l["conj"], k), l["exp"]) for l in _listed(obj, "letters"))
         return NormalWord(base, letters), target
     if obj["kind"] == "commutator_word":
-        factors = tuple((_element(table, f["x"], k), _element(table, f["y"], k))
+        factors = tuple((element(table, f["x"], k), element(table, f["y"], k))
                         for f in _listed(obj, "factors"))
         return CommutatorWord(factors, k), target
     raise ParseError(f"unknown certificate kind {obj['kind']!r}")

@@ -30,10 +30,13 @@ computes the swap, the image of its region and their union in three
 separate calls.  The certificate writers are checked against
 `json.dumps(obj, indent=2, sort_keys=True)` of the objects that
 `normal_word_to_obj`, `commutator_word_to_obj` and `simple_witness_to_obj`
-build, one dict per certificate.
+build, one dict per certificate; `simple_witness_to_inline_obj` builds a
+simple witness as it was written before the `elements` list, which the
+readers still take.
 """
 
 import itertools
+import json
 
 from cantorwit.clopen import (canonicalize, cylinder, lenlex_sorted, letters, merge_siblings,
                              split_words)
@@ -42,8 +45,8 @@ from cantorwit.errors import ArityMismatchError, ParseError, PreconditionError, 
 from cantorwit.literals import _parse_word, _strip, parse_element
 from cantorwit.prefixmap import (PrefixMap, identity, matched_pairs, onto_transporter, patch,
                                  sigma_swap)
-from cantorwit.witnesses import (Certified, CommutatorWord, Decomposition, NormalWord,
-                                 SimpleWitness, commutator, derived_conjugator)
+from cantorwit.witnesses import (MAX_REFERENCED_TEXT, Certified, CommutatorWord, Decomposition,
+                                 NormalWord, SimpleWitness, commutator, derived_conjugator)
 
 ALPHABET = "0123456789"
 
@@ -223,18 +226,58 @@ def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
                              f"{len(ALPHABET)}, got {k}")
         return k
 
-    def word_of(o, k):
+    def literal(text, k):
+        if not isinstance(text, str):
+            raise ParseError("malformed certificate: an element literal must be a "
+                             f"string, got {JSON_TYPE_NAMES[type(text)]}")
+        if (text, k) not in table:
+            table[(text, k)] = parse_element(text, k)
+        return table[(text, k)]
+
+    def references(o, k):
+        """A factor's element in a simple witness: a literal, or an index
+        into `elements`, whose entries are all parsed here, at the
+        witness's arity k; the literals the indices name may hold at most
+        MAX_REFERENCED_TEXT characters in total."""
+        texts = o.get("elements")
+        if "elements" in o:
+            if not isinstance(texts, list):
+                raise ParseError("malformed certificate: 'elements' must be a list")
+            for text in texts:
+                if not isinstance(text, str):
+                    raise ParseError("malformed certificate: 'elements' entries must be "
+                                     f"strings, got {JSON_TYPE_NAMES[type(text)]}")
+                literal(text, k)
+        named = 0
+
+        def element(value, word_k):
+            nonlocal named
+            if isinstance(value, (bool, float)):
+                raise ParseError("malformed certificate: an element index must be an "
+                                 f"integer, got {json.dumps(value)}")
+            if not isinstance(value, int):
+                return literal(value, word_k)
+            if texts is None:
+                raise ParseError(f"malformed certificate: element index {value} without an "
+                                 "'elements' list")
+            if value < 0 or value >= len(texts):
+                raise ParseError(f"malformed certificate: element index {value} is out of "
+                                 f"range for {len(texts)} elements")
+            named += len(texts[value])
+            if named > MAX_REFERENCED_TEXT:
+                raise ParseError("malformed certificate: element indices name more than "
+                                 f"{MAX_REFERENCED_TEXT} characters of literal text")
+            return table[(texts[value], k)]
+
+        return element
+
+    def word_of(o, k, factor_elem=literal):
         if not isinstance(o, dict) or "kind" not in o:
             raise ParseError("certificate object must carry a 'kind'")
         k = arity_of(o, k)
 
         def elem(text):
-            if not isinstance(text, str):
-                raise ParseError("malformed certificate: an element literal must be a "
-                                 f"string, got {JSON_TYPE_NAMES[type(text)]}")
-            if (text, k) not in table:
-                table[(text, k)] = parse_element(text, k)
-            return table[(text, k)]
+            return literal(text, k)
 
         def entries(field):
             items = o[field]
@@ -253,7 +296,8 @@ def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
                 letters = tuple((elem(l["conj"]), l["exp"]) for l in entries("letters"))
                 return NormalWord(base, letters), target
             if o["kind"] == "commutator_word":
-                factors = tuple((elem(f["x"]), elem(f["y"])) for f in entries("factors"))
+                factors = tuple((factor_elem(f["x"], k), factor_elem(f["y"], k))
+                                for f in entries("factors"))
                 return CommutatorWord(factors, k), target
         except ParseError:
             raise
@@ -268,9 +312,10 @@ def verify_parse_target(obj, arity: int = 2) -> PrefixMap:
         word, target = word_of(obj["witness"], k)
         if not isinstance(word, NormalWord):
             raise ParseError("a simple_witness 'witness' must be a normal_word")
+        element = references(obj, word.base.arity)
         if not isinstance(obj.get("conjugators"), list):
             raise ParseError("a simple_witness 'conjugators' must be a list")
-        parsed = [word_of(c, k) for c in obj["conjugators"]]
+        parsed = [word_of(c, k, element) for c in obj["conjugators"]]
         if not all(isinstance(c, CommutatorWord) for c, _ in parsed):
             raise ParseError("conjugator certificates must be commutator words")
         other = next((c.arity for c, _ in parsed if c.arity != word.base.arity), None)
@@ -418,7 +463,32 @@ def commutator_word_to_obj(word, target) -> dict:
 
 
 def simple_witness_to_obj(cert, target) -> dict:
-    """The object of `witnesses.dumps_simple_witness`."""
+    """The object of `witnesses.dumps_simple_witness`: each distinct factor
+    literal once in `elements`, in first-use order (x before y), the
+    factors naming them by index, and conjugator words without targets."""
+    elements: list[str] = []
+
+    def index(x) -> int:
+        if str(x) not in elements:
+            elements.append(str(x))
+        return elements.index(str(x))
+
+    conjugators = [{"kind": "commutator_word", "arity": c.arity,
+                    "factors": [{"x": index(x), "y": index(y)} for x, y in c.factors]}
+                   for c in cert.certs]
+    return {
+        "kind": "simple_witness",
+        "arity": cert.word.base.arity,
+        "witness": normal_word_to_obj(cert.word, target),
+        "conjugators": conjugators,
+        "elements": elements,
+    }
+
+
+def simple_witness_to_inline_obj(cert, target) -> dict:
+    """A simple witness in the format before the `elements` list: every
+    factor literal written out, and each conjugator word carrying its
+    letter's conjugator as its target.  Readers still take it."""
     return {
         "kind": "simple_witness",
         "arity": cert.word.base.arity,

@@ -25,12 +25,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def simple_proper_with_conjugator_target(target):
-    """The simple_proper golden certificate with its first conjugator
-    object's target replaced (dropped when None), as JSON text."""
-    obj = json.loads((GOLDEN / "simple_proper.txt").read_text())
+def simple_proper_with_conjugator_target(target, name="simple_proper_inline.json"):
+    """The simple_proper certificate, by default in the format whose
+    conjugator words carry targets, with its first conjugator object's
+    target replaced (dropped when None), as JSON text."""
+    obj = json.loads((GOLDEN / name).read_text())
     if target is None:
-        del obj["conjugators"][0]["target"]
+        obj["conjugators"][0].pop("target", None)
     else:
         obj["conjugators"][0]["target"] = target
     return json.dumps(obj)
@@ -355,14 +356,20 @@ class TestVerify:
 
 
     def test_conjugator_target_must_be_its_letter(self, capsys, tmp_path):
+        """A conjugator target, which the writer no longer emits but a file
+        may carry, is still checked against its letter, in the inline
+        format and in the `elements` one."""
         path = tmp_path / "sw.json"
-        path.write_text(simple_proper_with_conjugator_target("{0->1,1->0}"))
-        code, _, err = run(capsys, "verify", str(path))
-        assert code == cli.EXIT_PARSE
-        assert err == ("parse error: a conjugator certificate's target is not its "
-                       "letter's conjugator\n")
-        path.write_text(simple_proper_with_conjugator_target(None))
-        assert run(capsys, "verify", str(path))[0] == cli.EXIT_OK
+        for name in ("simple_proper_inline.json", "simple_proper.txt"):
+            path.write_text(simple_proper_with_conjugator_target("{0->1,1->0}", name))
+            code, _, err = run(capsys, "verify", str(path))
+            assert code == cli.EXIT_PARSE
+            assert err == ("parse error: a conjugator certificate's target is not its "
+                           "letter's conjugator\n")
+            conj = json.loads((GOLDEN / name).read_text())["witness"]["letters"][0]["conj"]
+            for target in (None, conj):
+                path.write_text(simple_proper_with_conjugator_target(target, name))
+                assert run(capsys, "verify", str(path))[0] == cli.EXIT_OK
 
     def test_malformed_target_outranks_a_failing_conjugator(self, capsys, tmp_path):
         """A certificate that fails to evaluate and has a malformed target
@@ -377,6 +384,116 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == cli.EXIT_PARSE
         assert err == "parse error: pair '1-0' is missing '->' (at position 6)\n"
+
+
+def simple_proper_with(change) -> str:
+    """The simple_proper golden certificate after `change(obj)`, as JSON
+    text."""
+    obj = json.loads((GOLDEN / "simple_proper.txt").read_text())
+    change(obj)
+    return json.dumps(obj)
+
+
+def set_first_x(value):
+    def change(obj):
+        obj["conjugators"][0]["factors"][0]["x"] = value
+    return change
+
+
+def set_elements(value):
+    def change(obj):
+        obj["elements"] = value
+    return change
+
+
+MALFORMED = "parse error: malformed certificate: "
+SIMPLE_PROPER_ELEMENTS = len(json.loads((GOLDEN / "simple_proper.txt").read_text())["elements"])
+
+
+class TestElementReferences:
+    """A simple witness's factors name their elements by index into its
+    `elements` list; each bad reference or table exits 2 naming it."""
+
+    @pytest.mark.parametrize("change, message", [
+        (set_first_x(SIMPLE_PROPER_ELEMENTS),
+         f"element index {SIMPLE_PROPER_ELEMENTS} is out of range for "
+         f"{SIMPLE_PROPER_ELEMENTS} elements"),
+        (set_first_x(-1), f"element index -1 is out of range for {SIMPLE_PROPER_ELEMENTS} elements"),
+        (set_first_x(True), "an element index must be an integer, got true"),
+        (set_first_x(1.0), "an element index must be an integer, got 1.0"),
+        (set_elements({}), "'elements' must be a list"),
+        (set_elements("{e->e}"), "'elements' must be a list"),
+        (set_elements(None), "'elements' must be a list"),
+        (lambda obj: obj["elements"].append(5), "'elements' entries must be strings, got number"),
+        (lambda obj: obj.pop("elements"), "element index 0 without an 'elements' list"),
+    ], ids=["out-of-range", "negative", "true", "float", "elements-object", "elements-string",
+            "elements-null", "number-entry", "no-elements"])
+    def test_bad_reference_exits_parse(self, capsys, tmp_path, change, message):
+        path = tmp_path / "sw.json"
+        path.write_text(simple_proper_with(change))
+        assert run(capsys, "verify", str(path)) == (cli.EXIT_PARSE, "", MALFORMED + message + "\n")
+
+    def test_int_in_a_standalone_commutator_word_is_no_index(self, capsys, tmp_path):
+        path = tmp_path / "cw.json"
+        path.write_text('{"kind":"commutator_word","elements":["{e->e}"],'
+                        '"factors":[{"x":0,"y":0}],"target":"{e->e}"}')
+        assert run(capsys, "verify", str(path)) == (
+            cli.EXIT_PARSE, "", NOT_A_STRING + "number\n")
+
+    def test_unused_elements_are_allowed(self, capsys, tmp_path):
+        """An emptied conjugator word leaves elements unused: the file
+        reads, and fails on its value."""
+        def empty_first(obj):
+            obj["conjugators"][0]["factors"] = []
+            obj["elements"].append("{0->1,1->0}")
+        path = tmp_path / "sw.json"
+        path.write_text(simple_proper_with(empty_first))
+        assert run(capsys, "verify", str(path)) == (
+            cli.EXIT_VERIFY, "",
+            "verification failed: a conjugator certificate does not match its letter\n")
+
+    @pytest.mark.parametrize("factor", [{"x": 0, "y": 0}, {"x": "{e->e}", "y": "{e->e}"}],
+                             ids=["by-index", "inline"])
+    def test_elements_are_read_at_the_witness_arity(self, capsys, tmp_path, factor):
+        """Parts that all name arity 2 under a top-level arity 3 verify,
+        whether the factors name their elements by index or inline."""
+        path = tmp_path / "sw.json"
+        path.write_text(json.dumps({
+            "kind": "simple_witness", "arity": 3, "elements": ["{e->e}"],
+            "witness": {"kind": "normal_word", "arity": 2, "base": "{0->1,1->0}",
+                        "letters": [{"conj": "{e->e}", "exp": 1}], "target": "{0->1,1->0}"},
+            "conjugators": [{"kind": "commutator_word", "arity": 2, "factors": [factor]}]}))
+        assert run(capsys, "verify", str(path)) == (cli.EXIT_OK, "ok = {0->1,1->0}\n", "")
+
+    BIG = "{e->e" + " " * 100_000 + "}"      # a valid literal of about 100 KB
+
+    def huge_reference_file(self, references: int) -> str:
+        """A simple witness whose one element is BIG and whose one
+        conjugator names it `references` times."""
+        return json.dumps({
+            "kind": "simple_witness", "arity": 2, "elements": [self.BIG],
+            "witness": {"kind": "normal_word", "base": "{0->1,1->0}", "target": "{e->e}",
+                        "letters": [{"conj": "{e->e}", "exp": 1}]},
+            "conjugators": [{"kind": "commutator_word",
+                             "factors": [{"x": 0, "y": 0}] * (references // 2)}]})
+
+    def test_referenced_text_past_the_limit_exits_before_any_composition(
+            self, capsys, tmp_path, monkeypatch):
+        from cantorwit import prefixmap, witnesses
+
+        def no_compose(*factors):
+            raise AssertionError("composed while reading")
+
+        assert 166 * len(self.BIG) <= witnesses.MAX_REFERENCED_TEXT < 170 * len(self.BIG)
+        monkeypatch.setattr(prefixmap, "compose", no_compose)
+        monkeypatch.setattr(witnesses, "compose", no_compose)
+        path = tmp_path / "huge.json"
+        path.write_text(self.huge_reference_file(170))
+        assert run(capsys, "verify", str(path)) == (
+            cli.EXIT_PARSE, "", f"{MALFORMED}element indices name more than "
+            f"{witnesses.MAX_REFERENCED_TEXT} characters of literal text\n")
+        sw, _ = certificate_from_obj(json.loads(self.huge_reference_file(166)))
+        assert len(sw.certs[0].factors) == 83
 
 
 class TestCertificateFlags:

@@ -83,6 +83,11 @@ CASES = {
     "verify_monolith_full_arity3": (["verify", str(GOLDEN / "monolith_full_arity3.txt")], 0),
     "verify_simple_proper_arity3": (["verify", str(GOLDEN / "simple_proper_arity3.txt")], 0),
     "verify_simple_full_arity3": (["verify", str(GOLDEN / "simple_full_arity3.txt")], 0),
+    # the simple witnesses as written before the `elements` list, every
+    # factor literal inline: each prints what its counterpart above prints
+    **{f"verify_{name}_inline": (["verify", str(GOLDEN / f"{name}_inline.json")], 0)
+       for name in ("simple_proper", "simple_full", "simple_proper_arity3",
+                    "simple_full_arity3")},
     # derived_conj.txt with its target spaced, reordered and one pair split:
     # the same stdout as verify_derived_conj
     "verify_noncanonical_target": (["verify", str(GOLDEN / "noncanonical_target.json")], 0),
@@ -149,6 +154,12 @@ def test_only_the_printed_output_is_built(name, monkeypatch):
 def test_noncanonical_target_prints_the_canonical_value():
     assert ((GOLDEN / "verify_noncanonical_target.txt").read_bytes()
             == (GOLDEN / "verify_derived_conj.txt").read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith("_inline")))
+def test_inline_file_verifies_as_its_counterpart(name):
+    counterpart = GOLDEN / (name.removeprefix("verify_").removesuffix("_inline") + ".txt")
+    assert (GOLDEN / f"{name}.txt").read_text() == _run(["verify", str(counterpart)])[1]
 
 
 if __name__ == "__main__":

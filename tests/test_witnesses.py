@@ -27,7 +27,8 @@ import helpers
 import test_golden
 from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
                      commutator_word_to_obj, decompose2_three_pass, normal_word_fold,
-                     normal_word_to_obj, simple_witness_to_obj, verify_parse_target)
+                     normal_word_to_obj, simple_witness_to_inline_obj, simple_witness_to_obj,
+                     verify_parse_target)
 
 C = parse_clopen
 E = parse_element
@@ -569,6 +570,20 @@ def golden_simple_request(name: str) -> tuple:
 GOLDEN_SIMPLE = ["simple_proper", "simple_full", "simple_proper_arity3", "simple_full_arity3"]
 
 
+@pytest.mark.parametrize("name", GOLDEN_SIMPLE)
+def test_inline_file_reads_as_its_counterpart(name):
+    """Each golden simple witness as it was written before the `elements`
+    list (every factor literal inline, every conjugator word with its
+    target) reads as the same certificate and target as the golden, which
+    is under half its size."""
+    inline_text = (GOLDEN / f"{name}_inline.json").read_text()
+    text = (GOLDEN / f"{name}.txt").read_text()
+    inline, parsed = json.loads(inline_text), certificate_from_obj(json.loads(text))
+    assert certificate_from_obj(inline) == parsed
+    assert simple_witness_to_inline_obj(*parsed) == inline
+    assert len(text) < len(inline_text) / 2
+
+
 class TestSharedMemo:
     """simple_witness builds its conjugators and checks them through one
     memo, which cannot make a wrong certificate pass."""
@@ -831,9 +846,9 @@ def test_mixed_arities_rejected(build):
                               "cylinder"])
 def test_invalid_arity_rejected(build, arity):
     """Only an `int` in ARITIES is an arity: `letters` refuses every other
-    value, and so does each builder that takes one."""
+    value, naming it by `repr`, and so does each builder that takes one."""
     with pytest.raises(ArityMismatchError,
-                       match=f"arity must be between 2 and 10, got {re.escape(str(arity))}$"):
+                       match=f"arity must be between 2 and 10, got {re.escape(repr(arity))}$"):
         build(arity)
 
 
@@ -897,9 +912,9 @@ def built_certificates(arity: int) -> dict:
         while n.is_identity():
             x, y = random_element(rng, arity, 3), random_element(rng, arity, 3)
             n = commutator(x, y)
-        found[f"simple_{i}"] = simple_witness_to_obj(
-            simple_witness(a, ya, b, yb, n, CommutatorWord(((x, y),), arity)),
-            target=commutator(a, b))
+        sw = simple_witness(a, ya, b, yb, n, CommutatorWord(((x, y),), arity))
+        found[f"simple_{i}"] = simple_witness_to_obj(sw, target=commutator(a, b))
+        found[f"simple_inline_{i}"] = simple_witness_to_inline_obj(sw, target=commutator(a, b))
     return found
 
 
@@ -917,7 +932,8 @@ def with_target(obj: dict, target) -> dict:
 def word_variants(obj: dict) -> dict:
     """The certificate as it is, with a word that evaluates elsewhere, and
     with a malformed literal in its word; a simple witness also with a
-    malformed conjugator, alone and after a malformed conjugator target."""
+    malformed conjugator, alone and after a malformed conjugator target,
+    and, when it has an `elements` list, with an index out of its range."""
     wrong, broken = copy.deepcopy(obj), copy.deepcopy(obj)
     variants = {"as_is": obj, "wrong_value": wrong, "malformed_word": broken}
     if obj["kind"] == "simple_witness":
@@ -927,6 +943,9 @@ def word_variants(obj: dict) -> dict:
         late["conjugators"][-1]["factors"] = [{"x": "{0->", "y": "{e->e}"}]
         variants["malformed_conjugator_target"] = both = copy.deepcopy(late)
         both["conjugators"][0]["target"] = "{0->1,1-0}"
+        if "elements" in obj:
+            variants["bad_index"] = bad = copy.deepcopy(obj)
+            bad["conjugators"][-1]["factors"] = [{"x": 0, "y": len(obj["elements"])}]
     elif obj["kind"] == "normal_word":
         wrong["letters"] = wrong["letters"][:-1]
         broken["base"] = "{0->"
