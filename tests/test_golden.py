@@ -96,6 +96,17 @@ CASES = {
                                         "{00->00,01->01,02->02,1->10,2->2}"], 2),
     "reduce_overlapping_domain": (["reduce", "{0->0,01->10,1->11}"], 2),
     "wandering_arity3": (["wandering", "--arity", "3", "[01]"], 0),
+    # the other output form of the invocations above
+    "decompose2_json": (["decompose2", "{0->1,1->0}", "--json"], 0),
+    "chain_json": (["chain", "[00]", "[01]", "--json"], 0),
+    "claim3_json": (["claim3", "{0->1,1->0}", "{e->e}", "--json"], 0),
+    "claim2_json": (["claim2", "{00->01,01->00,10->11,11->10}", "--json"], 0),
+    "claim1_text": (["claim1", "[00]", "[01]", "[10]"], 0),
+    "claim2_text": (["claim2", "{00->01,01->00,10->11,11->10}", "--cert", GCERT], 0),
+    "derived_conj_text": (["derived-conj", "{0->00,10->01,11->1}", "[11]"], 0),
+    "monolith_full_text": (["monolith-witness", A_FULL, "[0]", B_FULL, "[01,1]", N_MONOLITH], 0),
+    "simple_full_text": (["simple-witness", A_FULL, "[0]", B_FULL, "[01,1]", N_SIMPLE,
+                          "--n-cert", NCERT], 0),
 }
 
 
@@ -116,10 +127,10 @@ def test_golden_transcript(name):
         assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
-# the goldens of the commands that emit a certificate
+# the --json goldens of the commands that emit a certificate
 CERTIFYING = sorted(name for name, (argv, _) in CASES.items()
                     if argv[0] in ("monolith-witness", "simple-witness", "derived-conj",
-                                   "claim1", "claim2"))
+                                   "claim1", "claim2") and "--json" in argv)
 WRITERS = ("dumps_commutator_word", "dumps_normal_word", "dumps_simple_witness",
            "dumps_certificate")
 
