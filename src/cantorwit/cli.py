@@ -50,6 +50,17 @@ def _emit(args, text_lines, json_text):
             print(line)
 
 
+def _emit_fields(args, fields: dict):
+    """Print one `name = value` line per field, or under --json the fields'
+    object with the arity.  A boolean is written as JSON writes it."""
+    _emit(args,
+          lambda: [f"{name} = {json.dumps(v) if isinstance(v, bool) else v}"
+                   for name, v in fields.items()],
+          lambda: dumps_certificate({**{name: v if isinstance(v, bool) else str(v)
+                                        for name, v in fields.items()},
+                                     "arity": args.arity}))
+
+
 def _read_json(path: str) -> dict:
     try:
         if path == "-":
@@ -69,57 +80,41 @@ def _read_commutator_word(path: str, arity: int, flag: str) -> CommutatorWord:
 
 def cmd_reduce(args):
     print(args.element)
-    return EXIT_OK
 
 
 def cmd_compose(args):
     print(compose(*args.elements))
-    return EXIT_OK
 
 
 def cmd_sigma(args):
     print(sigma_swap(args.element, args.region))
-    return EXIT_OK
 
 
 def cmd_decompose2(args):
     dec = wit.decompose2(args.element)
-    _emit(args,
-          lambda: [f"s1 = {dec.s1}", f"support1 = {dec.support1}",
-                   f"s2 = {dec.s2}", f"support2 = {dec.support2}"],
-          lambda: dumps_certificate({"s1": str(dec.s1), "support1": str(dec.support1),
-                                     "s2": str(dec.s2), "support2": str(dec.support2),
-                                     "arity": args.arity}))
-    return EXIT_OK
+    _emit_fields(args, {"s1": dec.s1, "support1": dec.support1,
+                        "s2": dec.s2, "support2": dec.support2})
 
 
 def cmd_transporter(args):
     print(transporter(args.source, args.target))
-    return EXIT_OK
 
 
 def cmd_wandering(args):
     g, trap = wandering_witness(args.region)
     ok = wanders(g, args.region, trap)
-    _emit(args, lambda: [f"g = {g}", f"trap = {trap}", f"wanders = {str(ok).lower()}"],
-          lambda: dumps_certificate({"g": str(g), "trap": str(trap), "wanders": ok,
-                                     "arity": args.arity}))
-    return EXIT_OK if ok else EXIT_VERIFY
+    _emit_fields(args, {"g": g, "trap": trap, "wanders": ok})
+    if not ok:
+        return EXIT_VERIFY
 
 
 def cmd_join_compress(args):
     print(join_compression(args.part_a, args.part_b))
-    return EXIT_OK
 
 
 def cmd_cover3(args):
-    cover = min_cover_3(args.arity)
-    names = ("J1", "J2", "J3", "U1", "U2", "U3")
-    _emit(args,
-          lambda: [f"{name} = {member}" for name, member in zip(names, cover.members)],
-          lambda: dumps_certificate({name: str(member)
-                                     for name, member in zip(names, cover.members)}))
-    return EXIT_OK
+    _emit_fields(args, dict(zip(("J1", "J2", "J3", "U1", "U2", "U3"),
+                                min_cover_3(args.arity).members)))
 
 
 def _emit_certified(args, name: str, out: wit.Certified):
@@ -127,11 +122,10 @@ def _emit_certified(args, name: str, out: wit.Certified):
           lambda: [f"{name} = {out.elem}",
                    *(f"factor{i} = [{x},{y}]" for i, (x, y) in enumerate(out.word.factors))],
           lambda: dumps_commutator_word(out.word, out.elem))
-    return EXIT_OK
 
 
 def cmd_derived_conj(args):
-    return _emit_certified(args, "d", wit.derived_conjugator(args.element, args.region))
+    _emit_certified(args, "d", wit.derived_conjugator(args.element, args.region))
 
 
 def _word_lines(word, value):
@@ -146,7 +140,6 @@ def cmd_monolith(args):
     value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
     _emit(args, lambda: _word_lines(word, value),
           lambda: dumps_normal_word(word, value))
-    return EXIT_OK
 
 
 def cmd_simple(args):
@@ -154,11 +147,10 @@ def cmd_simple(args):
     value = wit.commutator(args.a, args.b)  # the builder checked that the word evaluates to it
     _emit(args, lambda: _word_lines(cert.word, value) + [f"conjugator_certs = {len(cert.certs)}"],
           lambda: dumps_simple_witness(cert, value))
-    return EXIT_OK
 
 
 def cmd_claim1(args):
-    return _emit_certified(args, "e", wit.claim1_transporter(args.ia, args.ib, args.ic))
+    _emit_certified(args, "e", wit.claim1_transporter(args.ia, args.ib, args.ic))
 
 
 def cmd_claim2(args):
@@ -180,7 +172,6 @@ def cmd_claim2(args):
         return dumps_certificate(out)
 
     _emit(args, lines, json_text)
-    return EXIT_OK
 
 
 def cmd_claim3(args):
@@ -192,21 +183,17 @@ def cmd_claim3(args):
           lambda: dumps_certificate({"c": str(res.c), "IA": str(res.ia), "IB": str(res.ib),
                                      "IC": str(res.ic), "f_table": [str(f) for f in res.f_table],
                                      "arity": args.arity}))
-    return EXIT_OK
 
 
 def cmd_chain(args):
     g, h = wit.commuting_chain(args.ya, args.yb)
-    _emit(args, lambda: [f"g = {g}", f"h = {h}"],
-          lambda: dumps_certificate({"g": str(g), "h": str(h), "arity": args.arity}))
-    return EXIT_OK
+    _emit_fields(args, {"g": g, "h": h})
 
 
 def cmd_verify(args):
     obj = _read_json(args.certificate)
     value = verify_certificate(obj, args.arity)
     print(f"ok = {value}")
-    return EXIT_OK
 
 
 def cmd_corpus(args):
@@ -217,7 +204,8 @@ def cmd_corpus(args):
         print(res.line())
         print(f"  ({res.name}: {res.seconds:.2f}s)", file=sys.stderr)
         ok = ok and res.ok
-    return EXIT_OK if ok else EXIT_VERIFY
+    if not ok:
+        return EXIT_VERIFY
 
 
 # An argument is (name, reader, [add_argument options]).  The reader turns the
@@ -304,7 +292,8 @@ def main(argv=None) -> int:
                 setattr(args, dest, [read(text, args.arity) for text in value])
             elif value is not None:
                 setattr(args, dest, read(value, args.arity))
-        return args.func(args)
+        # a handler returns an exit code only when its check failed
+        return args.func(args) or EXIT_OK
     except ToolkitError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

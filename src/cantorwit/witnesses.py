@@ -294,11 +294,11 @@ def _full_union_letters(a, ya, b, yb, base: _Base, lift) -> list[tuple[Certified
 
 def _expand(a, ya, b, yb, n, n_cert, base_of, lift, memo=None):
     """The prologue both builders share: check the inputs, then n_cert
-    when one is given, and return ([a, b], letters), with no letters when
-    [a, b] is trivial and otherwise the expansion over base_of(n, memo) on
-    the branch that ya ∪ yb selects (the proper branch takes that union
-    as it is).  n_cert and [a, b] are evaluated through `memo` when one is
-    given."""
+    when one is given (its arity before its value), and return ([a, b],
+    letters), with no letters when [a, b] is trivial and otherwise the
+    expansion over base_of(n, memo) on the branch that ya ∪ yb selects
+    (the proper branch takes that union as it is).  n_cert and [a, b] are
+    evaluated through `memo` when one is given."""
     if n.is_identity():
         raise PreconditionError("base element must be non-trivial")
     for name, (elem, region) in {"a": (a, ya), "b": (b, yb)}.items():
@@ -306,8 +306,10 @@ def _expand(a, ya, b, yb, n, n_cert, base_of, lift, memo=None):
             raise PreconditionError(f"support region of {name} must be proper and non-empty")
         if not elem.in_rist(region):
             raise PreconditionError(f"element {name} is not supported in its region")
-    if n_cert is not None and n_cert.evaluate(memo) != n:
-        raise PreconditionError("n_cert does not evaluate to the base element")
+    if n_cert is not None:
+        same_arity(n, n_cert)
+        if n_cert.evaluate(memo) != n:
+            raise PreconditionError("n_cert does not evaluate to the base element")
     target = CommutatorWord(((a, b),), a.arity).evaluate(memo)
     if target.is_identity():
         return target, []
@@ -491,11 +493,14 @@ def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = No
     transporter phi parks U_beta there, s3 undoes phi, s1 performs g∘phi,
     and s2 = s1^-1·g·s3^-1 is then the identity on U_beta.  s1 and s3 are
     single commutators (certified patches), so they always carry
-    certificates; s2 inherits one exactly when g does.
+    certificates; s2 inherits one exactly when g does.  A g_cert of
+    another arity than g is refused before it is evaluated.
     """
     members = cover.members
-    if g_cert is not None and g_cert.evaluate() != g:
-        raise PreconditionError("certificate does not evaluate to g")
+    if g_cert is not None:
+        same_arity(g, g_cert)
+        if g_cert.evaluate() != g:
+            raise PreconditionError("certificate does not evaluate to g")
     ident = identity(g.arity)
     empty = CommutatorWord((), g.arity)
     for i, member in enumerate(members):
@@ -504,17 +509,14 @@ def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = No
             return Claim2Result(g, ident, ident, (i, i, i), certs)
     privates = cover.privates
     ginv = g.inverse()
-    chosen = None
     for beta in range(3):
         alpha, gamma = [i for i in range(3) if i != beta]
         outside = privates[alpha].union(privates[gamma]).complement()
         vstar = outside.intersect(ginv.image(outside))
         if not vstar.is_empty():
-            chosen = (alpha, beta, gamma, vstar)
             break
-    if chosen is None:
+    else:
         raise PreconditionError("no room to park a private set")  # unreachable
-    alpha, beta, gamma, vstar = chosen
     u_a, u_b, u_c = privates[alpha], privates[beta], privates[gamma]
     phi = transporter(u_b, vstar)
     parked = phi.image(u_b)
@@ -675,16 +677,16 @@ def _normal_word_text(word: NormalWord, target: PrefixMap, pad: str) -> str:
             f'{inner}"target": "{target}"\n{pad}}}')
 
 
-def _listed(obj: dict, field: str):
+def _listed(obj: dict, field: str, cls: type = dict):
     """The entries of the list `obj[field]`, each refused as it is reached
-    unless it is an object."""
+    unless it is a `cls` (an object, or a string)."""
     value = obj[field]
     if not isinstance(value, list):
         raise ParseError(f"malformed certificate: '{field}' must be a list")
     for entry in value:
-        if not isinstance(entry, dict):
-            raise ParseError(f"malformed certificate: '{field}' entries must be objects, "
-                             f"got {_json_type(entry)}")
+        if not isinstance(entry, cls):
+            raise ParseError(f"malformed certificate: '{field}' entries must be "
+                             f"{_JSON_TYPES[cls]}s, got {_json_type(entry)}")
         yield entry
 
 
@@ -787,15 +789,8 @@ def _referrer(obj: dict, k: int, table: dict):
     which may not pass MAX_REFERENCED_TEXT.  Returns a function with the
     signature of `_element`."""
     texts = obj.get("elements")
-    elems = []
-    if "elements" in obj:
-        if not isinstance(texts, list):
-            raise ParseError("malformed certificate: 'elements' must be a list")
-        for text in texts:
-            if not isinstance(text, str):
-                raise ParseError("malformed certificate: 'elements' entries must be strings, "
-                                 f"got {_json_type(text)}")
-            elems.append(_element(table, text, k))
+    listed = _listed(obj, "elements", str) if "elements" in obj else ()
+    elems = [_element(table, text, k) for text in listed]
     named = 0
 
     def element(table: dict, value, k: int) -> PrefixMap:

@@ -496,6 +496,15 @@ class TestElementReferences:
         assert len(sw.certs[0].factors) == 83
 
 
+# each certificate flag with a request it fits, at arity 2
+CERT_FLAGS = [
+    ("--cert", ["claim2", "{00->01,01->00,10->11,11->10}"]),
+    ("--n-cert", ["simple-witness", "{00->01,01->00,1->1}", "[0]",
+                  "{00->00,01->10,10->01,11->11}", "[01,1]",
+                  "{00->10,01->00,10->01,11->11}"]),
+]
+
+
 class TestCertificateFlags:
     """--cert and --n-cert both take a commutator_word file and nothing else."""
 
@@ -518,12 +527,7 @@ class TestCertificateFlags:
         code, out, _ = run(capsys, "claim2", "{00->01,01->00,10->11,11->10}", "--cert", "")
         assert code == cli.EXIT_OK and "certs" not in out
 
-    @pytest.mark.parametrize("flag, argv", [
-        ("--cert", ["claim2", "{00->01,01->00,10->11,11->10}"]),
-        ("--n-cert", ["simple-witness", "{00->01,01->00,1->1}", "[0]",
-                      "{00->00,01->10,10->01,11->11}", "[01,1]",
-                      "{00->10,01->00,10->01,11->11}"]),
-    ])
+    @pytest.mark.parametrize("flag, argv", CERT_FLAGS)
     def test_malformed_target_is_refused(self, capsys, tmp_path, flag, argv):
         """A certificate flag reads the file's target too, and refuses it
         when it does not parse, even though the command does not use it."""
@@ -534,6 +538,12 @@ class TestCertificateFlags:
         code, out, err = run(capsys, *argv, flag, str(path))
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err == "parse error: pair '1-0' is missing '->' (at position 6)\n"
+
+    @pytest.mark.parametrize("flag, argv", CERT_FLAGS)
+    def test_other_arity_is_refused_as_mixed_arities(self, capsys, flag, argv):
+        code, out, err = run(capsys, *argv, flag, str(GOLDEN / "ncert_arity3.json"))
+        assert (code, out) == (cli.EXIT_PRECONDITION, "")
+        assert err == "precondition error: mixed arities 2 and 3\n"
 
 
 class TestSimpleWitnessCommand:

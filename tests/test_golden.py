@@ -44,6 +44,9 @@ CASES = {
     # [0] is not the base cylinder, so g is a proper conjugate of the base
     "wandering_json": (["wandering", "[0]", "--json"], 0),
     "cover3": (["cover3"], 0),
+    # the JSON object names its arity, as every other JSON output does
+    "cover3_json": (["cover3", "--json"], 0),
+    "cover3_json_arity4": (["cover3", "--arity", "4", "--json"], 0),
     "derived_conj": (["derived-conj", "{0->00,10->01,11->1}", "[11]", "--json"], 0),
     "claim1": (["claim1", "[00]", "[01]", "[10]", "--json"], 0),
     "claim2": (["claim2", "{00->01,01->00,10->11,11->10}", "--cert", GCERT, "--json"], 0),
@@ -127,10 +130,11 @@ def test_golden_transcript(name):
         assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
-# the --json goldens of the commands that emit a certificate
-CERTIFYING = sorted(name for name, (argv, _) in CASES.items()
-                    if argv[0] in ("monolith-witness", "simple-witness", "derived-conj",
-                                   "claim1", "claim2") and "--json" in argv)
+# the --json goldens, and those of the commands that emit a certificate
+JSON_CASES = sorted(name for name, (argv, _) in CASES.items() if "--json" in argv)
+CERTIFYING = [name for name in JSON_CASES
+              if CASES[name][0][0] in ("monolith-witness", "simple-witness", "derived-conj",
+                                       "claim1", "claim2")]
 WRITERS = ("dumps_commutator_word", "dumps_normal_word", "dumps_simple_witness",
            "dumps_certificate")
 
@@ -139,7 +143,7 @@ def _unprinted(*args, **kwargs):
     raise AssertionError("built output that is not printed")
 
 
-@pytest.mark.parametrize("name", CERTIFYING)
+@pytest.mark.parametrize("name", JSON_CASES)
 def test_only_the_printed_output_is_built(name, monkeypatch):
     """Under --json no text lines are built (`_word_lines` raises), and
     without it no JSON text (every writer the CLI calls raises); each run

@@ -518,6 +518,60 @@ class TestSimpleWitness:
                 assert cert.evaluate() == conj
 
 
+def proper_witness(build, n, n_cert=None):
+    """The golden proper-union request over [00], whose [a, b] is not
+    trivial, built over n."""
+    a, b = E(test_golden.A_PROPER), E(test_golden.B_PROPER)
+    if build is monolith_witness:
+        return monolith_witness(a, C("[00]"), b, C("[00]"), n)
+    return simple_witness(a, C("[00]"), b, C("[00]"), n, n_cert)
+
+
+class TestBuilderSelfChecks:
+    """Each builder checks what it built before it returns it, so breaking
+    one step of a build trips that check and its message."""
+
+    @pytest.mark.parametrize("build, message", [
+        (monolith_witness, "monolith witness failed to evaluate"),
+        (simple_witness, "simple witness failed to evaluate")])
+    def test_a_dropped_letter_is_caught(self, monkeypatch, build, message):
+        n, n_cert = nontrivial_commutator_base()
+        assert proper_witness(build, n, n_cert)
+        expand = witnesses._expand
+
+        def dropped(*args, **kwargs):
+            target, tagged = expand(*args, **kwargs)
+            return target, tagged[:-1]
+
+        monkeypatch.setattr(witnesses, "_expand", dropped)
+        with pytest.raises(VerificationError, match=f"^internal error: {message}$"):
+            proper_witness(build, n, n_cert)
+
+    def test_a_wrong_three_cycle_is_caught(self, monkeypatch):
+        # the two swaps whose commutator is the 3-cycle become the identity
+        cycle = witnesses._cycle
+        monkeypatch.setattr(witnesses, "_cycle", lambda words, arity: (
+            identity(arity) if len(words) == 2 else cycle(words, arity)))
+        with pytest.raises(VerificationError, match="^internal error: 3-cycle certificate$"):
+            proper_witness(simple_witness, *nontrivial_commutator_base())
+
+
+def _unevaluated(*args, **kwargs):
+    raise AssertionError("evaluated a certificate")
+
+
+@pytest.mark.parametrize("build", [
+    lambda n, cert: proper_witness(simple_witness, n, cert),
+    lambda n, cert: claim2_factorization(n, min_cover_3(2), cert)],
+    ids=["simple_witness", "claim2_factorization"])
+def test_certificate_of_another_arity_is_refused_unevaluated(monkeypatch, build):
+    cert3, _ = certificate_from_obj(json.loads(Path(test_golden.NCERT3).read_text()))
+    n, _ = nontrivial_commutator_base()
+    monkeypatch.setattr(CommutatorWord, "evaluate", _unevaluated)
+    with pytest.raises(ArityMismatchError, match="^mixed arities 2 and 3$"):
+        build(n, cert3)
+
+
 class TestSimpleWitnessCertificate:
     @pytest.mark.parametrize("name", ["simple_proper", "simple_full"])
     def test_golden_roundtrip(self, name):
