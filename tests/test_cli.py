@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorwit import cli, corpus
+from cantorwit import cli, corpus, witnesses
 from cantorwit.compression import wandering_base
 from cantorwit.corpus import random_element, random_witness_input
 from cantorwit.literals import parse_clopen, parse_element
@@ -615,6 +616,30 @@ class TestCorpusCommand:
         assert code == 0
         assert out.count("PASS") == len(corpus.SUITES)
         assert time.monotonic() - start < 5
+
+    def test_failed_cases_fail_their_suite_only(self, capsys, monkeypatch):
+        """A suite with failed cases prints FAIL with its pass count, the
+        other suites still run and pass, and `corpus` exits 4.  Only the
+        commutator identity suite calls `shift_identity_check`."""
+        check = witnesses.shift_identity_check
+        calls = itertools.count(1)
+
+        def every_third_fails(a, b, region):
+            g, ok = check(a, b, region)
+            return g, next(calls) % 3 != 0 and ok
+
+        monkeypatch.setattr(witnesses, "shift_identity_check", every_third_fails)
+        code, out, _ = run(capsys, "corpus", "--seed", "42", "--quick")
+        assert code == cli.EXIT_VERIFY == 4
+        assert out.splitlines() == [
+            "PASS group laws: 50/50 cases",
+            "PASS sigma/decompose2: 50/50 cases",
+            "PASS compression: 140/140 cases",
+            "FAIL commutator identity: 14/20 cases",
+            "PASS monolith witness: 20/20 cases",
+            "PASS derived conjugator: 30/30 cases",
+            "PASS cover and claims: 41/41 cases",
+        ]
 
 
 def readme_examples():
