@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import witnesses as wit
-from .clopen import ClopenSet, canonicalize, letters, split_words, whole_space
+from .clopen import ClopenSet, canonicalize, cylinder, letters, split_words, whole_space
 from .compression import (join_compression, min_cover_3, transporter, wanders,
                           wandering_witness)
 from .prefixmap import PrefixMap, identity
@@ -40,9 +40,9 @@ def random_code(rng: random.Random, arity: int = 2, max_depth: int = 5) -> list[
         return out
 
     code = grow("")
-    if code == [""] :
+    if code == [""]:
         # force at least one split so elements have somewhere to act
-        code = [c for c in alpha]
+        code = list(alpha)
     return code
 
 
@@ -70,16 +70,15 @@ def random_element(rng: random.Random, arity: int = 2, max_depth: int = 5,
 
 def random_clopen(rng: random.Random, arity: int = 2, max_depth: int = 5,
                   proper: bool = True) -> ClopenSet:
-    for _ in range(200):
-        code = random_code(rng, arity, max_depth)
-        if len(code) == 1:
-            continue
-        m = rng.randint(1, len(code) - (1 if proper else 0))
-        c = canonicalize(rng.sample(code, m), arity)
-        if c.is_empty() or (proper and c.is_full()):
-            continue
-        return c
-    raise RuntimeError("failed to generate a clopen set")
+    """The union of m random words of a random code, with m from 1 to the
+    size of the code, or to one less when proper.
+
+    It is never empty, and never full when proper: the code has at least 2
+    words and its words name disjoint cylinders, so m >= 1 words cover a
+    non-empty set and fewer than all of them miss a cylinder."""
+    code = random_code(rng, arity, max_depth)
+    m = rng.randint(1, len(code) - (1 if proper else 0))
+    return canonicalize(rng.sample(code, m), arity)
 
 
 def random_rist_element(rng: random.Random, region: ClopenSet) -> PrefixMap:
@@ -99,10 +98,15 @@ def random_rist_element(rng: random.Random, region: ClopenSet) -> PrefixMap:
 
 
 def random_witness_input(rng: random.Random, arity: int = 2, full_union: bool = False):
-    """(a, ya, b, yb) with each element supported in its proper region;
-    when full_union is set the regions cover the whole space.
-    Regeneration continues until [a, b] is non-trivial, so witness
-    constructions exercise their interesting branches."""
+    """(a, ya, b, yb) with each element supported in its proper region and
+    the regions meeting; when full_union is set the regions cover the whole
+    space, and otherwise they do not.  Regeneration continues until [a, b]
+    is non-trivial, so witness constructions exercise their interesting
+    branches.
+
+    For full_union, yb is the complement of ya together with some but not
+    all of the words of ya, so it is proper, meets ya and covers the rest
+    of the space."""
     while True:
         ya = random_clopen(rng, arity)
         if full_union:
@@ -110,19 +114,14 @@ def random_witness_input(rng: random.Random, arity: int = 2, full_union: bool = 
                 continue
             extra = canonicalize(rng.sample(ya.code, rng.randint(1, len(ya.code) - 1)), arity)
             yb = ya.complement().union(extra)
-            if yb.is_full() or not ya.union(yb).is_full():
-                continue
         else:
             yb = random_clopen(rng, arity)
-            if ya.union(yb).is_full():
+            if ya.union(yb).is_full() or ya.intersect(yb).is_empty():
                 continue
-        if ya.intersect(yb).is_empty():
-            continue
         a = random_rist_element(rng, ya)
         b = random_rist_element(rng, yb)
-        if commutator(a, b).is_identity():
-            continue
-        return a, ya, b, yb
+        if not commutator(a, b).is_identity():
+            return a, ya, b, yb
 
 
 # ---------------------------------------------------------------------------
@@ -147,163 +146,108 @@ class SuiteResult:
         return f"{status} {self.name}: {self.cases - self.failures}/{self.cases} cases"
 
 
-# A check builder takes (rng, arity, *counts) and returns its batches
-# (count, check) in run order; check(i) gets the index of the case within
-# its batch and returns whether the case passed.
+# A suite takes (rng, arity, *counts), one count per batch, and yields one
+# verdict per case, batch after batch: True when the case passed.  Each case
+# draws its inputs before any of its checks runs.
 
 
 def _group_laws(rng, arity, cases):
     depth = 6
     pool = [random_element(rng, arity, depth) for _ in range(max(cases, 3))]
     ident = identity(arity)
-
-    def check(i):
+    for i in range(cases):
         f, g, h = pool[i], pool[(i + 1) % len(pool)], pool[(i + 2) % len(pool)]
-        if (f * g) * h != f * (g * h):
-            return False
-        if g * g.inverse() != ident or g.inverse() * g != ident:
-            return False
         refined = []
         for d, r in g.pairs:
             if len(d) < depth + 4 and (i + len(d)) % 2 == 0:
                 refined.extend((d + c, r + c) for c in letters(arity))
             else:
                 refined.append((d, r))
-        return PrefixMap.from_pairs(refined, arity) == g
-
-    return ((cases, check),)
+        yield ((f * g) * h == f * (g * h)
+               and g * g.inverse() == ident and g.inverse() * g == ident
+               and PrefixMap.from_pairs(refined, arity) == g)
 
 
 def _sigma_decompose(rng, arity, cases):
     depth = 6
     ident = identity(arity)
-
-    def check(_i):
+    for _ in range(cases):
         g = random_element(rng, arity, depth, nontrivial=True)
         dec = wit.decompose2(g)
-        sigma = dec.s2
-        if sigma * sigma != ident:
-            return False
-        if dec.s1 * dec.s2 != g:
-            return False
-        if not (dec.support1.is_proper() and dec.support2.is_proper()):
-            return False
-        return dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2)
-
-    return ((cases, check),)
+        yield (dec.s2 * dec.s2 == ident and dec.s1 * dec.s2 == g
+               and dec.support1.is_proper() and dec.support2.is_proper()
+               and dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2))
 
 
 def _compression(rng, arity, transporter_cases, wandering_cases, join_cases):
     depth = 5
-
-    def check_transporter(_i):
+    for _ in range(transporter_cases):
         y = random_clopen(rng, arity, depth, proper=rng.random() < 0.9)
         o = random_clopen(rng, arity, depth, proper=True) if rng.random() < 0.9 else whole_space(arity)
         if y.is_full() and not o.is_full():
             o = whole_space(arity)
-        h = transporter(y, o)
-        return h.image(y).subset(o)
-
-    def check_wandering(_i):
+        yield transporter(y, o).image(y).subset(o)
+    for _ in range(wandering_cases):
         y = random_clopen(rng, arity, depth)
         g, trap = wandering_witness(y)
-        return wanders(g, y, trap)
-
-    def check_join(_i):
+        yield wanders(g, y, trap)
+    for _ in range(join_cases):
         while True:
             y = random_clopen(rng, arity, depth)
-            z = random_clopen(rng, arity, depth)
-            z = z.intersect(y.complement())
-            if z.is_empty() or y.union(z).is_full():
-                continue
-            break
-        g = join_compression(y, z)
-        return g.image(y.union(z)).subset(y)
-
-    return ((transporter_cases, check_transporter), (wandering_cases, check_wandering),
-            (join_cases, check_join))
+            z = random_clopen(rng, arity, depth).intersect(y.complement())
+            if not z.is_empty() and not y.union(z).is_full():
+                break
+        yield join_compression(y, z).image(y.union(z)).subset(y)
 
 
 def _commutator_identity(rng, arity, cases):
     depth = 5
-
-    def check(_i):
+    for _ in range(cases):
         y = random_clopen(rng, arity, depth)
         a = random_rist_element(rng, y)
         b = random_rist_element(rng, y)
         _g, ok = wit.shift_identity_check(a, b, y)
-        return ok
-
-    return ((cases, check),)
+        yield ok
 
 
 def _monolith(rng, arity, cases):
     depth = 4
-
-    def check(i):
+    for i in range(cases):
         a, ya, b, yb = random_witness_input(rng, arity, full_union=i % 2 == 1)
         n = random_element(rng, arity, depth, nontrivial=True)
         word = wit.monolith_witness(a, ya, b, yb, n)
-        if word.base != n or len(word.letters) > 8:
-            return False
-        return word.evaluate() == commutator(a, b)
-
-    return ((cases, check),)
+        yield word.base == n and len(word.letters) <= 8 and word.evaluate() == commutator(a, b)
 
 
 def _derived_conjugator(rng, arity, cases):
     depth = 5
-
-    def check(_i):
+    for _ in range(cases):
         g = random_element(rng, arity, depth)
         w = random_clopen(rng, arity, depth)
         d, cert = wit.derived_conjugator(g, w)
-        if len(cert.factors) > 2:
-            return False
-        if cert.evaluate() != d:
-            return False
-        return d.image(w) == g.image(w)
-
-    return ((cases, check),)
+        yield len(cert.factors) <= 2 and cert.evaluate() == d and d.image(w) == g.image(w)
 
 
 def _claims(rng, arity, cover_cases, claim1_cases, claim2_cases, claim3_cases):
     depth = 4
     cover = min_cover_3(arity)
-
-    def check_cover(_i):
-        full = whole_space(arity)
-        ok = (cover.j1.union(cover.j2).union(cover.j3) == full
-              and not cover.j2.union(cover.j3).is_full()
-              and not cover.j1.union(cover.j3).is_full()
-              and not cover.j1.union(cover.j2).is_full())
-        for i, u in enumerate(cover.privates):
-            ok = ok and u.subset(cover.cover[i])
-            for j, other in enumerate(cover.cover):
-                if i != j:
-                    ok = ok and u.disjoint(other)
-        return ok
-
-    def disjoint_triple():
-        while True:
+    j1, j2, j3 = cover.cover
+    for _ in range(cover_cases):
+        yield (j1.union(j2).union(j3) == whole_space(arity)
+               and not any(x.union(y).is_full() for x, y in ((j2, j3), (j1, j3), (j1, j2)))
+               and all(u.subset(j) if i == m else u.disjoint(j)
+                       for i, u in enumerate(cover.privates) for m, j in enumerate(cover.cover)))
+    for _ in range(claim1_cases):
+        # three words of a code of at least 4 words: disjoint cylinders
+        # that leave room outside them
+        code = random_code(rng, arity, depth)
+        while len(code) < 4:
             code = random_code(rng, arity, depth)
-            if len(code) < 4:
-                continue
-            picks = rng.sample(code, 3)
-            rest = canonicalize([w for w in code if w not in picks], arity)
-            if rest.is_empty():
-                continue
-            return tuple(canonicalize([w], arity) for w in picks)
-
-    def check_claim1(_i):
-        ia, ib, ic = disjoint_triple()
+        ia, ib, ic = (cylinder(w, arity) for w in rng.sample(code, 3))
         e, cert = wit.claim1_transporter(ia, ib, ic)
-        return (len(cert.factors) <= 1
-                and cert.evaluate() == e
-                and e.image(ia) == ib
-                and e.in_rist(ic.complement()))
-
-    def check_claim2(i):
+        yield (len(cert.factors) <= 1 and cert.evaluate() == e
+               and e.image(ia) == ib and e.in_rist(ic.complement()))
+    for i in range(claim2_cases):
         g = random_element(rng, arity, depth)
         g_cert = None
         if i % 2 == 0:
@@ -312,36 +256,29 @@ def _claims(rng, arity, cover_cases, claim1_cases, claim2_cases, claim3_cases):
             g_cert = CommutatorWord(((x, y),), arity)
             g = g_cert.evaluate()
         res = wit.claim2_factorization(g, cover, g_cert)
-        ok = res.s1 * res.s2 * res.s3 == g
-        for s, idx in zip((res.s1, res.s2, res.s3), res.indices):
-            ok = ok and s.in_rist(cover.members[idx].complement())
-        if g_cert is not None:
-            ok = ok and res.certs is not None
-            for s, cert in zip((res.s1, res.s2, res.s3), res.certs):
-                ok = ok and cert.evaluate() == s
-        return ok
-
-    def check_claim3(_i):
+        parts = (res.s1, res.s2, res.s3)
+        yield (res.s1 * res.s2 * res.s3 == g
+               and all(s.in_rist(cover.members[m].complement())
+                       for s, m in zip(parts, res.indices))
+               and (g_cert is None or res.certs is not None
+                    and all(cert.evaluate() == s for s, cert in zip(parts, res.certs))))
+    for _ in range(claim3_cases):
         g = random_element(rng, arity, depth)
         h = random_element(rng, arity, depth)
         res = wit.claim3_witness(g, h, cover)
         blocked = res.ia.union(res.ib).union(res.ic)
-        ok = (not blocked.is_full()
-              and res.ia.disjoint(res.ib) and res.ia.disjoint(res.ic)
-              and res.ib.disjoint(res.ic)
-              and (res.c * g).in_rist(res.ia.complement())
-              and (res.c * h).in_rist(res.ib.complement())
-              and res.c.in_rist(res.ic.complement())
-              and len(res.f_table) == 6)
-        for member, f in zip(cover.members, res.f_table):
-            ok = ok and f.image(member.complement()).disjoint(blocked)
-        return ok
-
-    return ((cover_cases, check_cover), (claim1_cases, check_claim1),
-            (claim2_cases, check_claim2), (claim3_cases, check_claim3))
+        yield (not blocked.is_full()
+               and res.ia.disjoint(res.ib) and res.ia.disjoint(res.ic)
+               and res.ib.disjoint(res.ic)
+               and (res.c * g).in_rist(res.ia.complement())
+               and (res.c * h).in_rist(res.ib.complement())
+               and res.c.in_rist(res.ic.complement())
+               and len(res.f_table) == 6
+               and all(f.image(member.complement()).disjoint(blocked)
+                       for member, f in zip(cover.members, res.f_table)))
 
 
-# Each suite once: name, check builder, case counts at full scale.
+# Each suite once: name, suite, case counts at full scale, one per batch.
 SUITES = (
     ("group laws", _group_laws, (500,)),
     ("sigma/decompose2", _sigma_decompose, (500,)),
@@ -356,11 +293,8 @@ SUITES = (
 def run_suite(index: int, seed: int, arity: int = 2, scale: int = 1) -> SuiteResult:
     """Run SUITES[index] on random.Random(seed) with each case count divided
     by scale, keeping at least one case per batch."""
-    name, build, counts = SUITES[index]
+    name, suite, counts = SUITES[index]
     start = time.monotonic()
-    batches = build(random.Random(seed), arity, *(max(1, n // scale) for n in counts))
-    cases = failures = 0
-    for count, check in batches:
-        cases += count
-        failures += sum(1 for i in range(count) if not check(i))
-    return SuiteResult(name, cases, failures, time.monotonic() - start)
+    verdicts = list(suite(random.Random(seed), arity, *(max(1, n // scale) for n in counts)))
+    return SuiteResult(name, len(verdicts), sum(not ok for ok in verdicts),
+                       time.monotonic() - start)
