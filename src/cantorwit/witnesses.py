@@ -565,29 +565,32 @@ def claim3_witness(g: PrefixMap, h: PrefixMap, cover) -> Claim3Result:
 def _claim3_targets(g: PrefixMap, h: PrefixMap, k: int):
     """Three disjoint cylinders whose g/h-images avoid each other as the
     patch in claim3 requires; exists at some finite depth because finitely
-    many point constraints can always be separated."""
+    many point constraints can always be separated.
+
+    The three words have one length, so distinct words name disjoint
+    cylinders, and three cylinders of depth 2 or more leave room outside
+    them; only the images can meet or cover the space."""
     alpha = letters(k)
     for depth in range(2, 13):
         words = ["".join(p) for p in product(alpha, repeat=depth)]
         for wc in words:
             ic = cylinder(wc, k)
             for wb in words:
-                ib = cylinder(wb, k)
-                if not ib.disjoint(ic):
+                if wb == wc:
                     continue
+                ib = cylinder(wb, k)
                 hib = h.image(ib)
                 if not hib.disjoint(ic):
                     continue
                 for wa in words:
-                    ia = cylinder(wa, k)
-                    if not ia.disjoint(ib) or not ia.disjoint(ic):
+                    if wa == wb or wa == wc:
                         continue
+                    ia = cylinder(wa, k)
                     gia = g.image(ia)
                     if not gia.disjoint(hib) or not gia.disjoint(ic):
                         continue
-                    # the patch needs leftover room on both sides
-                    if not ia.union(ib).union(ic).is_full() \
-                            and not gia.union(hib).union(ic).is_full():
+                    # the patch needs leftover room on the image side
+                    if not gia.union(hib).union(ic).is_full():
                         return ia, ib, ic
     raise PreconditionError("could not separate claim3 targets")  # unreachable in practice
 

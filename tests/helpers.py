@@ -27,7 +27,9 @@ regions without `_certified_patch`.  `patch_pairwise` and
 checks its regions and images pair by pair; `moved_cylinder_pairs` takes
 the first moved pair from the sorted `pairs`, and `decompose2_three_pass`
 computes the swap, the image of its region and their union in three
-separate calls.  The certificate writers are checked against
+separate calls.  `claim3_targets_disjoint_checks` searches claim 3's
+targets testing the cylinders themselves for disjointness and room, where
+the library compares their words.  The certificate writers are checked against
 `json.dumps(obj, indent=2, sort_keys=True)` of the objects that
 `normal_word_to_obj`, `commutator_word_to_obj` and `simple_witness_to_obj`
 build, one dict per certificate; `simple_witness_to_inline_obj` builds a
@@ -438,6 +440,35 @@ def decompose2_three_pass(g):
     gy = g.image(y)
     s1 = g * s2.inverse()
     return Decomposition(s1, gy.complement(), s2, y.union(gy))
+
+
+def claim3_targets_disjoint_checks(g, h, k: int):
+    """`witnesses._claim3_targets` with every disjointness test between the
+    three target cylinders and the test that the targets leave room, all
+    made on the cylinders themselves."""
+    alpha = letters(k)
+    for depth in range(2, 13):
+        words = ["".join(p) for p in itertools.product(alpha, repeat=depth)]
+        for wc in words:
+            ic = cylinder(wc, k)
+            for wb in words:
+                ib = cylinder(wb, k)
+                if not ib.disjoint(ic):
+                    continue
+                hib = h.image(ib)
+                if not hib.disjoint(ic):
+                    continue
+                for wa in words:
+                    ia = cylinder(wa, k)
+                    if not ia.disjoint(ib) or not ia.disjoint(ic):
+                        continue
+                    gia = g.image(ia)
+                    if not gia.disjoint(hib) or not gia.disjoint(ic):
+                        continue
+                    if not ia.union(ib).union(ic).is_full() \
+                            and not gia.union(hib).union(ic).is_full():
+                        return ia, ib, ic
+    raise PreconditionError("could not separate claim3 targets")
 
 
 def normal_word_to_obj(word, target) -> dict:

@@ -18,17 +18,17 @@ from cantorwit.errors import (ArityMismatchError, ParseError, PreconditionError,
 from cantorwit.literals import _strip, parse_clopen, parse_element
 from cantorwit.prefixmap import PrefixMap, identity, onto_transporter, patch, sigma_swap
 from cantorwit.witnesses import (Certified, CommutatorWord, NormalWord, SimpleWitness,
-                                 _inverse_letters, certificate_from_obj, claim1_transporter,
-                                 claim2_factorization, claim3_witness,
+                                 _claim3_targets, _inverse_letters, certificate_from_obj,
+                                 claim1_transporter, claim2_factorization, claim3_witness,
                                  commutator, commuting_chain, decompose2, derived_conjugator,
                                  monolith_witness, shift_identity_check, simple_witness,
                                  verify_certificate)
 import helpers
 import test_golden
-from helpers import (claim1_swap_patch, commutator_fold, commutator_three_reduce,
-                     commutator_word_to_obj, decompose2_three_pass, normal_word_fold,
-                     normal_word_to_obj, simple_witness_to_inline_obj, simple_witness_to_obj,
-                     verify_parse_target)
+from helpers import (claim1_swap_patch, claim3_targets_disjoint_checks, commutator_fold,
+                     commutator_three_reduce, commutator_word_to_obj, decompose2_three_pass,
+                     normal_word_fold, normal_word_to_obj, simple_witness_to_inline_obj,
+                     simple_witness_to_obj, verify_parse_target)
 
 C = parse_clopen
 E = parse_element
@@ -860,6 +860,19 @@ class TestClaim3:
             assert len(res.f_table) == 6
             for member, f in zip(self.cover.members, res.f_table):
                 assert f.image(member.complement()).disjoint(blocked)
+
+    def test_targets_match_the_disjointness_search(self):
+        """Comparing the target words finds what testing the cylinders for
+        disjointness and room finds, at arities 2 to 5, past depth 2 too."""
+        depths = set()
+        for k in range(2, 6):
+            rng = random.Random(k)
+            for i in range(100):
+                g, h = random_element(rng, k, 2 + i % 5), random_element(rng, k, 2 + i % 5)
+                targets = _claim3_targets(g, h, k)
+                assert targets == claim3_targets_disjoint_checks(g, h, k)
+                depths.add(len(targets[0].code[0]))
+        assert depths == {2, 3}
 
 
 @pytest.mark.parametrize("build", [
