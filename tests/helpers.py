@@ -57,6 +57,35 @@ def all_words(arity: int, depth: int) -> list[str]:
     return ["".join(p) for p in itertools.product(ALPHABET[:arity], repeat=depth)]
 
 
+def complete_codes(arity: int, max_words: int) -> set[tuple[str, ...]]:
+    """Every complete prefix code of at most max_words words, each as its
+    sorted tuple of words: the codes that splitting words one at a time
+    reaches from the empty word."""
+    codes = frontier = {("",)}
+    while frontier:
+        frontier = {tuple(sorted(code[:i] + code[i + 1:] + tuple(w + c for c in letters(arity))))
+                    for code in frontier if len(code) + arity - 1 <= max_words
+                    for i, w in enumerate(code)}
+        codes = codes | frontier
+    return codes
+
+
+def small_elements(arity: int, max_pairs: int) -> dict[int, set]:
+    """Every reduced element with at most max_pairs pairs, by its number of
+    pairs.  Each is the reduction of a pairing of two complete codes of equal
+    size, and its own reduced pairs are one such pairing, so pairing every
+    two codes of at most max_pairs words every way finds all of them."""
+    codes = complete_codes(arity, max_pairs)
+    by_size: dict[int, set] = {}
+    for dom in codes:
+        for ran in codes:
+            if len(ran) == len(dom):
+                for image in itertools.permutations(ran):
+                    g = PrefixMap.from_pairs(list(zip(dom, image)), arity)
+                    by_size.setdefault(len(g.pairs), set()).add(g)
+    return by_size
+
+
 def apply_pairs(pairs, word: str) -> str:
     """Evaluate a prefix map given as raw pairs on a long-enough word."""
     for d, r in pairs:

@@ -409,6 +409,37 @@ class TestDerivedConjugator:
         assert cert.evaluate() == d
 
 
+class TestSmallScope:
+    """The single-element constructions on every reduced element with at
+    most 4 pairs at arity 2, not a sample of them."""
+
+    BY_PAIRS = helpers.small_elements(2, 4)
+    MOVED = sorted((g for size in BY_PAIRS.values() for g in size if not g.is_identity()), key=str)
+
+    def test_counts(self):
+        assert {pairs: len(elements) for pairs, elements in self.BY_PAIRS.items()} \
+            == {1: 1, 2: 1, 3: 20, 4: 530}
+        assert len(self.MOVED) == 551
+
+    def test_decompose2(self):
+        ident = identity(2)
+        for g in self.MOVED:
+            dec = decompose2(g)
+            assert dec.s2 * dec.s2 == ident, g
+            assert dec.s1 * dec.s2 == g, g
+            assert dec.support1.is_proper() and dec.support2.is_proper(), g
+            assert dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2), g
+
+    @pytest.mark.parametrize("region", ["[00]", "[0]", "[01,10]", "[000,11]"])
+    def test_derived_conjugator(self, region):
+        w = C(region)
+        for g in self.MOVED:
+            d, cert = derived_conjugator(g, w)
+            assert len(cert.factors) <= 2, g
+            assert cert.evaluate() == d, g
+            assert d.restrict(w) == g.restrict(w), g
+
+
 class TestShiftIdentity:
     def test_equal_elements(self):
         y = C("[01]")
