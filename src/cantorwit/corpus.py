@@ -233,10 +233,11 @@ def _claims(rng, arity, cover_cases, claim1_cases, claim2_cases, claim3_cases):
     cover = min_cover_3(arity)
     j1, j2, j3 = cover.cover
     for _ in range(cover_cases):
-        yield (j1.union(j2).union(j3) == whole_space(arity)
+        yield (j1.union(j2).union(j3).is_full()
                and not any(x.union(y).is_full() for x, y in ((j2, j3), (j1, j3), (j1, j2)))
-               and all(u.subset(j) if i == m else u.disjoint(j)
-                       for i, u in enumerate(cover.privates) for m, j in enumerate(cover.cover)))
+               and all(u.subset(member) if i == n else u.disjoint(member)
+                       for i, u in enumerate(cover.privates)
+                       for n, member in enumerate(cover.cover)))
     for _ in range(claim1_cases):
         # three words of a code of at least 4 words: disjoint cylinders
         # that leave room outside them
@@ -258,8 +259,8 @@ def _claims(rng, arity, cover_cases, claim1_cases, claim2_cases, claim3_cases):
         res = wit.claim2_factorization(g, cover, g_cert)
         parts = (res.s1, res.s2, res.s3)
         yield (res.s1 * res.s2 * res.s3 == g
-               and all(s.in_rist(cover.members[m].complement())
-                       for s, m in zip(parts, res.indices))
+               and all(s.in_rist(cover.members[idx].complement())
+                       for s, idx in zip(parts, res.indices))
                and (g_cert is None or res.certs is not None
                     and all(cert.evaluate() == s for s, cert in zip(parts, res.certs))))
     for _ in range(claim3_cases):
