@@ -154,8 +154,7 @@ def cmd_claim1(args):
 
 
 def cmd_claim2(args):
-    cover = min_cover_3(args.arity)
-    res = wit.claim2_factorization(args.element, cover, args.cert)
+    res = wit.claim2_factorization(args.element, args.cert)
     certified = res.certs is not None
 
     def lines():
@@ -175,8 +174,7 @@ def cmd_claim2(args):
 
 
 def cmd_claim3(args):
-    cover = min_cover_3(args.arity)
-    res = wit.claim3_witness(args.g, args.h, cover)
+    res = wit.claim3_witness(args.g, args.h)
     _emit(args,
           lambda: [f"c = {res.c}", f"IA = {res.ia}", f"IB = {res.ib}", f"IC = {res.ic}",
                    *(f"f{i} = {f}" for i, f in enumerate(res.f_table))],

@@ -121,24 +121,13 @@ class TriCover(NamedTuple):
     """A minimal 3-element cover J1, J2, J3 of the space with private
     witness sets U_i ⊆ J_i disjoint from the other two members."""
 
-    j1: ClopenSet
-    j2: ClopenSet
-    j3: ClopenSet
-    u1: ClopenSet
-    u2: ClopenSet
-    u3: ClopenSet
+    cover: tuple[ClopenSet, ClopenSet, ClopenSet]
+    privates: tuple[ClopenSet, ClopenSet, ClopenSet]
 
     @property
     def members(self) -> tuple[ClopenSet, ...]:
-        return (self.j1, self.j2, self.j3, self.u1, self.u2, self.u3)
-
-    @property
-    def cover(self) -> tuple[ClopenSet, ClopenSet, ClopenSet]:
-        return (self.j1, self.j2, self.j3)
-
-    @property
-    def privates(self) -> tuple[ClopenSet, ClopenSet, ClopenSet]:
-        return (self.u1, self.u2, self.u3)
+        """J1, J2, J3, U1, U2, U3: the positions that claim indices name."""
+        return self.cover + self.privates
 
 
 def min_cover_3(arity: int = 2) -> TriCover:
@@ -150,23 +139,17 @@ def min_cover_3(arity: int = 2) -> TriCover:
     cylinders are distributed round-robin.
     """
     if arity == 2:
-        return TriCover(
-            canonicalize(["00", "110"], 2),
-            canonicalize(["01", "111"], 2),
-            canonicalize(["10", "11"], 2),
-            cylinder("00", 2),
-            cylinder("01", 2),
-            cylinder("10", 2),
-        )
+        return TriCover((canonicalize(["00", "110"], 2),
+                         canonicalize(["01", "111"], 2),
+                         canonicalize(["10", "11"], 2)),
+                        (cylinder("00", 2),
+                         cylinder("01", 2),
+                         cylinder("10", 2)))
     alpha = letters(arity)
     privates = ["00", "01", "02"]
     rest = sorted(a + b for a in alpha for b in alpha if a + b not in privates)
-    buckets: list[list[str]] = [[privates[i]] for i in range(3)]
-    for i, w in enumerate(rest):
-        buckets[i % 3].append(w)
-    j1, j2, j3 = (canonicalize(b, arity) for b in buckets)
-    u1, u2, u3 = (cylinder(w, arity) for w in privates)
-    return TriCover(j1, j2, j3, u1, u2, u3)
+    cover = tuple(canonicalize([w, *rest[i::3]], arity) for i, w in enumerate(privates))
+    return TriCover(cover, tuple(cylinder(w, arity) for w in privates))
 
 
 def two_disjoint_cylinders(region: ClopenSet) -> tuple[ClopenSet, ClopenSet]:

@@ -247,7 +247,7 @@ def _claims(rng, arity, cover_cases, claim1_cases, claim2_cases, claim3_cases):
         ia, ib, ic = (cylinder(w, arity) for w in rng.sample(code, 3))
         e, cert = wit.claim1_transporter(ia, ib, ic)
         yield (len(cert.factors) <= 1 and cert.evaluate() == e
-               and e.image(ia) == ib and e.in_rist(ic.complement()))
+               and e.image(ia) == ib and e.fixes_pointwise(ic))
     for i in range(claim2_cases):
         g = random_element(rng, arity, depth)
         g_cert = None
@@ -256,24 +256,24 @@ def _claims(rng, arity, cover_cases, claim1_cases, claim2_cases, claim3_cases):
             y = random_element(rng, arity, depth)
             g_cert = CommutatorWord(((x, y),), arity)
             g = g_cert.evaluate()
-        res = wit.claim2_factorization(g, cover, g_cert)
+        res = wit.claim2_factorization(g, g_cert)
         parts = (res.s1, res.s2, res.s3)
         yield (res.s1 * res.s2 * res.s3 == g
-               and all(s.in_rist(cover.members[idx].complement())
+               and all(s.fixes_pointwise(cover.members[idx])
                        for s, idx in zip(parts, res.indices))
                and (g_cert is None or res.certs is not None
                     and all(cert.evaluate() == s for s, cert in zip(parts, res.certs))))
     for _ in range(claim3_cases):
         g = random_element(rng, arity, depth)
         h = random_element(rng, arity, depth)
-        res = wit.claim3_witness(g, h, cover)
+        res = wit.claim3_witness(g, h)
         blocked = res.ia.union(res.ib).union(res.ic)
         yield (not blocked.is_full()
                and res.ia.disjoint(res.ib) and res.ia.disjoint(res.ic)
                and res.ib.disjoint(res.ic)
-               and (res.c * g).in_rist(res.ia.complement())
-               and (res.c * h).in_rist(res.ib.complement())
-               and res.c.in_rist(res.ic.complement())
+               and (res.c * g).fixes_pointwise(res.ia)
+               and (res.c * h).fixes_pointwise(res.ib)
+               and res.c.fixes_pointwise(res.ic)
                and len(res.f_table) == 6
                and all(f.image(member.complement()).disjoint(blocked)
                        for member, f in zip(cover.members, res.f_table)))

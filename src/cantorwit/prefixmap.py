@@ -40,8 +40,10 @@ class _view:
 class PrefixMap:
     """A reduced prefix-exchange bijection.
 
-    Build instances through :meth:`from_pairs` (or the module helpers);
-    the constructor `PrefixMap(pairs, arity)` trusts its arguments.
+    :meth:`from_pairs` is the only public constructor: it checks that its
+    pairs make a bijection and reduces them.  The module's own operations
+    build their results from tables they know to be reduced (`_element`);
+    `PrefixMap(...)` itself takes no arguments.
 
     An element stores its reduced pair table as `_domain`: the table and
     its keys (the domain words) in lexicographic order, the outer side of a
@@ -55,10 +57,6 @@ class PrefixMap:
     have equal keys), so neither builds `pairs`, and neither does `str`,
     which formats the literal from the table; `repr` reads it.
     """
-
-    def __init__(self, pairs: tuple[tuple[str, str], ...], arity: int = 2):
-        table = dict(pairs)
-        self.__dict__.update(_domain=(table, sorted(table)), arity=arity)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -79,7 +77,7 @@ class PrefixMap:
         return hash((self.arity, *self._domain[1]))
 
     def __repr__(self) -> str:
-        return f"PrefixMap(pairs={self.pairs!r}, arity={self.arity!r})"
+        return f"PrefixMap.from_pairs({self.pairs!r}, {self.arity!r})"
 
     @_view
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -213,7 +211,7 @@ class PrefixMap:
 
 def identity(arity: int = 2) -> PrefixMap:
     letters(arity)
-    return PrefixMap((("", ""),), arity)
+    return _element({"": ""}, [""], arity)
 
 
 def _check_complete_code(words: list[str], arity: int, side: str) -> list[str]:
@@ -290,21 +288,19 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
 def _element(table: dict[str, str], lex: list[str], arity: int) -> PrefixMap:
     """The element with the reduced pair table `table`, whose keys `lex`
     holds in lexicographic order: `(table, lex)` is its `_domain`, which
-    nothing may write to.  Unlike the constructor it sorts nothing."""
+    nothing may write to.  It checks and sorts nothing."""
     element = object.__new__(PrefixMap)
     element.__dict__.update(_domain=(table, lex), arity=arity)
     return element
 
 
-def matched_pairs(dom_words, ran_words, arity: int) -> list[tuple[str, str]]:
+def matched_pairs(dom, ran, arity: int) -> list[tuple[str, str]]:
     """Pair two antichains order-wise after splitting to a common size.
 
     Splitting a word adds arity-1 words, so the sizes must agree mod
     arity-1 (always true for arity 2); both sides must be non-empty or both
-    empty.
+    empty.  The antichains (`.code` tuples) are taken as given, not copied.
     """
-    dom = list(dom_words)
-    ran = list(ran_words)
     if (len(dom) == 0) != (len(ran) == 0):
         raise PreconditionError("one side of the completion is empty, the other is not")
     if not dom:
@@ -318,10 +314,9 @@ def matched_pairs(dom_words, ran_words, arity: int) -> list[tuple[str, str]]:
 
 def onto_transporter(src: ClopenSet, dst: ClopenSet) -> PrefixMap:
     """A bijection mapping `src` exactly onto `dst`, completed
-    length-lexicographically off `src`."""
+    length-lexicographically off `src`.  `matched_pairs` refuses a side
+    that is empty against one that is not."""
     k = same_arity(src, dst)
-    if not src.is_empty() and dst.is_empty() or src.is_empty() and not dst.is_empty():
-        raise PreconditionError("cannot map a non-empty set onto an empty one")
     pairs = matched_pairs(src.code, dst.code, k)
     pairs += matched_pairs(src.complement().code, dst.complement().code, k)
     return PrefixMap.from_pairs(pairs, k)

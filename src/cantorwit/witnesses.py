@@ -21,7 +21,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .clopen import ClopenSet, canonicalize, cylinder, empty_set, letters, same_arity, whole_space
-from .compression import transporter, two_disjoint_cylinders, wandering_witness
+from .compression import min_cover_3, transporter, two_disjoint_cylinders, wandering_witness
 from .errors import ArityMismatchError, ParseError, PreconditionError, VerificationError
 from .literals import _strip, parse_element
 from .prefixmap import PrefixMap, _swap, compose, identity, onto_transporter, patch
@@ -480,13 +480,13 @@ class Claim2Result:
     s1: PrefixMap
     s2: PrefixMap
     s3: PrefixMap
-    indices: tuple[int, int, int]      # positions in cover.members fixed pointwise
+    indices: tuple[int, int, int]      # positions in min_cover_3(arity).members fixed pointwise
     certs: tuple[CommutatorWord, CommutatorWord, CommutatorWord] | None = None
 
 
-def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = None
-                         ) -> Claim2Result:
-    """Factor g = s1·s2·s3 with each factor fixing a cover member pointwise.
+def claim2_factorization(g: PrefixMap, g_cert: CommutatorWord | None = None) -> Claim2Result:
+    """Factor g = s1·s2·s3 with each factor fixing pointwise a member of
+    the minimal 3-cover of g's arity (`min_cover_3`).
 
     Pick the first private U_beta such that some part of its complement
     with the other two privates also avoids them after applying g; a
@@ -496,27 +496,30 @@ def claim2_factorization(g: PrefixMap, cover, g_cert: CommutatorWord | None = No
     certificates; s2 inherits one exactly when g does.  A g_cert of
     another arity than g is refused before it is evaluated.
     """
-    members = cover.members
     if g_cert is not None:
         same_arity(g, g_cert)
         if g_cert.evaluate() != g:
             raise PreconditionError("certificate does not evaluate to g")
+    cover = min_cover_3(g.arity)
     ident = identity(g.arity)
     empty = CommutatorWord((), g.arity)
-    for i, member in enumerate(members):
-        if g.in_rist(member.complement()):
+    for i, member in enumerate(cover.members):
+        if g.fixes_pointwise(member):
             certs = (g_cert, empty, empty) if g_cert is not None else None
             return Claim2Result(g, ident, ident, (i, i, i), certs)
     privates = cover.privates
     ginv = g.inverse()
+    # Some beta finds room.  The set R outside the three private cylinders
+    # is not empty, since there are k^2 >= 4 cylinders of depth 2, and R lies
+    # in every `outside`.  If every vstar were empty, the bijection g would
+    # map R into the union of each two privates, and as the privates are
+    # disjoint, those three unions have an empty intersection.
     for beta in range(3):
         alpha, gamma = [i for i in range(3) if i != beta]
         outside = privates[alpha].union(privates[gamma]).complement()
         vstar = outside.intersect(ginv.image(outside))
         if not vstar.is_empty():
             break
-    else:
-        raise PreconditionError("no room to park a private set")  # unreachable
     u_a, u_b, u_c = privates[alpha], privates[beta], privates[gamma]
     phi = transporter(u_b, vstar)
     parked = phi.image(u_b)
@@ -542,11 +545,11 @@ class Claim3Result:
     f_table: tuple[PrefixMap, ...]
 
 
-def claim3_witness(g: PrefixMap, h: PrefixMap, cover) -> Claim3Result:
+def claim3_witness(g: PrefixMap, h: PrefixMap) -> Claim3Result:
     """Disjoint targets ia, ib, ic (union proper) and an element c with
     c·g fixing ia, c·h fixing ib and c fixing ic pointwise, plus a
-    transporter table pushing each cover member's complement off the
-    targets.
+    transporter table pushing the complement of each member of the
+    minimal 3-cover of their arity (`min_cover_3`) off the targets.
 
     The targets are found by a deterministic search over cylinders of
     increasing depth; c is a three-constraint patch (g^-1 on g(ia), h^-1
@@ -558,7 +561,7 @@ def claim3_witness(g: PrefixMap, h: PrefixMap, cover) -> Claim3Result:
                (ic, identity(k))])
     blocked = ia.union(ib).union(ic)
     room = blocked.complement()
-    table = tuple(transporter(member.complement(), room) for member in cover.members)
+    table = tuple(transporter(member.complement(), room) for member in min_cover_3(k).members)
     return Claim3Result(c, ia, ib, ic, table)
 
 

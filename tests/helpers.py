@@ -210,7 +210,7 @@ def compose_full_scan(first, *rest):
     table = dict(first.pairs)
     for g in rest:
         table = refine_table(table, g.pairs)
-    return PrefixMap(reduce_table(table, first.arity), first.arity)
+    return PrefixMap.from_pairs(reduce_table(table, first.arity), first.arity)
 
 
 def parse_element_per_token(text: str, arity: int = 2) -> PrefixMap:

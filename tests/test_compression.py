@@ -184,20 +184,19 @@ class TestJoinCompression:
 class TestMinCover3:
     def test_constants(self):
         cov = min_cover_3(2)
-        assert cov.j1 == C("[00,110]")
-        assert cov.j2 == C("[01,111]")
-        assert cov.j3 == C("[10,11]")
+        assert cov.cover == (C("[00,110]"), C("[01,111]"), C("[10,11]"))
         assert cov.privates == (C("[00]"), C("[01]"), C("[10]"))
+        assert cov.members == cov.cover + cov.privates
 
     def test_covers(self):
-        cov = min_cover_3(2)
-        assert cov.j1.union(cov.j2).union(cov.j3).is_full()
+        j1, j2, j3 = min_cover_3(2).cover
+        assert j1.union(j2).union(j3).is_full()
 
     def test_each_member_essential(self):
-        cov = min_cover_3(2)
-        assert not cov.j2.union(cov.j3).is_full()
-        assert not cov.j1.union(cov.j3).is_full()
-        assert not cov.j1.union(cov.j2).is_full()
+        j1, j2, j3 = min_cover_3(2).cover
+        assert not j2.union(j3).is_full()
+        assert not j1.union(j3).is_full()
+        assert not j1.union(j2).is_full()
 
     def test_private_separation(self):
         cov = min_cover_3(2)
@@ -216,10 +215,11 @@ class TestMinCover3:
     @pytest.mark.parametrize("arity", [3, 4])
     def test_higher_arity(self, arity):
         cov = min_cover_3(arity)
-        assert cov.j1.union(cov.j2).union(cov.j3).is_full()
-        assert not cov.j2.union(cov.j3).is_full()
-        assert not cov.j1.union(cov.j3).is_full()
-        assert not cov.j1.union(cov.j2).is_full()
+        j1, j2, j3 = cov.cover
+        assert j1.union(j2).union(j3).is_full()
+        assert not j2.union(j3).is_full()
+        assert not j1.union(j3).is_full()
+        assert not j1.union(j2).is_full()
         for i, u in enumerate(cov.privates):
             assert u.subset(cov.cover[i])
             for j, other in enumerate(cov.cover):

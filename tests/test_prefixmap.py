@@ -11,8 +11,8 @@ from cantorwit.clopen import (ARITIES, ClopenSet, canonicalize, cylinder, letter
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError, ToolkitError
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _swap, compose, identity,
-                                 onto_transporter, patch, sigma_swap)
+from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _element, _swap, compose,
+                                 identity, onto_transporter, patch, sigma_swap)
 from cantorwit.witnesses import CommutatorWord, NormalWord
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
@@ -278,7 +278,7 @@ def assert_cache_matches_pairs(g):
     cached inverse is the inverse of the pairs, linked back to g, whose
     range view holds g's own domain table and keys (not copies) and still
     equals a range view recomputed from the inverse's pairs."""
-    fresh = PrefixMap(g.pairs, g.arity)
+    fresh = PrefixMap.from_pairs(g.pairs, g.arity)
     for name in ("_domain", "_range"):
         if name in g.__dict__:
             assert g.__dict__[name] == getattr(fresh, name), (name, g)
@@ -287,7 +287,7 @@ def assert_cache_matches_pairs(g):
         assert inv == fresh.inverse() and inv.inverse() is g, g
         table, keys = inv.__dict__["_range"]
         assert table is g._domain[0] and keys is g._domain[1], g
-        assert inv._range == PrefixMap(inv.pairs, inv.arity)._range, g
+        assert inv._range == PrefixMap.from_pairs(inv.pairs, inv.arity)._range, g
 
 
 class TestCachedViews:
@@ -301,7 +301,7 @@ class TestCachedViews:
     def test_warmed_element_equals_fresh(self, arity):
         els = seeded_elements(130 + arity, 40, arity=arity, max_depth=self.DEPTH[arity])
         for g in els + [f * g for f, g in zip(els, els[1:])]:
-            fresh = PrefixMap(g.pairs, g.arity)
+            fresh = PrefixMap.from_pairs(g.pairs, g.arity)
             warmed(g)
             assert g == fresh and fresh == g
             assert hash(g) == hash(fresh)
@@ -346,7 +346,7 @@ class TestCachedViews:
         depth = self.DEPTH[arity]
         words = all_words(arity, depth + 1)
         for g in seeded_elements(150 + arity, 40, arity=arity, max_depth=depth):
-            inv = PrefixMap(g.pairs, g.arity).inverse()
+            inv = PrefixMap.from_pairs(g.pairs, g.arity).inverse()
             longest = max(len(w) for pair in g.pairs for w in pair)
             for w in words:
                 w += "0" * longest
@@ -372,7 +372,7 @@ class TestCachedViews:
         for g in seeded_elements(170 + arity, 40, arity=arity, max_depth=self.DEPTH[arity]):
             split = [(d + c, r + c) for d, r in g.pairs for c in letters]
             for fresh in (parse_element(str(g), arity), PrefixMap.from_pairs(split, arity),
-                          PrefixMap(g.pairs, arity).inverse()):
+                          PrefixMap.from_pairs(g.pairs, arity).inverse()):
                 assert "_domain" in fresh.__dict__
                 assert_cache_matches_pairs(fresh)
                 assert fresh in (g, g.inverse())
@@ -387,20 +387,21 @@ class TestCachedViews:
         assert g.pairs is g.__dict__["pairs"]
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
-    def test_unread_pairs_agree_with_the_trusting_constructor(self, arity):
+    def test_unread_pairs_agree_with_a_fresh_element(self, arity):
         """An element whose pairs were never read, against one built from
-        its pairs in canonical order (sorted here from its table): equality,
-        hashing and the identity test read no pairs; repr, str and the
-        moved cylinder build them."""
+        its pairs in canonical order (sorted here from its table), and one
+        with the same table at another arity: equality, hashing and the
+        identity test read no pairs; repr, str and the moved cylinder build
+        them."""
         pool = self.chain_of_operations(190 + arity, arity)
         pool.append(pool[0] * pool[0].inverse())
         pool = list({id(g): g for g in pool}.values())  # a cached inverse, or g * e, recurs
         for g in pool:
-            fresh = PrefixMap(tuple(sorted(g._domain[0].items(), key=lambda pr: lenlex(pr[0]))),
-                              g.arity)
+            pairs = sorted(g._domain[0].items(), key=lambda pr: lenlex(pr[0]))
+            fresh = PrefixMap.from_pairs(pairs, g.arity)
             assert g == fresh and fresh == g and not g != fresh
             assert g != 5 and (g == "{e->e}") is False
-            assert g != PrefixMap(fresh.pairs, arity + 1)
+            assert g != _element(*fresh._domain, arity + 1)
             assert g.is_identity() == fresh.is_identity()
             assert hash(g) == hash(fresh)
             assert "pairs" not in g.__dict__
@@ -501,9 +502,20 @@ class TestCachedViews:
         """Pairs given out of canonical order make the same element: equal,
         with the same hash, repr and pairs."""
         g = E("{00->1,01->00,1->01}")
-        shuffled = PrefixMap(tuple(reversed(g.pairs)), g.arity)
+        shuffled = PrefixMap.from_pairs(reversed(g.pairs), g.arity)
         assert shuffled == g and hash(shuffled) == hash(g)
         assert repr(shuffled) == repr(g) and shuffled.pairs == g.pairs
+
+    def test_only_from_pairs_builds_an_element(self):
+        """The class itself takes no pairs, so a list that is not a
+        bijection becomes an element only through `from_pairs`, which
+        refuses it; `repr` writes that call."""
+        with pytest.raises(TypeError):
+            PrefixMap((("0", "0"),), 2)
+        with pytest.raises(PreconditionError, match="^incomplete domain code$"):
+            PrefixMap.from_pairs([("0", "0")], 2)
+        for g in (identity(3), E("{00->1,01->00,1->01}")):
+            assert eval(repr(g)) == g
 
     def test_attributes_cannot_be_assigned_or_deleted(self):
         for g in (identity(3), E("{0->1,1->0}") * E("{0->10,10->11,11->0}")):
@@ -512,7 +524,7 @@ class TestCachedViews:
                     setattr(g, name, None)
                 with pytest.raises(FrozenInstanceError):
                     delattr(g, name)
-            assert g == PrefixMap(g.pairs, g.arity)
+            assert g == PrefixMap.from_pairs(g.pairs, g.arity)
 
 
 class TestIdentityFactors:

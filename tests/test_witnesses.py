@@ -411,33 +411,73 @@ class TestDerivedConjugator:
 
 class TestSmallScope:
     """The single-element constructions on every reduced element with at
-    most 4 pairs at arity 2, not a sample of them."""
+    most 4 pairs at arity 2, and with at most 5 pairs at arity 3, not a
+    sample of them."""
 
     BY_PAIRS = helpers.small_elements(2, 4)
-    MOVED = sorted((g for size in BY_PAIRS.values() for g in size if not g.is_identity()), key=str)
+    ELEMENTS = sorted((g for size in BY_PAIRS.values() for g in size), key=str)
+    MOVED = [g for g in ELEMENTS if not g.is_identity()]
+    BY_PAIRS3 = helpers.small_elements(3, 5)
+    MOVED3 = sorted((g for size in BY_PAIRS3.values() for g in size if not g.is_identity()),
+                    key=str)
+
+    @staticmethod
+    def check_decompose2(g):
+        """decompose2's four postconditions."""
+        dec = decompose2(g)
+        assert dec.s2 * dec.s2 == identity(g.arity), g
+        assert dec.s1 * dec.s2 == g, g
+        assert dec.support1.is_proper() and dec.support2.is_proper(), g
+        assert dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2), g
+
+    @staticmethod
+    def check_derived_conjugator(g, w):
+        """At most 2 factors, the word evaluates to the value, and the value
+        has the same restriction as g on the region."""
+        d, cert = derived_conjugator(g, w)
+        assert len(cert.factors) <= 2, g
+        assert cert.evaluate() == d, g
+        assert d.restrict(w) == g.restrict(w), g
 
     def test_counts(self):
         assert {pairs: len(elements) for pairs, elements in self.BY_PAIRS.items()} \
             == {1: 1, 2: 1, 3: 20, 4: 530}
-        assert len(self.MOVED) == 551
+        assert len(self.ELEMENTS) == 552 and len(self.MOVED) == 551
 
     def test_decompose2(self):
-        ident = identity(2)
         for g in self.MOVED:
-            dec = decompose2(g)
-            assert dec.s2 * dec.s2 == ident, g
-            assert dec.s1 * dec.s2 == g, g
-            assert dec.support1.is_proper() and dec.support2.is_proper(), g
-            assert dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2), g
+            self.check_decompose2(g)
 
     @pytest.mark.parametrize("region", ["[00]", "[0]", "[01,10]", "[000,11]"])
     def test_derived_conjugator(self, region):
         w = C(region)
         for g in self.MOVED:
-            d, cert = derived_conjugator(g, w)
-            assert len(cert.factors) <= 2, g
-            assert cert.evaluate() == d, g
-            assert d.restrict(w) == g.restrict(w), g
+            self.check_derived_conjugator(g, w)
+
+    def test_claim2(self):
+        """s1·s2·s3 = g, each s_i fixing its cover member pointwise, on the
+        identity too."""
+        members = min_cover_3(2).members
+        for g in self.ELEMENTS:
+            res = claim2_factorization(g)
+            assert res.s1 * res.s2 * res.s3 == g, g
+            for s, i in zip((res.s1, res.s2, res.s3), res.indices):
+                assert s.in_rist(members[i].complement()), g
+
+    def test_counts_arity_3(self):
+        assert {pairs: len(elements) for pairs, elements in self.BY_PAIRS3.items()} \
+            == {1: 1, 3: 5, 5: 1062}
+        assert len(self.MOVED3) == 1067
+
+    def test_decompose2_arity_3(self):
+        for g in self.MOVED3:
+            self.check_decompose2(g)
+
+    @pytest.mark.parametrize("region", ["[00]", "[01,2]"])
+    def test_derived_conjugator_arity_3(self, region):
+        w = C(region, 3)
+        for g in self.MOVED3:
+            self.check_derived_conjugator(g, w)
 
 
 class TestShiftIdentity:
@@ -593,7 +633,7 @@ def _unevaluated(*args, **kwargs):
 
 @pytest.mark.parametrize("build", [
     lambda n, cert: proper_witness(simple_witness, n, cert),
-    lambda n, cert: claim2_factorization(n, min_cover_3(2), cert)],
+    lambda n, cert: claim2_factorization(n, cert)],
     ids=["simple_witness", "claim2_factorization"])
 def test_certificate_of_another_arity_is_refused_unevaluated(monkeypatch, build):
     cert3, _ = certificate_from_obj(json.loads(Path(test_golden.NCERT3).read_text()))
@@ -819,18 +859,18 @@ class TestClaim2:
         self.cover = min_cover_3(2)
 
     def test_identity(self):
-        res = claim2_factorization(identity(), self.cover)
+        res = claim2_factorization(identity())
         assert res.s1.is_identity() and res.s2.is_identity() and res.s3.is_identity()
 
     def test_shortcut_when_already_fixing(self):
         g = E("{00->00,01->01,10->11,11->10}")  # fixes J1 = [00,110]? no: fixes [00],[01]
-        res = claim2_factorization(g, self.cover)
+        res = claim2_factorization(g)
         assert res.s1 == g and res.s2.is_identity() and res.s3.is_identity()
         assert g.in_rist(self.cover.members[res.indices[0]].complement())
 
     def test_swap(self):
         g = E(SWAP)
-        res = claim2_factorization(g, self.cover)
+        res = claim2_factorization(g)
         assert res.s1 * res.s2 * res.s3 == g
         for s, i in zip((res.s1, res.s2, res.s3), res.indices):
             assert s.in_rist(self.cover.members[i].complement())
@@ -841,7 +881,7 @@ class TestClaim2:
             x, y = random_element(rng), random_element(rng)
             cert = CommutatorWord(((x, y),))
             g = cert.evaluate()
-            res = claim2_factorization(g, self.cover, cert)
+            res = claim2_factorization(g, cert)
             assert res.s1 * res.s2 * res.s3 == g
             assert res.certs is not None
             for s, c in zip((res.s1, res.s2, res.s3), res.certs):
@@ -849,13 +889,13 @@ class TestClaim2:
 
     def test_bad_cert_rejected(self):
         with pytest.raises(PreconditionError):
-            claim2_factorization(E(SWAP), self.cover, CommutatorWord(()))
+            claim2_factorization(E(SWAP), CommutatorWord(()))
 
     def test_random_uncertified(self):
         rng = random.Random(47)
         for _ in range(100):
             g = random_element(rng)
-            res = claim2_factorization(g, self.cover)
+            res = claim2_factorization(g)
             assert res.s1 * res.s2 * res.s3 == g
             for s, i in zip((res.s1, res.s2, res.s3), res.indices):
                 assert s.in_rist(self.cover.members[i].complement())
@@ -866,13 +906,13 @@ class TestClaim3:
         self.cover = min_cover_3(2)
 
     def test_identities(self):
-        res = claim3_witness(identity(), identity(), self.cover)
+        res = claim3_witness(identity(), identity())
         assert res.c.in_rist(res.ic.complement())
         assert len(res.f_table) == 6
 
     def test_swap_and_identity(self):
         g, h = E(SWAP), identity()
-        res = claim3_witness(g, h, self.cover)
+        res = claim3_witness(g, h)
         assert (res.c * g).in_rist(res.ia.complement())
         assert (res.c * h).in_rist(res.ib.complement())
         assert res.c.in_rist(res.ic.complement())
@@ -881,7 +921,7 @@ class TestClaim3:
         rng = random.Random(48)
         for _ in range(60):
             g, h = random_element(rng), random_element(rng)
-            res = claim3_witness(g, h, self.cover)
+            res = claim3_witness(g, h)
             blocked = res.ia.union(res.ib).union(res.ic)
             assert not blocked.is_full()
             assert res.ia.disjoint(res.ib) and res.ia.disjoint(res.ic) and res.ib.disjoint(res.ic)
@@ -909,7 +949,7 @@ class TestClaim3:
 @pytest.mark.parametrize("build", [
     lambda: transporter(C("[0]"), C("[0]", 3)),
     lambda: join_compression(C("[00]"), C("[01]", 3)),
-    lambda: claim3_witness(E(SWAP), identity(3), min_cover_3(2)),
+    lambda: claim3_witness(E(SWAP), identity(3)),
     lambda: E(SWAP) * identity(3),
     lambda: commutator(E(SWAP), identity(3)),
     lambda: commutator(identity(3), E(SWAP)),
