@@ -19,6 +19,12 @@ from .clopen import (ClopenSet, canonicalize, code_view, cylinder, check_word, e
                      letters, merge_siblings, off_alphabet, refine, same_arity, split_words)
 from .errors import PreconditionError
 
+# A product whose left operand has at least this many pairs, or is itself
+# deferred, waits for its first read (`PrefixMap.__mul__`); a deferred
+# chain holds at most `_CHAIN` factors.
+_DEFER_PAIRS = 64
+_CHAIN = 256
+
 
 class _view:
     """A view of an element computed on its first read and stored under its
@@ -47,7 +53,10 @@ class PrefixMap:
 
     An element stores its reduced pair table as `_domain`: the table and
     its keys (the domain words) in lexicographic order, the outer side of a
-    product in `refine`.  The views derived from it, `pairs` (the pairs in
+    product in `refine`.  An element built by `_element` holds it in its
+    `__dict__` from the start; a product that `*` deferred computes it on
+    its first read (see `__mul__` and the `_domain` view).  The views
+    derived from it, `pairs` (the pairs in
     length-lexicographic order of domain word), the range view, the inverse,
     the literal that `str` returns and the hash, are computed at most once
     per instance, when first read, and kept in its `__dict__` (`_view`, which
@@ -125,8 +134,58 @@ class PrefixMap:
         return len(self._domain[0]) == 1
 
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
-        """Composition: (g * h)(x) = g(h(x))."""
-        return compose(self, other)
+        """Composition: (g * h)(x) = g(h(x)).
+
+        A product whose left operand is a stored element of fewer than
+        `_DEFER_PAIRS` pairs is composed at once by `compose`, so `e * g` is
+        `g`.  Otherwise, once the arities are checked, `g * e` is `g`, and any
+        other product is deferred: it holds its operands and the length of
+        its chain of factors, and is evaluated on its first read (the
+        `_domain` view), which composes the chain pairwise, not from the
+        left.  A deferred right operand is evaluated here first, so deferred
+        products nest only to the left, and a chain that would pass `_CHAIN`
+        factors evaluates its left operand first, which bounds what an
+        unread chain holds."""
+        product = self.__dict__.get("_product")
+        if product is not None and product[2] == _CHAIN:
+            self._domain
+            product = None
+        if product is None and len(self._domain[0]) < _DEFER_PAIRS:
+            return compose(self, other)
+        arity = same_arity(self, other)
+        if other.is_identity():
+            return self
+        deferred = object.__new__(PrefixMap)
+        deferred.__dict__.update(_product=(self, other, product[2] + 1 if product else 2),
+                                 arity=arity)
+        return deferred
+
+    @_view
+    def _domain(self) -> tuple[dict[str, str], list[str]]:
+        """The table of a deferred product, the only kind of element that
+        reaches this view.  The deferred left spine is walked down to the
+        first stored element, and the left operand's factors [first, f1,
+        ..., fm] are composed pairwise, level by level; the left operand
+        keeps that table, so a left operand shared by two products is
+        computed once.  The product is then the left operand composed with
+        the right one.  The operands are read with `dict.get` and each table
+        is stored before its operands are dropped, so a racing first read
+        finds the table or computes an equal one, and the chain's factors
+        are freed."""
+        product = self.__dict__.get("_product")
+        if product is None:
+            return self.__dict__["_domain"]
+        left, right, _ = product
+        factors, node = [], left
+        while (spine := node.__dict__.get("_product")) is not None:
+            node, factor, _ = spine
+            factors.append(factor)
+        factors.append(node)
+        factors.reverse()
+        while len(factors) > 1:
+            factors = [compose(*factors[i:i + 2]) for i in range(0, len(factors), 2)]
+        _store(left, factors[0]._domain)
+        return _store(self, compose(left, right)._domain)
 
     @_view
     def _range(self) -> tuple[dict[str, str], list[str]]:
@@ -149,17 +208,22 @@ class PrefixMap:
         return inv
 
     def __pow__(self, n: int) -> "PrefixMap":
-        """Repeated squaring: O(log |n|) compositions; the product starts
-        from the identity, which `compose` drops."""
+        """Repeated squaring: O(log |n|) compositions, each made at once by
+        `compose` (a deferred `base * base` would keep 2**j factors); the
+        product starts from the identity, which `compose` drops.  An
+        exponent that is not an `int`, a `bool` or a `float` say, gets
+        Python's own `TypeError`."""
+        if n.__class__ is not int:
+            return NotImplemented
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         acc = identity(self.arity)
         while n:
             if n & 1:
-                acc = acc * base
+                acc = compose(acc, base)
             n >>= 1
             if n:
-                base = base * base
+                base = compose(base, base)
         return acc
 
     def restrict(self, region: ClopenSet) -> list[tuple[str, str]]:
@@ -262,7 +326,9 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
     tables of every step are reduced, so only pieces on equal words can
     start a family (see `refine`).  The product keeps its reduced table
     with the keys sorted as its domain view, so a product that has it as
-    its outer factor sorts nothing on that side.
+    its outer factor sorts nothing on that side.  Unlike `*`, it composes
+    at once, whatever the sizes: a deferred factor is evaluated when its
+    view is read.
 
     The identity is the neutral factor: once every factor's arity is
     checked, identity factors are dropped, so a lone remaining factor is
@@ -283,6 +349,14 @@ def compose(first: PrefixMap, *rest: PrefixMap) -> PrefixMap:
         table = merge_siblings(refine(g._range, view, seeds), arity, seeds)
         view = table, sorted(table)
     return _element(*view, arity)
+
+
+def _store(element: PrefixMap, view: tuple[dict[str, str], list[str]]):
+    """Keep `view` as the `_domain` of a deferred product, then drop its
+    operands; return the view."""
+    element.__dict__["_domain"] = view
+    element.__dict__.pop("_product", None)
+    return view
 
 
 def _element(table: dict[str, str], lex: list[str], arity: int) -> PrefixMap:

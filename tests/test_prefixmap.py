@@ -1,6 +1,8 @@
+import gc
 import random
 import time
 from dataclasses import FrozenInstanceError
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from cantorwit.clopen import (ARITIES, ClopenSet, canonicalize, cylinder, letter
                              refine, whole_space)
 from cantorwit.corpus import random_clopen, random_code, random_element
 from cantorwit.errors import ArityMismatchError, PreconditionError, ToolkitError
+from cantorwit import prefixmap
 from cantorwit.literals import parse_clopen, parse_element
-from cantorwit.prefixmap import (PrefixMap, _check_complete_code, _element, _swap, compose,
-                                 identity, onto_transporter, patch, sigma_swap)
+from cantorwit.prefixmap import (_CHAIN, _DEFER_PAIRS, PrefixMap, _check_complete_code, _element,
+                                 _swap, compose, identity, onto_transporter, patch, sigma_swap)
 from cantorwit.witnesses import CommutatorWord, NormalWord
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
@@ -567,6 +570,179 @@ class TestIdentityFactors:
             assert value == identity(3) and value.arity == 3
 
 
+def count_refines(monkeypatch) -> list:
+    """A list that gets one entry per `refine` call that `compose` makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(prefixmap, "refine", counted)
+    return calls
+
+
+def level_permutation(rng, arity, depth, moved=None):
+    """A permutation of the words of length `depth`: a random one, or a
+    cycle through `moved` of them, which reduces to few pairs."""
+    words = all_words(arity, depth)
+    if moved is None:
+        images = rng.sample(words, len(words))
+    else:
+        cycle = rng.sample(words, moved)
+        images = [dict(zip(cycle, cycle[1:] + cycle[:1])).get(w, w) for w in words]
+    return PrefixMap.from_pairs(zip(words, images), arity)
+
+
+def deferred(g) -> bool:
+    return "_product" in g.__dict__
+
+
+class TestDeferredProducts:
+    """A product whose left operand is deferred or has at least
+    `_DEFER_PAIRS` pairs waits for its first read, which composes its chain
+    pairwise; the value is the left fold's, and `compose` and `**` never
+    defer."""
+
+    # words of the permuted level: 128, 81 and 64 at arities 2, 3 and 4
+    DEPTH = {2: 7, 3: 4, 4: 3}
+    LENGTHS = (1, 2, 3, 10, 63, 64, 65, 255, 256, 257, 300)
+
+    @classmethod
+    def factors(cls, arity, seed, count):
+        """Cycles of 2 or 3 level words first, so that the left operand grows
+        from a few pairs past `_DEFER_PAIRS`, then cycles mixed with random
+        level permutations and identities."""
+        rng = random.Random(seed)
+        depth = cls.DEPTH[arity]
+        out = [level_permutation(rng, arity, depth, rng.choice((2, 3))) for _ in range(12)]
+        while len(out) < count:
+            out.append(rng.choice((level_permutation(rng, arity, depth),
+                                   level_permutation(rng, arity, depth, 2),
+                                   identity(arity))))
+        return out
+
+    @staticmethod
+    def chain(factors):
+        """The product through `*`, with the left operand's pair count or
+        None (deferred) before each step."""
+        x, lefts = factors[0], []
+        for f in factors[1:]:
+            lefts.append(None if deferred(x) else len(x._domain[0]))
+            x = x * f
+            assert not deferred(x) or x.__dict__["_product"][2] <= _CHAIN
+        return x, lefts
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_chains_match_the_full_scan_fold(self, arity):
+        fs = self.factors(arity, 310 + arity, max(self.LENGTHS))
+        expected, acc = {}, fs[0]
+        for n, f in enumerate(fs, start=1):
+            acc = acc if n == 1 else compose_full_scan(acc, f)
+            if n in self.LENGTHS:
+                expected[n] = acc
+        for n in self.LENGTHS:
+            x, lefts = self.chain(fs[:n])
+            if n >= 64:
+                assert None in lefts and any(p is not None and p < _DEFER_PAIRS for p in lefts)
+                assert any(p is not None and p >= _DEFER_PAIRS for p in lefts)
+            assert x == expected[n] and str(x) == str(expected[n]) and x.pairs == expected[n].pairs
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_chains_that_cancel_read_as_the_identity(self, arity):
+        fs = [f for f in self.factors(arity, 320 + arity, 150) if not f.is_identity()]
+        for half in (fs[:3], fs[:40], fs):
+            x, _ = self.chain(half + [f.inverse() for f in reversed(half)])
+            assert x.is_identity() and str(x) == "{e->e}" and x == identity(arity)
+        big = max(fs, key=lambda f: len(f.pairs))
+        x = big * big.inverse()
+        assert deferred(x) and x.is_identity() and str(x) == "{e->e}"
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_mixed_arities_raise_at_the_product(self, arity):
+        other = 2 if arity > 2 else 3
+        big = max(self.factors(arity, 330 + arity, 20), key=lambda f: len(f.pairs))
+        far = max(self.factors(other, 340 + other, 20), key=lambda f: len(f.pairs))
+        small = identity(arity)
+        chained = big * big
+        far_chained = far * far
+        assert deferred(chained) and deferred(far_chained)
+        for left, right in ((big, far), (chained, far), (chained, far_chained), (small, far_chained),
+                            (far_chained, small), (far, chained)):
+            with pytest.raises(ArityMismatchError,
+                               match=f"^mixed arities {left.arity} and {right.arity}$"):
+                left * right
+
+    def test_long_right_nested_product_does_not_recurse(self):
+        rng = random.Random(350)
+        big = level_permutation(rng, 2, 7)
+        start = x = level_permutation(rng, 2, 7, 3)
+        for _ in range(3000):
+            x = big * x
+        assert deferred(x)
+        assert x == compose(big ** 3000, start)
+
+    def test_shared_left_operand_is_composed_once(self, monkeypatch):
+        fs = self.factors(2, 360, 40)
+        x = fs[0]
+        for f in fs[1:-2]:
+            x = x * f
+        assert deferred(x)
+        y, z = x * fs[-2], x * fs[-1]
+        y_value, z_value = compose(*fs[:-1]), compose(*fs[:-2], fs[-1])
+        calls = count_refines(monkeypatch)
+        y._domain
+        assert "_domain" in x.__dict__ and not deferred(x)
+        before = len(calls)
+        z._domain
+        assert len(calls) - before == 1
+        assert y == y_value and z == z_value
+
+    def test_unread_chain_holds_at_most_the_chain_bound(self):
+        rng = random.Random(370)
+        pool = [level_permutation(rng, 2, 6) for _ in range(20)]
+        fs = [rng.choice(pool) for _ in range(10_000)]
+        x, lefts = self.chain(fs)
+        assert lefts.count(None) > 9_000
+        live = sum(1 for g in gc.get_objects() if g.__class__ is PrefixMap and deferred(g))
+        assert deferred(x) and live <= _CHAIN
+        assert x == compose(*fs)
+
+    def test_deferred_products_are_frozen_and_hash_as_their_value(self):
+        fs = self.factors(2, 380, 30)
+        big = max(fs, key=lambda f: len(f.pairs))
+        for make, value in ((lambda: big * fs[0], compose(big, fs[0])),
+                            (lambda: self.chain(fs)[0], compose(*fs))):
+            g = make()
+            assert deferred(g)
+            for name in ("pairs", "arity", "_domain", "_product", "other"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(g, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(g, name)
+            assert deferred(g) and hash(g) == hash(value) and g == value
+            assert make() == value and value == make() and {make(), value} == {value}
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_identity_operands_return_the_other(self, arity):
+        e = identity(arity)
+        fs = self.factors(arity, 390 + arity, 20)
+        big = max(fs, key=lambda f: len(f.pairs))
+        assert len(big.pairs) >= _DEFER_PAIRS
+        chained = big * fs[-2]
+        assert chained * e is chained and deferred(chained)
+        # `compose` reads the deferred right operand
+        assert e * chained is chained and not deferred(chained)
+        assert e * big is big and big * e is big
+        assert chained == compose(big, fs[-2])
+
+    def test_compose_and_powers_do_not_defer(self):
+        fs = self.factors(2, 400, 20)
+        big = max(fs, key=lambda f: len(f.pairs))
+        for g in (compose(big, fs[-2]), compose(big, big, big), big ** 2, big ** 5, big ** -3):
+            assert not deferred(g) and "_domain" in g.__dict__
+
+
 class TestComposeInvert:
     def test_identity_neutral(self):
         g = E("{0->00,10->01,11->1}")
@@ -623,6 +799,30 @@ class TestComposeInvert:
                 assert g ** n == forward and g ** -n == backward
                 assert identity(arity) ** n == identity(arity) == identity(arity) ** -n
                 forward, backward = forward * g, backward * g.inverse()
+
+    def test_power_takes_int_exponents_only(self):
+        g = E("{0->1,1->0}")
+        for n in (2.0, True, False, "2", None):
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                g ** n
+
+    def test_power_makes_logarithmically_many_compositions(self, monkeypatch):
+        """Repeated squaring, whatever the size of the base: at most two
+        compositions per bit of the exponent."""
+        g = level_permutation(random.Random(410), 2, 6)
+        assert len(g.pairs) >= _DEFER_PAIRS
+        expected, acc = {0: identity()}, identity()
+        checked = (0, 1, 2, 3, 7, 64, 100, 255, 256, 511, 1000)
+        for n in range(1, max(checked) + 1):
+            acc = compose_full_scan(acc, g)
+            if n in checked:
+                expected[n] = acc
+        calls = count_refines(monkeypatch)
+        for n in checked:
+            before = len(calls)
+            assert g ** n == expected[n]
+            assert len(calls) - before <= 2 * n.bit_length()
+            assert g ** -n == expected[n].inverse()
 
 
 class TestImage:
