@@ -250,6 +250,15 @@ class PrefixMap:
         """Membership in the rigid stabiliser: fixes the complement pointwise."""
         return self.fixes_pointwise(region.complement())
 
+    def support(self) -> ClopenSet:
+        """The canonical union of the domain cylinders of the moved pairs
+        (d != r): the closure of the moved points, since a moved pair fixes
+        at most one point of its cylinder and a pair (d, d) fixes all of
+        them.  So g lies in rist(U) exactly when `g.support().subset(U)`;
+        the identity's support is empty."""
+        table, lex = self._domain
+        return canonicalize([d for d in lex if table[d] != d], self.arity)
+
     def moved_cylinder(self) -> ClopenSet:
         """A cylinder Z with g(Z) disjoint from Z.
 

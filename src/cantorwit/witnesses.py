@@ -10,8 +10,9 @@ The constructions all follow one theme: an element with clopen support
 bound S is insensitive to what a conjugator does off S, so a raw conjugator
 can be traded for one that agrees with it pointwise on S and carries a
 commutator-word certificate.  derived_conjugator produces such elements
-(two commutators suffice, one per factor of a two-piece splitting), and the
-witness builders below compose them into full certificates.
+(one commutator when the element is rigidly supported in a proper set,
+otherwise two, one per factor of a two-piece splitting), and the witness
+builders below compose them into full certificates.
 """
 
 import json
@@ -167,19 +168,26 @@ def decompose2(g: PrefixMap) -> Decomposition:
 
 
 def derived_conjugator(g: PrefixMap, region: ClopenSet, memo: dict | None = None) -> Certified:
-    """A product of at most two commutators agreeing with g pointwise on
-    the proper clopen `region` (hence with the same image of it), its word
-    evaluated through `memo` when one is given.
+    """A product of commutators agreeing with g pointwise on the proper
+    clopen `region` (hence with the same image of it), its word evaluated
+    through `memo` when one is given: one commutator when g is rigidly
+    supported in a proper set, two otherwise.
 
-    For each factor s of g = s1·s2 with support bound S, a transporter h
-    pushes S off the current image of the region, so h·s^-1·h^-1 fixes that
-    image pointwise and [s, h] acts on it exactly as s does: s2 acts on the
-    region itself and s1 on s2(region), the one image the word needs.
+    For an element s with support bound S, a transporter h pushes S off an
+    image of the region, so h·s^-1·h^-1 fixes that image pointwise and
+    [s, h] acts on it exactly as s does.  When g.support() is proper, s = g
+    and the image is the region itself.  Otherwise the same is done for
+    each factor of g = s1·s2: s2 acts on the region and s1 on s2(region),
+    the one image the word needs.
     """
     if not region.is_proper():
         raise PreconditionError("degenerate region for derived conjugator")
     if g.is_identity():
         return Certified.from_word(CommutatorWord((), g.arity), memo)
+    support = g.support()
+    if not support.is_full():
+        h = transporter(support, region.complement())
+        return Certified.from_word(CommutatorWord(((g, h),), g.arity), memo)
     dec = decompose2(g)
     h2 = transporter(dec.support2, region.complement())
     h1 = transporter(dec.support1, dec.s2.image(region).complement())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cantorwit.clopen import (ARITIES, ClopenSet, canonicalize, cylinder, letters, merge_siblings,
                              refine, whole_space)
-from cantorwit.corpus import random_clopen, random_code, random_element
+from cantorwit.corpus import random_clopen, random_code, random_element, random_rist_element
 from cantorwit.errors import ArityMismatchError, PreconditionError, ToolkitError
 from cantorwit import prefixmap
 from cantorwit.literals import parse_clopen, parse_element
@@ -19,8 +19,9 @@ from cantorwit.prefixmap import (_CHAIN, _DEFER_PAIRS, PrefixMap, _check_complet
 from cantorwit.witnesses import CommutatorWord, NormalWord
 
 from helpers import (all_words, apply_pairs, compose_full_scan, is_complete_code, lenlex,
-                     maps_equal, member, merge_siblings_worklist, moved_cylinder_pairs,
-                     patch_pairwise, reduce_table, refine_table, sigma_swap_two_pass, view)
+                     maps_equal, max_word_len, member, merge_siblings_worklist,
+                     moved_cylinder_pairs, patch_pairwise, reduce_table, refine_table,
+                     sigma_swap_two_pass, view)
 
 E = parse_element
 C = parse_clopen
@@ -904,6 +905,38 @@ class TestFixesAndRist:
         g = E("{0->00,10->01,11->1}")
         assert not g.fixes_pointwise(C("[0]"))
         assert not g.fixes_pointwise(C("[000]"))
+
+
+class TestSupport:
+    def test_examples(self):
+        assert identity().support() == C("[]")
+        assert E("{0->1,1->0}").support() == C("[e]")
+        assert E("{00->10,10->00,01->01,11->11}").support() == C("[00,10]")
+        # two moved siblings merge in the canonical code
+        assert E("{00->01,01->00,1->1}").support() == C("[0]")
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_matches_pointwise_oracle(self, arity):
+        """Every word one letter past the domain words is moved exactly
+        when it lies in the support, so points outside it are fixed and
+        each of its cylinders holds a moved point; the code is canonical,
+        and g lies in rist(U) exactly when the support lies in U."""
+        rng = random.Random(3510 + arity)
+        depth = {2: 4, 3: 3, 4: 2, 5: 2}[arity]
+        pool = [identity(arity)]
+        for _ in range(25):
+            pool.append(random_element(rng, arity, depth))
+            pool.append(random_rist_element(rng, random_clopen(rng, arity, depth)))
+        for g in pool:
+            support = g.support()
+            assert support == canonicalize(support.code, arity), g
+            words = all_words(arity, max_word_len([d for d, _ in g.pairs]) + 1)
+            moved = {w for w in words if apply_pairs(g.pairs, w) != w}
+            assert moved == {w for w in words if member(support.code, w)}, g
+            assert all(any(w.startswith(c) for w in moved) for c in support.code), g
+            for region in (support, support.union(random_clopen(rng, arity, depth)),
+                           random_clopen(rng, arity, depth), whole_space(arity)):
+                assert g.in_rist(region) == support.subset(region), (g, region)
 
 
 class TestMovedCylinder:

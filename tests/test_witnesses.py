@@ -398,6 +398,25 @@ class TestDerivedConjugator:
             assert cert.evaluate() == d
             assert d.image(w) == g.image(w)
 
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_rigid_element_lifts_with_one_commutator(self, arity):
+        """g supported in a random proper region lifts on another to the one
+        factor [g, h], whose fold is the value, and the value maps every
+        cylinder of the common refinement of the region with both domain
+        codes as g does (`apply_pairs`)."""
+        rng = random.Random(3500 + arity)
+        depth = {2: 4, 3: 3, 4: 2, 5: 2}[arity]
+        for _ in range(30):
+            g = random_rist_element(rng, random_clopen(rng, arity, depth))
+            w = random_clopen(rng, arity, depth)
+            d, cert = derived_conjugator(g, w)
+            assert len(cert.factors) == 1 and cert.factors[0][0] == g
+            assert commutator_fold(cert.factors, arity) == d
+            pieces = [p for _, _, p in helpers.refine_oracle(w.code, [x for x, _ in d.pairs])]
+            pieces = [p for _, _, p in helpers.refine_oracle(pieces, [x for x, _ in g.pairs])]
+            assert all(helpers.apply_pairs(d.pairs, p) == helpers.apply_pairs(g.pairs, p)
+                       for p in pieces), (g, w)
+
     def test_support_disjoint_from_region(self):
         # g fixes the region setwise by acting elsewhere; image equality
         # then just says d(w) = w
@@ -431,11 +450,19 @@ class TestSmallScope:
         assert dec.s1.in_rist(dec.support1) and dec.s2.in_rist(dec.support2), g
 
     @staticmethod
-    def check_derived_conjugator(g, w):
-        """At most 2 factors, the word evaluates to the value, and the value
-        has the same restriction as g on the region."""
+    def rigid(g) -> bool:
+        """Whether the moved pairs of g cover a proper set: its domain words
+        name disjoint cylinders covering the space, so exactly when some
+        pair is fixed."""
+        return any(d == r for d, r in g.pairs)
+
+    @classmethod
+    def check_derived_conjugator(cls, g, w):
+        """One factor when g is rigid and two otherwise, the word evaluates
+        to the value, and the value has the same restriction as g on the
+        region."""
         d, cert = derived_conjugator(g, w)
-        assert len(cert.factors) <= 2, g
+        assert len(cert.factors) == (1 if cls.rigid(g) else 2), g
         assert cert.evaluate() == d, g
         assert d.restrict(w) == g.restrict(w), g
 
@@ -443,6 +470,11 @@ class TestSmallScope:
         assert {pairs: len(elements) for pairs, elements in self.BY_PAIRS.items()} \
             == {1: 1, 2: 1, 3: 20, 4: 530}
         assert len(self.ELEMENTS) == 552 and len(self.MOVED) == 551
+
+    def test_rigid_counts(self):
+        """The elements whose lift is one commutator."""
+        assert sum(map(self.rigid, self.MOVED)) == 130
+        assert sum(map(self.rigid, self.MOVED3)) == 363
 
     def test_decompose2(self):
         for g in self.MOVED:
@@ -618,6 +650,34 @@ class TestBuilderSelfChecks:
         with pytest.raises(VerificationError, match=f"^internal error: {message}$"):
             proper_witness(build, n, n_cert)
 
+    def test_a_broken_one_commutator_lift_is_caught(self, monkeypatch):
+        """The transporter of every rigid lift becomes the identity, so each
+        such lift is [g, e] = e: its word still evaluates to its letter,
+        and only the witness's value is wrong.  Here all four lifts are
+        rigid: those of a, b, b·a and the transporter of W = [00]."""
+        lift, move = witnesses.derived_conjugator, witnesses.transporter
+        rigid, broken = [], []
+
+        def recording(g, region, memo=None):
+            rigid.append(g.support().is_proper())
+            try:
+                return lift(g, region, memo)
+            finally:
+                rigid.pop()
+
+        def breaking(src, dst):
+            if rigid and rigid[-1]:
+                broken.append(src)
+                return identity(src.arity)
+            return move(src, dst)
+
+        monkeypatch.setattr(witnesses, "derived_conjugator", recording)
+        monkeypatch.setattr(witnesses, "transporter", breaking)
+        with pytest.raises(VerificationError,
+                           match="^internal error: simple witness failed to evaluate$"):
+            proper_witness(simple_witness, *nontrivial_commutator_base())
+        assert len(broken) == 4
+
     def test_a_wrong_three_cycle_is_caught(self, monkeypatch):
         # the two swaps whose commutator is the 3-cycle become the identity
         cycle = witnesses._cycle
@@ -699,14 +759,19 @@ GOLDEN_SIMPLE = ["simple_proper", "simple_full", "simple_proper_arity3", "simple
 def test_inline_file_reads_as_its_counterpart(name):
     """Each golden simple witness as it was written before the `elements`
     list (every factor literal inline, every conjugator word with its
-    target) reads as the same certificate and target as the golden, which
-    is under half its size."""
+    target) reads as the same certificate and target as its text in the
+    `elements` form, which is under half its size, and certifies the
+    golden's target.  The inline files keep the conjugators of the builder
+    of their time, which lifted every conjugator with two commutators."""
     inline_text = (GOLDEN / f"{name}_inline.json").read_text()
-    text = (GOLDEN / f"{name}.txt").read_text()
-    inline, parsed = json.loads(inline_text), certificate_from_obj(json.loads(text))
-    assert certificate_from_obj(inline) == parsed
+    inline = json.loads(inline_text)
+    parsed = certificate_from_obj(inline)
+    text = witnesses.dumps_simple_witness(*parsed)
+    assert certificate_from_obj(json.loads(text)) == parsed
     assert simple_witness_to_inline_obj(*parsed) == inline
     assert len(text) < len(inline_text) / 2
+    golden = certificate_from_obj(json.loads((GOLDEN / f"{name}.txt").read_text()))
+    assert parsed[1] == golden[1] == parsed[0].evaluate()
 
 
 class TestSharedMemo:
